@@ -8,7 +8,9 @@
 //!
 //! * `results` — one `{group, method, variant, ns_per_iter}` row per benchmark;
 //! * `kernel_speedups` — scalar-twin time over vectorized-twin time per kernel
-//!   (bit-for-bit identical implementations, so this isolates the restructuring win);
+//!   (bit-for-bit identical implementations, so this isolates the restructuring win),
+//!   plus `sketch_build/WMH_v2_column`: a column's three vectors sketched by three
+//!   vectorized sweeps over one shared replay;
 //! * `format_speedups` — the format-v2 kernel wins: v1-stream time over v2-stream
 //!   time for the WMH custom-ln sketch-build (vectorized twin vs twin), measured on
 //!   interleaved best-of-reps so both arms see the same machine conditions, and gated
@@ -28,7 +30,7 @@ use criterion::Criterion;
 use ipsketch_core::countsketch::CountSketcher;
 use ipsketch_core::icws::IcwsSketcher;
 use ipsketch_core::jl::JlSketcher;
-use ipsketch_core::kernel::{dot_scalar, dot_unrolled};
+use ipsketch_core::kernel::{dot_scalar, dot_unrolled, KernelMode};
 use ipsketch_core::method::{AnySketcher, SketchMethod, DEFAULT_WMH_DISCRETIZATION};
 use ipsketch_core::runner::parallel_map;
 use ipsketch_core::storage::{
@@ -293,6 +295,28 @@ fn main() {
         }
         vec![("sketch_build/WMH_v2_over_v1".to_string(), best_v1 / best_v2)]
     };
+
+    // One column's three Figure-3 vectors (key indicator, values, squared values),
+    // sketched as three vectorized v2 sweeps against one pass that replays each
+    // `(sample, key)` stream once for all three.  Both arms are bit-identical, so the
+    // row gates like a kernel twin.
+    let key_indicator =
+        SparseVector::from_pairs(va.iter().map(|(i, _)| (i, 1.0))).expect("finite values");
+    let squared = SparseVector::from_pairs(va.iter().map(|(i, v)| (i, v * v))).expect("finite");
+    let column = [&key_indicator, &va, &squared];
+    let s = suite.bench("sketch_build", "WMH_v2_column", "three_sweeps", || {
+        for vector in column {
+            std::hint::black_box(wmh_v2.sketch_vectorized(vector).expect("sketchable"));
+        }
+    });
+    let v = suite.bench("sketch_build", "WMH_v2_column", "one_replay", || {
+        std::hint::black_box(
+            wmh_v2
+                .sketch_many(column.map(|v| (v, None)), KernelMode::Vectorized)
+                .expect("sketchable"),
+        );
+    });
+    kernel_speedups.push(("sketch_build/WMH_v2_column".to_string(), s / v));
 
     let icws =
         IcwsSketcher::new(icws_samples_for_budget(cfg.budget_doubles), SEED).expect("samples >= 1");

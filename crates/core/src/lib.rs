@@ -66,6 +66,6 @@ pub mod union;
 pub mod wmh;
 
 pub use error::SketchError;
-pub use method::{AnySketch, AnySketcher, SketchMethod};
+pub use method::{AnySketch, AnySketcher, SketchMethod, SketchPath};
 pub use spec::{FormatVersion, SketcherKind, SketcherSpec};
 pub use traits::{MergeableSketcher, Sketch, Sketcher};

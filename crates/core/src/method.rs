@@ -145,6 +145,20 @@ impl Sketch for AnySketch {
     }
 }
 
+/// How [`AnySketcher::sketch_triple`] sketches each of its vectors — the three
+/// column-sketching paths of `ipsketch-join`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SketchPath {
+    /// One-shot, as [`Sketcher::sketch`].
+    OneShot,
+    /// Split into row chunks and merged, as [`AnySketcher::sketch_chunked`] with this
+    /// many partitions.
+    Chunked(usize),
+    /// One shard against announced full-vector norms (one per vector, in order), as
+    /// [`AnySketcher::sketch_partial`].
+    Announced([f64; 3]),
+}
+
 /// A runtime-selected sketcher.
 #[derive(Debug, Clone)]
 pub enum AnySketcher {
@@ -293,10 +307,7 @@ impl AnySketcher {
         partitions: usize,
     ) -> Result<AnySketch, SketchError> {
         if partitions == 0 {
-            return Err(SketchError::InvalidParameter {
-                name: "partitions",
-                allowed: ">= 1",
-            });
+            return Err(zero_partitions());
         }
         if matches!(self, AnySketcher::SimHash(_)) {
             return Err(incompatible(
@@ -402,6 +413,50 @@ impl AnySketcher {
         }
     }
 
+    /// Sketches the three Figure-3 vectors of one table column (key indicator,
+    /// values, squared values) along `path` — the column-level entry point.
+    ///
+    /// The result is bit-identical to three separate calls of the path's per-vector
+    /// method, and so is the error: the first one in vector order.  That is also how
+    /// every method but Weighted MinHash computes it.  WMH sketches the three in one
+    /// pass instead ([`WeightedMinHasher::sketch_many`]): the vectors share their keys,
+    /// so each `(sample, key)` record stream is replayed once for all three.  A
+    /// chunked WMH sketch needs no chunks there: min-merging in-order chunk partials
+    /// against the full norm is exactly one partition sketch of the whole vector
+    /// against that norm (both keep the earliest key on ties), and the one-shot
+    /// fallback for `partitions == 1` or a single entry is kept.
+    ///
+    /// # Errors
+    ///
+    /// As [`Sketcher::sketch`], [`sketch_chunked`](Self::sketch_chunked) or
+    /// [`sketch_partial`](Self::sketch_partial) for the first vector that fails.
+    pub fn sketch_triple(
+        &self,
+        vectors: [&SparseVector; 3],
+        path: SketchPath,
+    ) -> Result<[AnySketch; 3], SketchError> {
+        if let AnySketcher::WeightedMinHash(s) = self {
+            let announced: [Option<f64>; 3] = match path {
+                SketchPath::OneShot => [None; 3],
+                SketchPath::Chunked(0) => return Err(zero_partitions()),
+                SketchPath::Chunked(partitions) => {
+                    vectors.map(|v| (partitions > 1 && v.nnz() > 1).then(|| v.norm()))
+                }
+                SketchPath::Announced(norms) => norms.map(Some),
+            };
+            let inputs = std::array::from_fn(|i| (vectors[i], announced[i]));
+            return Ok(s
+                .sketch_many(inputs, crate::kernel::mode())?
+                .map(AnySketch::WeightedMinHash));
+        }
+        let one = |i: usize| match path {
+            SketchPath::OneShot => self.sketch(vectors[i]),
+            SketchPath::Chunked(partitions) => self.sketch_chunked(vectors[i], partitions),
+            SketchPath::Announced(norms) => self.sketch_partial(vectors[i], norms[i]),
+        };
+        Ok([one(0)?, one(1)?, one(2)?])
+    }
+
     /// The method of this sketcher.
     #[must_use]
     pub fn method(&self) -> SketchMethod {
@@ -414,6 +469,14 @@ impl AnySketcher {
             AnySketcher::SimHash(_) => SketchMethod::SimHash,
             AnySketcher::Icws(_) => SketchMethod::Icws,
         }
+    }
+}
+
+/// The error for a chunked sketch asked for zero partitions.
+fn zero_partitions() -> SketchError {
+    SketchError::InvalidParameter {
+        name: "partitions",
+        allowed: ">= 1",
     }
 }
 

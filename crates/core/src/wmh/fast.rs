@@ -130,55 +130,58 @@ impl WeightedMinHasher {
         self.params
     }
 
-    /// Runs the active-index sampling loop over `(block, count, value)` triples: for
-    /// each of the `m` samples, the minimum record over every block's `count`-position
-    /// prefix, together with the rounded entry value at the minimizing block.
+    /// Runs the active-index sampling loop over up to `N` vectors at once.  Each
+    /// [`Block`] names a key and, per vector, its repetition count and rounded entry
+    /// value (a count of 0: the vector has no block at this key).  For each vector and
+    /// each of the `m` samples, the result is the minimum record over the vector's
+    /// blocks, together with the rounded entry value at the minimizing block.
     /// Dispatches between the scalar reference and the vectorized kernel.
-    fn sample_minima(&self, blocks: &[(u64, u64, f64)]) -> (Vec<f64>, Vec<f64>) {
-        self.sample_minima_with(blocks, kernel::mode())
-    }
-
-    fn sample_minima_with(
+    fn sample_minima_with<const N: usize>(
         &self,
-        blocks: &[(u64, u64, f64)],
+        blocks: &[Block<N>],
         mode: KernelMode,
-    ) -> (Vec<f64>, Vec<f64>) {
+    ) -> [(Vec<f64>, Vec<f64>); N] {
         match mode {
             KernelMode::Scalar => self.sample_minima_scalar(blocks),
             KernelMode::Vectorized => self.sample_minima_vectorized(blocks),
         }
     }
 
-    /// The scalar reference: sample-outer, block-inner, one record stream at a time.
-    fn sample_minima_scalar(&self, blocks: &[(u64, u64, f64)]) -> (Vec<f64>, Vec<f64>) {
+    /// The scalar reference: sample-outer, block-inner, one record stream at a time —
+    /// `N` independent sketches that merely share the loop.
+    fn sample_minima_scalar<const N: usize>(
+        &self,
+        blocks: &[Block<N>],
+    ) -> [(Vec<f64>, Vec<f64>); N] {
         let m = self.params.samples;
-        let mut hashes = Vec::with_capacity(m);
-        let mut values = Vec::with_capacity(m);
+        let mut minima: [(Vec<f64>, Vec<f64>); N] =
+            std::array::from_fn(|_| (vec![f64::INFINITY; m], vec![0.0; m]));
         for sample in 0..m {
-            let mut best_hash = f64::INFINITY;
-            let mut best_value = 0.0;
-            for &(block, count, value) in blocks {
-                let record = self.stream_prefix_min(sample as u64, block, count);
-                if record.value < best_hash {
-                    best_hash = record.value;
-                    best_value = value;
+            for &(block, counts, values) in blocks {
+                for (i, (hashes, best)) in minima.iter_mut().enumerate() {
+                    if counts[i] == 0 {
+                        continue;
+                    }
+                    let record = self.stream_prefix_min(sample as u64, block, counts[i]);
+                    if record.value < hashes[sample] {
+                        hashes[sample] = record.value;
+                        best[sample] = values[i];
+                    }
                 }
             }
-            hashes.push(best_hash);
-            values.push(best_value);
         }
-        (hashes, values)
+        minima
     }
 
     /// The vectorized kernel: block-outer, sample-inner.
     ///
-    /// Each block's seed-mix half and prefix length are built once and swept across all
-    /// `m` samples with a min-reduction into the `hashes`/`values` arrays, and every
-    /// stream is replayed with the tight register-resident replay kernels.  The
-    /// per-sample seed states are hoisted once per sketch instead of once per
-    /// `(sample, block)` pair.  For every sample, blocks are visited in input order and
-    /// minima kept on strict `<`, so the result is bit-for-bit identical to
-    /// [`sample_minima_scalar`](Self::sample_minima_scalar).
+    /// Each block's seed-mix half and prefix lengths are built once and swept across
+    /// all `m` samples with a min-reduction into each vector's `hashes`/`values`
+    /// arrays, and every stream is replayed with the tight register-resident replay
+    /// kernels.  The per-sample seed states are hoisted once per sketch instead of once
+    /// per `(sample, block)` pair.  For every vector and sample, blocks are visited in
+    /// key order and minima kept on strict `<`, so the result is bit-for-bit identical
+    /// to [`sample_minima_scalar`](Self::sample_minima_scalar).
     ///
     /// The two streams vectorize differently.  The v1 stream is pinned to libm's `ln`
     /// — an opaque scalar call that cannot be widened — so its restructuring is
@@ -191,43 +194,144 @@ impl WeightedMinHasher {
     /// (six logarithm pairs filling three packed evaluations on AVX2, three
     /// interleaved generators hiding the state-update latency), with finished lanes
     /// reloaded from the remaining samples so no lane idles while a slow stream
-    /// drains.  This is the v2 format's sketch-build speedup.
-    fn sample_minima_vectorized(&self, blocks: &[(u64, u64, f64)]) -> (Vec<f64>, Vec<f64>) {
+    /// drains.  The sweep also takes every vector's count at the key: a column's key
+    /// indicator, values and squared values replay the stream of each `(sample, key)`
+    /// once, up to the largest count, and each vector keeps the last record below its
+    /// own count.  This is the v2 format's sketch-build speedup.
+    fn sample_minima_vectorized<const N: usize>(
+        &self,
+        blocks: &[Block<N>],
+    ) -> [(Vec<f64>, Vec<f64>); N] {
         let m = self.params.samples;
         let sample_states: Vec<u64> = (0..m as u64)
             .map(|s| RecordStream::sample_state(self.stream_seed, s))
             .collect();
-        let mut hashes = vec![f64::INFINITY; m];
-        let mut values = vec![0.0; m];
-        for &(block, count, value) in blocks {
+        let mut minima: [(Vec<f64>, Vec<f64>); N] =
+            std::array::from_fn(|_| (vec![f64::INFINITY; m], vec![0.0; m]));
+        for &(block, counts, values) in blocks {
             let block_state = RecordStream::block_state(block);
-            let mut commit = |sample: usize, record: Record| {
+            let mut commit = |i: usize, sample: usize, record: Option<Record>| {
+                if counts[i] == 0 {
+                    return;
+                }
+                let record = record.expect("count >= 1 by construction");
+                let (hashes, best) = &mut minima[i];
                 if record.value < hashes[sample] {
                     hashes[sample] = record.value;
-                    values[sample] = value;
+                    best[sample] = values[i];
                 }
             };
             match self.params.stream {
                 WmhStream::V1 => {
                     for (sample, sample_state) in sample_states.iter().enumerate() {
-                        let record = prefix_min_replay(*sample_state, block_state, count)
-                            .expect("count >= 1 by construction");
-                        commit(sample, record);
+                        for (i, &count) in counts.iter().enumerate() {
+                            commit(
+                                i,
+                                sample,
+                                prefix_min_replay(*sample_state, block_state, count),
+                            );
+                        }
                     }
                 }
                 WmhStream::V2 => {
                     prefix_min_replay_v2_sweep(
                         &sample_states,
                         block_state,
-                        count,
-                        &mut |sample, record| {
-                            commit(sample, record.expect("count >= 1 by construction"));
+                        counts,
+                        &mut |sample, records| {
+                            for (i, record) in records.into_iter().enumerate() {
+                                commit(i, sample, record);
+                            }
                         },
                     );
                 }
             }
         }
-        (hashes, values)
+        minima
+    }
+
+    /// The expanded blocks of one vector as `(key, count, rounded value)`, in key
+    /// order, and the norm its sketch records.  `announced: None` is one-shot
+    /// sketching (Algorithm 4 onto the grid of the vector's own norm, mass absorbed at
+    /// the largest entry); `Some(norm)` is [`sketch_partition`](Self::sketch_partition)
+    /// against an announced norm, every entry floored onto the grid.
+    ///
+    /// # Errors
+    ///
+    /// As [`Sketcher::sketch`] or [`sketch_partition`](Self::sketch_partition).
+    fn blocks(
+        &self,
+        vector: &SparseVector,
+        announced: Option<f64>,
+    ) -> Result<(BlockList, f64), SketchError> {
+        let l = self.params.discretization;
+        let Some(reference_norm) = announced else {
+            // Line 2 of Algorithm 3: normalize and round onto the 1/L grid.  Lines 3–4
+            // are implicit: we never materialize the expanded vector, only the
+            // per-block repetition counts ã[j]²·L.
+            let (rounded, norm) = normalize_and_round(vector, l)?;
+            let blocks: BlockList = repetition_counts(&rounded, l)
+                .into_iter()
+                .map(|(block, count)| (block, count, rounded.get(block)))
+                .collect();
+            debug_assert!(
+                !blocks.is_empty(),
+                "a rounded unit vector always has at least one non-empty block"
+            );
+            return Ok((blocks, norm));
+        };
+        check_reference_norm(reference_norm)?;
+        if vector.norm() > reference_norm * (1.0 + 1e-9) {
+            return Err(SketchError::InvalidParameter {
+                name: "reference_norm",
+                allowed: "at least the partition's own Euclidean norm",
+            });
+        }
+        let l_f = l as f64;
+        let blocks = vector
+            .scaled(1.0 / reference_norm)
+            .iter()
+            .filter_map(|(i, v)| {
+                // Round down onto the 1/L grid exactly as Algorithm 4 does for every
+                // non-maximal entry; entries below the grid contribute no expanded
+                // positions.
+                let units = (v * v * l_f).floor();
+                (units > 0.0).then(|| (i, units as u64, v.signum() * (units / l_f).sqrt()))
+            })
+            .collect();
+        Ok((blocks, reference_norm))
+    }
+
+    /// Sketches up to `N` vectors in one pass over their keys: `inputs[i] = (vector,
+    /// announced)` is sketched as [`Sketcher::sketch`] would (`announced: None`) or as
+    /// [`sketch_partition`](Self::sketch_partition)`(vector, norm)` would
+    /// (`Some(norm)`), bit for bit, under the given kernel `mode`.
+    ///
+    /// The vectors' block lists are walked as one key-ordered union, so vectors sharing
+    /// a key — the three Figure-3 vectors of a table column share all of theirs — share
+    /// the record-stream replay of every `(sample, key)` in the vectorized kernel.
+    ///
+    /// # Errors
+    ///
+    /// The first error, in input order, that the separate calls would report; no
+    /// vector is sketched unless all of them can be.
+    pub fn sketch_many<const N: usize>(
+        &self,
+        inputs: [(&SparseVector, Option<f64>); N],
+        mode: KernelMode,
+    ) -> Result<[WeightedMinHashSketch; N], SketchError> {
+        let mut lists: [BlockList; N] = std::array::from_fn(|_| Vec::new());
+        let mut norms = [0.0; N];
+        for (i, (vector, announced)) in inputs.into_iter().enumerate() {
+            (lists[i], norms[i]) = self.blocks(vector, announced)?;
+        }
+        let mut minima = self.sample_minima_with(&union_blocks(&lists), mode);
+        Ok(std::array::from_fn(|i| WeightedMinHashSketch {
+            params: self.params,
+            hashes: std::mem::take(&mut minima[i].0),
+            values: std::mem::take(&mut minima[i].1),
+            norm: norms[i],
+        }))
     }
 
     /// Sketches with the scalar reference kernel (the internal
@@ -262,27 +366,8 @@ impl WeightedMinHasher {
         vector: &SparseVector,
         mode: KernelMode,
     ) -> Result<WeightedMinHashSketch, SketchError> {
-        // Line 2 of Algorithm 3: normalize and round onto the 1/L grid.
-        let (rounded, norm) = normalize_and_round(vector, self.params.discretization)?;
-        // Lines 3–4 are implicit: we never materialize the expanded vector, only the
-        // per-block repetition counts ã[j]²·L.  The record-stream seed namespace is
-        // derived from the master seed only, so all vectors sketched with the same
-        // configuration share it.
-        let blocks: Vec<(u64, u64, f64)> = repetition_counts(&rounded, self.params.discretization)
-            .into_iter()
-            .map(|(block, count)| (block, count, rounded.get(block)))
-            .collect();
-        debug_assert!(
-            !blocks.is_empty(),
-            "a rounded unit vector always has at least one non-empty block"
-        );
-        let (hashes, values) = self.sample_minima_with(&blocks, mode);
-        Ok(WeightedMinHashSketch {
-            params: self.params,
-            hashes,
-            values,
-            norm,
-        })
+        let [sketch] = self.sketch_many([(vector, None)], mode)?;
+        Ok(sketch)
     }
 
     /// The empty partial sketch of a vector whose Euclidean norm is announced to be
@@ -297,12 +382,7 @@ impl WeightedMinHasher {
         &self,
         reference_norm: f64,
     ) -> Result<WeightedMinHashSketch, SketchError> {
-        if !(reference_norm > 0.0 && reference_norm.is_finite()) {
-            return Err(SketchError::InvalidParameter {
-                name: "reference_norm",
-                allowed: "positive and finite",
-            });
-        }
+        check_reference_norm(reference_norm)?;
         Ok(WeightedMinHashSketch {
             params: self.params,
             hashes: vec![f64::INFINITY; self.params.samples],
@@ -328,31 +408,55 @@ impl WeightedMinHasher {
         vector: &SparseVector,
         reference_norm: f64,
     ) -> Result<WeightedMinHashSketch, SketchError> {
-        let mut partial = self.empty_sketch_with_norm(reference_norm)?;
-        if vector.norm() > reference_norm * (1.0 + 1e-9) {
-            return Err(SketchError::InvalidParameter {
-                name: "reference_norm",
-                allowed: "at least the partition's own Euclidean norm",
-            });
+        let [sketch] = self.sketch_many([(vector, Some(reference_norm))], kernel::mode())?;
+        Ok(sketch)
+    }
+}
+
+/// Rejects an announced norm that is not a positive finite number.
+fn check_reference_norm(reference_norm: f64) -> Result<(), SketchError> {
+    if reference_norm > 0.0 && reference_norm.is_finite() {
+        Ok(())
+    } else {
+        Err(SketchError::InvalidParameter {
+            name: "reference_norm",
+            allowed: "positive and finite",
+        })
+    }
+}
+
+/// The expanded blocks of one vector: `(key, repetition count, rounded value)`, in
+/// strictly increasing key order.
+type BlockList = Vec<(u64, u64, f64)>;
+
+/// One key of a jointly sketched set of `N` vectors: the key, each vector's repetition
+/// count there (0 when the vector has no block at the key) and its rounded entry value.
+type Block<const N: usize> = (u64, [u64; N], [f64; N]);
+
+/// Merges per-vector block lists into one key-ordered list of [`Block`]s.
+fn union_blocks<const N: usize>(lists: &[BlockList; N]) -> Vec<Block<N>> {
+    let mut cursors = [0usize; N];
+    let mut union = Vec::with_capacity(lists.iter().map(Vec::len).max().unwrap_or(0));
+    loop {
+        let Some(key) = (0..N)
+            .filter_map(|i| lists[i].get(cursors[i]).map(|&(key, _, _)| key))
+            .min()
+        else {
+            return union;
+        };
+        let mut counts = [0u64; N];
+        let mut values = [0.0; N];
+        for i in 0..N {
+            if let Some(&(k, count, value)) = lists[i].get(cursors[i]) {
+                if k == key {
+                    debug_assert!(lists[i].get(cursors[i] + 1).is_none_or(|b| b.0 > k));
+                    counts[i] = count;
+                    values[i] = value;
+                    cursors[i] += 1;
+                }
+            }
         }
-        let l_f = self.params.discretization as f64;
-        let scaled = vector.scaled(1.0 / reference_norm);
-        let blocks: Vec<(u64, u64, f64)> = scaled
-            .iter()
-            .filter_map(|(i, v)| {
-                // Round down onto the 1/L grid exactly as Algorithm 4 does for every
-                // non-maximal entry; entries below the grid contribute no expanded
-                // positions.
-                let units = (v * v * l_f).floor();
-                (units > 0.0).then(|| (i, units as u64, v.signum() * (units / l_f).sqrt()))
-            })
-            .collect();
-        if !blocks.is_empty() {
-            let (hashes, values) = self.sample_minima(&blocks);
-            partial.hashes = hashes;
-            partial.values = values;
-        }
-        Ok(partial)
+        union.push((key, counts, values));
     }
 }
 

@@ -176,7 +176,8 @@ impl RecordStream {
 
     /// The v2 analogue of [`prefix_min`](Self::prefix_min), driving the stream with
     /// [`next_record_v2`](Self::next_record_v2).  This is the scalar *reference* for
-    /// the v2 stream; [`prefix_min_replay_v2`] is its bit-identical fast twin.
+    /// the v2 stream; [`prefix_min_replay_v2_scalar`] and the packed
+    /// [`prefix_min_replay_v2_sweep`] are its bit-identical fast twins.
     pub fn prefix_min_v2(&mut self, len: u64) -> Option<Record> {
         if len == 0 {
             return None;
@@ -269,134 +270,60 @@ pub fn prefix_min_v2(seed: u64, sample: u64, block: u64, len: u64) -> Option<Rec
     RecordStream::new(seed, sample, block).prefix_min_v2(len)
 }
 
-/// The v2-stream prefix minimum via a tight inlined replay: bit-identical to
-/// `RecordStream::from_states(sample_state, block_state).prefix_min_v2(len)`.
+/// Replays the v2 prefix minima of *every* stream in `sample_states` over one shared
+/// block at up to `N` prefix lengths, calling `emit(sample_index, records)` exactly
+/// once per stream, where `records[i]` is the minimum over the first `lens[i]`
+/// positions — bit-identical to [`prefix_min_replay_v2_scalar`] for that stream, in
+/// some order.
 ///
-/// On x86-64 CPUs with AVX2 this dispatches to a packed replay that evaluates both
-/// logarithms of two *speculated* records per [`fast_log2_x4`](crate::log2::fast_log2_x4)
-/// call (see the [`avx2`] module docs for why speculation preserves bit-parity);
-/// everywhere else it runs [`prefix_min_replay_v2_scalar`].  Both paths replay the
-/// identical stream definition, bit for bit.
-#[inline]
-#[allow(unsafe_code)]
-#[must_use]
-pub fn prefix_min_replay_v2(sample_state: u64, block_state: u64, len: u64) -> Option<Record> {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just checked.
-        return unsafe { avx2::prefix_min_replay_v2(sample_state, block_state, len) };
-    }
-    prefix_min_replay_v2_scalar(sample_state, block_state, len)
-}
-
-/// The prefix minima of *two* v2 streams over the same block prefix: bit-identical to
-/// calling [`prefix_min_replay_v2`] once per stream, usually faster.
+/// This is the Weighted MinHash sweep's kernel.  Streams terminate after a
+/// geometrically-distributed number of records, so a fixed batch of lanes would run
+/// until its *slowest* member finishes while the others burn slots drawing discarded
+/// values — around a fifth of all lane work at realistic prefix lengths.  The sweep
+/// instead keeps three lanes saturated by reloading each finished lane with the next
+/// pending stream, so the only discarded work is the partial iteration around each
+/// reload and the tail once fewer than three streams remain.
 ///
-/// The Weighted MinHash kernel sweeps one block across all `m` samples, so streams
-/// sharing a block batch naturally; the pair handles a sweep remainder the triple
-/// ([`prefix_min_replay_v2_x3`]) cannot.  On AVX2 the pair is replayed in lockstep —
-/// four logarithms (two speculated records × two streams) per packed evaluation —
-/// which also interleaves the two generators' serial state-update chains, the latency
-/// floor a single stream cannot overlap.  Elsewhere the two streams run through the
-/// scalar replay back to back.
-#[allow(unsafe_code)]
-#[must_use]
-pub fn prefix_min_replay_v2_x2(
-    sample_state_a: u64,
-    sample_state_b: u64,
-    block_state: u64,
-    len: u64,
-) -> (Option<Record>, Option<Record>) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just checked.
-        return unsafe {
-            avx2::prefix_min_replay_v2_x2(sample_state_a, sample_state_b, block_state, len)
-        };
-    }
-    (
-        prefix_min_replay_v2_scalar(sample_state_a, block_state, len),
-        prefix_min_replay_v2_scalar(sample_state_b, block_state, len),
-    )
-}
-
-/// The prefix minima of *three* v2 streams over the same block prefix: bit-identical
-/// to calling [`prefix_min_replay_v2`] once per stream, usually faster still than
-/// [`prefix_min_replay_v2_x2`].
-///
-/// Three streams × two speculated iterations is six logarithm pairs — exactly three
-/// [`fast_log2_x4`](crate::log2::fast_log2_x4) evaluations with no lane left idle,
-/// and the widest shape whose working set (three generators plus the packed
-/// temporaries) still fits the register file; four-stream lockstep spills and
-/// measures slower.  The triple is the Weighted MinHash sweep's unit of work.
-#[allow(unsafe_code)]
-#[must_use]
-pub fn prefix_min_replay_v2_x3(
-    sample_state_a: u64,
-    sample_state_b: u64,
-    sample_state_c: u64,
-    block_state: u64,
-    len: u64,
-) -> (Option<Record>, Option<Record>, Option<Record>) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just checked.
-        return unsafe {
-            avx2::prefix_min_replay_v2_x3(
-                sample_state_a,
-                sample_state_b,
-                sample_state_c,
-                block_state,
-                len,
-            )
-        };
-    }
-    (
-        prefix_min_replay_v2_scalar(sample_state_a, block_state, len),
-        prefix_min_replay_v2_scalar(sample_state_b, block_state, len),
-        prefix_min_replay_v2_scalar(sample_state_c, block_state, len),
-    )
-}
-
-/// Replays the v2 prefix minimum of *every* stream in `sample_states` over one shared
-/// block prefix, calling `emit(sample_index, record)` exactly once per stream —
-/// bit-identical to calling [`prefix_min_replay_v2`] once per stream, in some order.
-///
-/// This is the Weighted MinHash sweep's kernel.  The fixed-width batches
-/// ([`prefix_min_replay_v2_x2`]/[`_x3`](prefix_min_replay_v2_x3)) pay a real tax:
-/// streams terminate after a geometrically-distributed number of records, so a batch
-/// runs until its *slowest* member finishes while the others burn slots drawing
-/// discarded values — around a fifth of all lane work at realistic prefix lengths.
-/// The sweep instead keeps three lanes saturated by reloading each finished lane
-/// with the next pending stream, so the only discarded work is the partial iteration
-/// around each reload and the tail once fewer than three streams remain.
+/// The lengths let one replay serve several vectors.  The three Figure-3 vectors of a
+/// table column share their keys, and the stream of `(seed, sample, key)` is the same
+/// for all of them, so their prefix minima at one key are nested prefixes of a single
+/// stream: replaying it once up to the longest length and keeping, per length, the
+/// last record below it replaces up to `N` replays by one.  A zero length means that
+/// vector has no block at this key; its record is `None`.
 ///
 /// Emission order follows lane completion, not sample order; callers reducing into
 /// per-sample slots (as the WMH min-reduction does) are order-insensitive.  Each
-/// record is the same `Option` the per-stream replay returns (`None` only for
-/// `len == 0` or a zero first draw).
+/// record is the same `Option` a separate replay at its length returns (`None` only
+/// for a zero length or a zero first draw).
 #[allow(unsafe_code)]
-pub fn prefix_min_replay_v2_sweep(
+pub fn prefix_min_replay_v2_sweep<const N: usize>(
     sample_states: &[u64],
     block_state: u64,
-    len: u64,
-    emit: &mut dyn FnMut(usize, Option<Record>),
+    lens: [u64; N],
+    emit: &mut dyn FnMut(usize, [Option<Record>; N]),
 ) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 presence was just checked.
-        unsafe { avx2::prefix_min_replay_v2_sweep(sample_states, block_state, len, emit) };
+        unsafe { avx2::prefix_min_replay_v2_sweep(sample_states, block_state, lens, emit) };
         return;
     }
     for (sample, state) in sample_states.iter().enumerate() {
         emit(
             sample,
-            prefix_min_replay_v2_scalar(*state, block_state, len),
+            prefix_min_replay_v2_scalar(*state, block_state, lens),
         );
     }
 }
 
-/// The portable scalar v2 replay — the reference the packed paths are tested against.
+/// The portable scalar v2 replay — the reference the packed sweep is tested against.
+///
+/// Replays the stream of `(sample_state, block_state)` once, up to the largest of
+/// `lens`, and returns for every `lens[i]` the minimum over that prefix: the last
+/// record whose position is below it (`None` for a zero length or a zero first draw).
+/// Each answer is bit-identical to `RecordStream::from_states(sample_state,
+/// block_state).prefix_min_v2(lens[i])`, because a shorter prefix's minimum is a
+/// record the longer replay passes through.
 ///
 /// Unlike the v1 pair — where [`prefix_min_replay`] adds a shortcut that a theorem
 /// (locked in by a `geometric.rs` test) proves consistent with the slow path — the v2
@@ -410,20 +337,22 @@ pub fn prefix_min_replay_v2_sweep(
 /// definition's, in the definition's order.  The remaining wins are the same as v1's:
 /// no per-record `Option` bookkeeping, state kept in registers.
 #[must_use]
-pub fn prefix_min_replay_v2_scalar(
+pub fn prefix_min_replay_v2_scalar<const N: usize>(
     sample_state: u64,
     block_state: u64,
-    len: u64,
-) -> Option<Record> {
-    if len == 0 {
-        return None;
+    lens: [u64; N],
+) -> [Option<Record>; N] {
+    let limit = lens.iter().copied().max().unwrap_or(0);
+    if limit == 0 {
+        return [None; N];
     }
     let mut rng = Xoshiro256PlusPlus::new(splitmix64(sample_state ^ block_state));
     let mut value = rng.next_unit_f64();
     if value <= 0.0 {
-        return None;
+        return [None; N];
     }
     let mut position = 0u64;
+    let mut best = [Record { position, value }; N];
     loop {
         let u = rng.next_open_unit_f64();
         // geometric_skip_v2(value, u), domain asserts elided (vacuously true here).
@@ -448,7 +377,7 @@ pub fn prefix_min_replay_v2_scalar(
         let Some(next) = position.checked_add(skip) else {
             break;
         };
-        if next >= len {
+        if next >= limit {
             break;
         }
         let next_value = value * rng.next_unit_f64();
@@ -457,8 +386,13 @@ pub fn prefix_min_replay_v2_scalar(
         }
         position = next;
         value = next_value;
+        for (record, &len) in best.iter_mut().zip(&lens) {
+            if position < len {
+                *record = Record { position, value };
+            }
+        }
     }
-    Some(Record { position, value })
+    std::array::from_fn(|i| (lens[i] > 0).then_some(best[i]))
 }
 
 /// AVX2 replays of the v2 record stream, bit-identical to the scalar reference.
@@ -480,8 +414,8 @@ pub fn prefix_min_replay_v2_scalar(
 ///
 /// Every step of the skip definition maps to an instruction IEEE 754 requires to
 /// round identically to its scalar form: the two `fast_log2` evaluations become
-/// lanes of [`fast_log2_x4`], the quotient a packed divide, and `f64::ceil` a
-/// `roundpd` toward +∞.  The saturation ladder collapses to a saturating
+/// lanes of [`fast_log2_x4`](crate::log2::fast_log2_x4), the quotient a packed
+/// divide, and `f64::ceil` a `roundpd` toward +∞.  The saturation ladder collapses to a saturating
 /// float-to-int cast (Rust's `as` already clamps both ends) plus two selects:
 /// quotients below 1 clamp up to 1, and a *negative* quotient — which on a
 /// non-shortcut lane can only be the `−∞` of the definition's `denom == 0` escape
@@ -522,105 +456,88 @@ pub mod avx2 {
         (_mm_cvtsd_f64(q), _mm_cvtsd_f64(_mm_unpackhi_pd(q, q)))
     }
 
-    /// The packed twin of [`prefix_min_replay_v2_scalar`](super::prefix_min_replay_v2_scalar):
-    /// one stream, two speculated iterations per packed log.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    #[must_use]
-    pub unsafe fn prefix_min_replay_v2(
-        sample_state: u64,
-        block_state: u64,
-        len: u64,
-    ) -> Option<Record> {
-        if len == 0 {
-            return None;
-        }
-        let mut rng = Xoshiro256PlusPlus::new(splitmix64(sample_state ^ block_state));
-        let mut value = rng.next_unit_f64();
-        if value <= 0.0 {
-            return None;
-        }
-        let mut position = 0u64;
-        loop {
-            // Speculatively draw the next two iterations (see the module docs).
-            let u1 = rng.next_open_unit_f64();
-            let d1 = rng.next_unit_f64();
-            let u2 = rng.next_open_unit_f64();
-            let d2 = rng.next_unit_f64();
-            let value2 = value * d1;
-            let fail1 = 1.0 - value;
-            let fail2 = 1.0 - value2;
-            let logs = fast_log2_x4(_mm256_set_pd(fail2, u2, fail1, u1));
-            let (q1, q2) = quotient_pair(logs);
-            // Resolve iteration 1 with the scalar loop's exit conditions, in order.
-            let skip1 = if u1 >= fail1 { 1 } else { saturate(q1) };
-            let Some(next1) = position.checked_add(skip1) else {
-                break;
-            };
-            if next1 >= len {
-                break;
-            }
-            if value2 <= 0.0 {
-                break;
-            }
-            position = next1;
-            value = value2;
-            // Then iteration 2.
-            let skip2 = if u2 >= fail2 { 1 } else { saturate(q2) };
-            let Some(next2) = position.checked_add(skip2) else {
-                break;
-            };
-            if next2 >= len {
-                break;
-            }
-            let value3 = value * d2;
-            if value3 <= 0.0 {
-                break;
-            }
-            position = next2;
-            value = value3;
-        }
-        Some(Record { position, value })
+    /// The shared per-block inputs of a sweep: the block's seed-mix half, the prefix
+    /// lengths, and the order in which a replay passes them.
+    struct Block<const N: usize> {
+        state: u64,
+        lens: [u64; N],
+        /// The lengths' indices by ascending length.
+        order: [usize; N],
+        /// The lengths in that order; the last is the longest, where replays stop.
+        stops: [u64; N],
+        /// How many lengths are zero (they sort first and are never replayed).
+        zeros: usize,
     }
 
-    /// One stream of the paired replay: generator, running record, and whether the
-    /// stream has terminated (its lanes then carry stale-but-in-domain values whose
-    /// results are never committed).
-    struct Lane {
+    impl<const N: usize> Block<N> {
+        fn new(state: u64, lens: [u64; N]) -> Self {
+            let mut order: [usize; N] = std::array::from_fn(|i| i);
+            order.sort_by_key(|&i| lens[i]);
+            Self {
+                state,
+                lens,
+                order,
+                stops: order.map(|i| lens[i]),
+                zeros: lens.iter().filter(|&&len| len == 0).count(),
+            }
+        }
+
+        #[inline(always)]
+        fn limit(&self) -> u64 {
+            self.stops[N - 1]
+        }
+    }
+
+    /// One stream of the sweep: generator, running record, and whether the stream has
+    /// terminated (its lanes then carry stale-but-in-domain values whose results are
+    /// never committed).  `stage` counts the block's lengths passed so far (in
+    /// ascending order), and `frozen` holds the record each passed length ended on.
+    struct Lane<const N: usize> {
         rng: Xoshiro256PlusPlus,
         value: f64,
         position: u64,
+        stage: usize,
+        frozen: [Record; N],
         done: bool,
         empty: bool,
     }
 
-    impl Lane {
+    impl<const N: usize> Lane<N> {
         #[inline(always)]
-        fn new(sample_state: u64, block_state: u64) -> Self {
-            let mut rng = Xoshiro256PlusPlus::new(splitmix64(sample_state ^ block_state));
+        fn new(sample_state: u64, block: &Block<N>) -> Self {
+            let mut rng = Xoshiro256PlusPlus::new(splitmix64(sample_state ^ block.state));
             let value = rng.next_unit_f64();
             let empty = value <= 0.0;
             Self {
                 rng,
                 value,
                 position: 0,
+                stage: block.zeros,
+                frozen: [Record { position: 0, value }; N],
                 done: empty,
                 empty,
             }
         }
 
         /// Applies one resolved iteration: the scalar loop's exit conditions, in order.
+        /// A next record at or past a shorter length ends that length on the current
+        /// record — the last one below it — exactly as the scalar loop keeps it.
         #[inline(always)]
-        fn commit(&mut self, shortcut: bool, quotient: f64, value_draw: f64, len: u64) {
+        fn commit(&mut self, shortcut: bool, quotient: f64, value_draw: f64, block: &Block<N>) {
             if self.done {
                 return;
             }
             let skip = if shortcut { 1 } else { saturate(quotient) };
             match self.position.checked_add(skip) {
-                Some(next) if next < len => {
+                Some(next) if next < block.limit() => {
+                    // `next` is below the last stop, so this stays in bounds.
+                    while next >= block.stops[self.stage] {
+                        self.frozen[block.order[self.stage]] = Record {
+                            position: self.position,
+                            value: self.value,
+                        };
+                        self.stage += 1;
+                    }
                     let next_value = self.value * value_draw;
                     if next_value <= 0.0 {
                         self.done = true;
@@ -633,145 +550,44 @@ pub mod avx2 {
             }
         }
 
+        /// Every length's record once the stream is done: lengths not passed end on
+        /// the final record.
         #[inline(always)]
-        fn record(&self) -> Option<Record> {
-            (!self.empty).then_some(Record {
-                position: self.position,
-                value: self.value,
-            })
+        fn records(&self, block: &Block<N>) -> [Option<Record>; N] {
+            let mut records = self.frozen;
+            for &i in &block.order[self.stage..] {
+                records[i] = Record {
+                    position: self.position,
+                    value: self.value,
+                };
+            }
+            std::array::from_fn(|i| (!self.empty && block.lens[i] > 0).then_some(records[i]))
         }
-    }
-
-    /// The packed twin of two [`prefix_min_replay_v2_scalar`](super::prefix_min_replay_v2_scalar)
-    /// calls sharing a block: two streams in lockstep, two speculated iterations each,
-    /// four logarithms per packed evaluation.  Interleaving the streams also overlaps
-    /// their generators' serial state-update chains — the latency a single replay
-    /// cannot hide.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    #[must_use]
-    pub unsafe fn prefix_min_replay_v2_x2(
-        sample_state_a: u64,
-        sample_state_b: u64,
-        block_state: u64,
-        len: u64,
-    ) -> (Option<Record>, Option<Record>) {
-        if len == 0 {
-            return (None, None);
-        }
-        let mut a = Lane::new(sample_state_a, block_state);
-        let mut b = Lane::new(sample_state_b, block_state);
-        while !(a.done && b.done) {
-            let ua1 = a.rng.next_open_unit_f64();
-            let da1 = a.rng.next_unit_f64();
-            let ub1 = b.rng.next_open_unit_f64();
-            let db1 = b.rng.next_unit_f64();
-            let ua2 = a.rng.next_open_unit_f64();
-            let da2 = a.rng.next_unit_f64();
-            let ub2 = b.rng.next_open_unit_f64();
-            let db2 = b.rng.next_unit_f64();
-            let va2 = a.value * da1;
-            let vb2 = b.value * db1;
-            let fa1 = 1.0 - a.value;
-            let fb1 = 1.0 - b.value;
-            let fa2 = 1.0 - va2;
-            let fb2 = 1.0 - vb2;
-            let (qa1, qb1) = quotient_pair(fast_log2_x4(_mm256_set_pd(fb1, ub1, fa1, ua1)));
-            let (qa2, qb2) = quotient_pair(fast_log2_x4(_mm256_set_pd(fb2, ub2, fa2, ua2)));
-            a.commit(ua1 >= fa1, qa1, da1, len);
-            a.commit(ua2 >= fa2, qa2, da2, len);
-            b.commit(ub1 >= fb1, qb1, db1, len);
-            b.commit(ub2 >= fb2, qb2, db2, len);
-        }
-        (a.record(), b.record())
-    }
-
-    /// The packed twin of three [`prefix_min_replay_v2_scalar`](super::prefix_min_replay_v2_scalar)
-    /// calls sharing a block: three streams in lockstep, two speculated iterations
-    /// each.  Six logarithm pairs fill three packed evaluations exactly, with no lane
-    /// idle, and three interleaved generators overlap their serial state-update
-    /// chains deeper than two can — the widest shape that still avoids spilling the
-    /// generators' state out of registers.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    #[must_use]
-    pub unsafe fn prefix_min_replay_v2_x3(
-        sample_state_a: u64,
-        sample_state_b: u64,
-        sample_state_c: u64,
-        block_state: u64,
-        len: u64,
-    ) -> (Option<Record>, Option<Record>, Option<Record>) {
-        if len == 0 {
-            return (None, None, None);
-        }
-        let mut a = Lane::new(sample_state_a, block_state);
-        let mut b = Lane::new(sample_state_b, block_state);
-        let mut c = Lane::new(sample_state_c, block_state);
-        while !(a.done && b.done && c.done) {
-            let ua1 = a.rng.next_open_unit_f64();
-            let da1 = a.rng.next_unit_f64();
-            let ub1 = b.rng.next_open_unit_f64();
-            let db1 = b.rng.next_unit_f64();
-            let uc1 = c.rng.next_open_unit_f64();
-            let dc1 = c.rng.next_unit_f64();
-            let ua2 = a.rng.next_open_unit_f64();
-            let da2 = a.rng.next_unit_f64();
-            let ub2 = b.rng.next_open_unit_f64();
-            let db2 = b.rng.next_unit_f64();
-            let uc2 = c.rng.next_open_unit_f64();
-            let dc2 = c.rng.next_unit_f64();
-            let va2 = a.value * da1;
-            let vb2 = b.value * db1;
-            let vc2 = c.value * dc1;
-            let fa1 = 1.0 - a.value;
-            let fb1 = 1.0 - b.value;
-            let fc1 = 1.0 - c.value;
-            let fa2 = 1.0 - va2;
-            let fb2 = 1.0 - vb2;
-            let fc2 = 1.0 - vc2;
-            let (qa1, qb1) = quotient_pair(fast_log2_x4(_mm256_set_pd(fb1, ub1, fa1, ua1)));
-            let (qc1, qa2) = quotient_pair(fast_log2_x4(_mm256_set_pd(fa2, ua2, fc1, uc1)));
-            let (qb2, qc2) = quotient_pair(fast_log2_x4(_mm256_set_pd(fc2, uc2, fb2, ub2)));
-            a.commit(ua1 >= fa1, qa1, da1, len);
-            a.commit(ua2 >= fa2, qa2, da2, len);
-            b.commit(ub1 >= fb1, qb1, db1, len);
-            b.commit(ub2 >= fb2, qb2, db2, len);
-            c.commit(uc1 >= fc1, qc1, dc1, len);
-            c.commit(uc2 >= fc2, qc2, dc2, len);
-        }
-        (a.record(), b.record(), c.record())
     }
 
     /// One slot of the sweep replay: the running lane, which stream it is replaying,
     /// and whether the slot has drained the queue (its lane then idles done).
-    struct Slot {
-        lane: Lane,
+    struct Slot<const N: usize> {
+        lane: Lane<N>,
         sample: usize,
         exhausted: bool,
     }
 
-    impl Slot {
+    impl<const N: usize> Slot<N> {
         /// Loads stream `next` into a fresh slot, or parks the slot if the queue is
         /// drained (the parked lane is `done`, so its slots never commit).
         #[inline(always)]
-        fn load(next: &mut usize, states: &[u64], block_state: u64) -> Self {
+        fn load(next: &mut usize, states: &[u64], block: &Block<N>) -> Self {
             if *next < states.len() {
                 let sample = *next;
                 *next += 1;
                 Self {
-                    lane: Lane::new(states[sample], block_state),
+                    lane: Lane::new(states[sample], block),
                     sample,
                     exhausted: false,
                 }
             } else {
-                let mut lane = Lane::new(0, block_state);
+                let mut lane = Lane::new(0, block);
                 lane.done = true;
                 Self {
                     lane,
@@ -789,45 +605,49 @@ pub mod avx2 {
             &mut self,
             next: &mut usize,
             states: &[u64],
-            block_state: u64,
-            emit: &mut dyn FnMut(usize, Option<Record>),
+            block: &Block<N>,
+            emit: &mut dyn FnMut(usize, [Option<Record>; N]),
         ) {
             while !self.exhausted && self.lane.done {
-                emit(self.sample, self.lane.record());
-                *self = Self::load(next, states, block_state);
+                emit(self.sample, self.lane.records(block));
+                *self = Self::load(next, states, block);
             }
         }
     }
 
-    /// The packed sweep replay: [`prefix_min_replay_v2_x3`]'s three-lane loop body,
-    /// with finished lanes reloaded from the pending-stream queue instead of idling
-    /// until the batch's slowest member terminates (see the safe dispatcher's docs
-    /// for why this is the shape worth keeping saturated).
+    /// The packed sweep replay: three streams in lockstep, two speculated iterations
+    /// each.  Six logarithm pairs fill three packed evaluations exactly, with no lane
+    /// idle, and three interleaved generators overlap their serial state-update chains
+    /// — the widest shape whose working set still fits the register file (four-stream
+    /// lockstep spills and measures slower).  Finished lanes are reloaded from the
+    /// pending-stream queue instead of idling until the slowest member terminates (see
+    /// the safe dispatcher's docs).
     ///
     /// # Safety
     ///
     /// The caller must ensure the CPU supports AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn prefix_min_replay_v2_sweep(
+    pub unsafe fn prefix_min_replay_v2_sweep<const N: usize>(
         sample_states: &[u64],
         block_state: u64,
-        len: u64,
-        emit: &mut dyn FnMut(usize, Option<Record>),
+        lens: [u64; N],
+        emit: &mut dyn FnMut(usize, [Option<Record>; N]),
     ) {
-        if len == 0 {
+        let block = &Block::new(block_state, lens);
+        if block.zeros == N {
             for sample in 0..sample_states.len() {
-                emit(sample, None);
+                emit(sample, [None; N]);
             }
             return;
         }
         let mut next = 0usize;
-        let mut a = Slot::load(&mut next, sample_states, block_state);
-        let mut b = Slot::load(&mut next, sample_states, block_state);
-        let mut c = Slot::load(&mut next, sample_states, block_state);
+        let mut a = Slot::load(&mut next, sample_states, block);
+        let mut b = Slot::load(&mut next, sample_states, block);
+        let mut c = Slot::load(&mut next, sample_states, block);
         loop {
-            a.turn_over(&mut next, sample_states, block_state, emit);
-            b.turn_over(&mut next, sample_states, block_state, emit);
-            c.turn_over(&mut next, sample_states, block_state, emit);
+            a.turn_over(&mut next, sample_states, block, emit);
+            b.turn_over(&mut next, sample_states, block, emit);
+            c.turn_over(&mut next, sample_states, block, emit);
             if a.exhausted && b.exhausted && c.exhausted {
                 return;
             }
@@ -855,12 +675,12 @@ pub mod avx2 {
             let (qa1, qb1) = quotient_pair(fast_log2_x4(_mm256_set_pd(fb1, ub1, fa1, ua1)));
             let (qc1, qa2) = quotient_pair(fast_log2_x4(_mm256_set_pd(fa2, ua2, fc1, uc1)));
             let (qb2, qc2) = quotient_pair(fast_log2_x4(_mm256_set_pd(fc2, uc2, fb2, ub2)));
-            a.lane.commit(ua1 >= fa1, qa1, da1, len);
-            a.lane.commit(ua2 >= fa2, qa2, da2, len);
-            b.lane.commit(ub1 >= fb1, qb1, db1, len);
-            b.lane.commit(ub2 >= fb2, qb2, db2, len);
-            c.lane.commit(uc1 >= fc1, qc1, dc1, len);
-            c.lane.commit(uc2 >= fc2, qc2, dc2, len);
+            a.lane.commit(ua1 >= fa1, qa1, da1, block);
+            a.lane.commit(ua2 >= fa2, qa2, da2, block);
+            b.lane.commit(ub1 >= fb1, qb1, db1, block);
+            b.lane.commit(ub2 >= fb2, qb2, db2, block);
+            c.lane.commit(uc1 >= fc1, qc1, dc1, block);
+            c.lane.commit(uc2 >= fc2, qc2, dc2, block);
         }
     }
 }
@@ -970,90 +790,70 @@ mod tests {
         assert!(prefix_min_replay(1, 2, 0).is_none());
     }
 
+    /// Records as comparable bit patterns.
+    fn bits(record: Option<Record>) -> Option<(u64, u64)> {
+        record.map(|r| (r.position, r.value.to_bits()))
+    }
+
     #[test]
     fn prefix_min_replay_v2_matches_record_stream_bit_for_bit() {
+        // One multi-length replay must answer every length exactly as a separate
+        // `RecordStream` replay at that length alone.
+        const LENS: [u64; 7] = [1, 2, 7, 100, 100_000, 1 << 40, 0];
         for seed in [0u64, 11, 0xFEED_F00D] {
             for sample in 0..40u64 {
                 let sample_state = RecordStream::sample_state(seed, sample);
                 for block in [0u64, 5, 9_999] {
                     let block_state = RecordStream::block_state(block);
-                    for len in [1u64, 2, 7, 100, 100_000, 1 << 40] {
-                        let fast = prefix_min_replay_v2(sample_state, block_state, len);
+                    let multi = prefix_min_replay_v2_scalar(sample_state, block_state, LENS);
+                    for (len, fast) in LENS.into_iter().zip(multi) {
+                        let single = prefix_min_replay_v2_scalar(sample_state, block_state, [len]);
                         let slow = prefix_min_v2(seed, sample, block, len);
-                        match (fast, slow) {
-                            (Some(a), Some(b)) => {
-                                assert_eq!(a.position, b.position, "s{sample} b{block} l{len}");
-                                assert_eq!(a.value.to_bits(), b.value.to_bits());
-                            }
-                            (None, None) => {}
-                            other => panic!("diverged at s{sample} b{block} l{len}: {other:?}"),
-                        }
+                        assert_eq!(bits(fast), bits(slow), "s{sample} b{block} l{len}");
+                        assert_eq!(bits(single[0]), bits(slow), "s{sample} b{block} l{len}");
                     }
                 }
             }
         }
-        assert!(prefix_min_replay_v2(1, 2, 0).is_none());
+        assert_eq!(prefix_min_replay_v2_scalar(1, 2, [0, 0, 0]), [None; 3]);
     }
 
     #[test]
     fn packed_replays_match_the_scalar_replay_bit_for_bit() {
-        // `prefix_min_replay_v2` and the batched `prefix_min_replay_v2_x2`/`_x3`
-        // dispatch to the AVX2 kernels when the CPU has them; all must reproduce the
-        // portable scalar replay exactly.  The huge-`len` cases drive streams all the
-        // way to value underflow, which exercises the saturation ladder's non-finite
-        // arm (`denom == 0` → `u64::MAX`) that the packed path folds into a sign test.
-        let eq = |a: Option<Record>, b: Option<Record>, ctx: &str| {
-            assert_eq!(
-                a.map(|r| (r.position, r.value.to_bits())),
-                b.map(|r| (r.position, r.value.to_bits())),
-                "{ctx}"
-            );
-        };
-        for len in [1u64, 2, 3, 7, 100, 5_000, 1 << 40] {
-            for block in 0..12_000u64 {
+        // The sweep dispatches to the AVX2 kernel when the CPU has it; every length of
+        // every stream must reproduce a separate scalar replay at that length alone.
+        // The triples mix equal, nested, absent (zero) and huge lengths in every lane
+        // position; the huge ones drive streams all the way to value underflow, which
+        // exercises the saturation ladder's non-finite arm (`denom == 0` →
+        // `u64::MAX`) that the packed path folds into a sign test.
+        let triples: [[u64; 3]; 7] = [
+            [1, 2, 3],
+            [7, 0, 100],
+            [5_000, 5_000, 1],
+            [1 << 40, 100, 0],
+            [0, 3, 1 << 40],
+            [2, 1 << 40, 2],
+            [0, 0, 0],
+        ];
+        let states: Vec<u64> = (0..5).map(|s| RecordStream::sample_state(9, s)).collect();
+        for lens in triples {
+            for block in 0..4_000u64 {
                 let block_state = RecordStream::block_state(block);
-                let sa = RecordStream::sample_state(9, 0);
-                let sb = RecordStream::sample_state(9, 1);
-                let sc = RecordStream::sample_state(9, 2);
-                let scalar_a = prefix_min_replay_v2_scalar(sa, block_state, len);
-                let scalar_b = prefix_min_replay_v2_scalar(sb, block_state, len);
-                let scalar_c = prefix_min_replay_v2_scalar(sc, block_state, len);
-                eq(
-                    prefix_min_replay_v2(sa, block_state, len),
-                    scalar_a,
-                    &format!("single, len {len} block {block}"),
-                );
-                let (pa, pb) = prefix_min_replay_v2_x2(sa, sb, block_state, len);
-                eq(
-                    pa,
-                    scalar_a,
-                    &format!("pair lane a, len {len} block {block}"),
-                );
-                eq(
-                    pb,
-                    scalar_b,
-                    &format!("pair lane b, len {len} block {block}"),
-                );
-                let (ta, tb, tc) = prefix_min_replay_v2_x3(sa, sb, sc, block_state, len);
-                eq(
-                    ta,
-                    scalar_a,
-                    &format!("triple lane a, len {len} block {block}"),
-                );
-                eq(
-                    tb,
-                    scalar_b,
-                    &format!("triple lane b, len {len} block {block}"),
-                );
-                eq(
-                    tc,
-                    scalar_c,
-                    &format!("triple lane c, len {len} block {block}"),
-                );
+                let mut emitted = 0usize;
+                prefix_min_replay_v2_sweep(&states, block_state, lens, &mut |sample, records| {
+                    emitted += 1;
+                    for (len, record) in lens.into_iter().zip(records) {
+                        let alone = prefix_min_replay_v2_scalar(states[sample], block_state, [len]);
+                        assert_eq!(
+                            bits(record),
+                            bits(alone[0]),
+                            "lens {lens:?} block {block} sample {sample} len {len}"
+                        );
+                    }
+                });
+                assert_eq!(emitted, states.len(), "lens {lens:?} block {block}");
             }
         }
-        assert_eq!(prefix_min_replay_v2_x2(1, 2, 3, 0), (None, None));
-        assert_eq!(prefix_min_replay_v2_x3(1, 2, 3, 4, 0), (None, None, None));
     }
 
     #[test]
@@ -1073,19 +873,18 @@ mod tests {
                         .collect();
                     let mut got: Vec<Option<(u64, u64)>> = vec![None; m];
                     let mut emitted = 0usize;
-                    prefix_min_replay_v2_sweep(&states, block_state, len, &mut |sample, rec| {
-                        let r = rec.expect("len >= 1");
+                    prefix_min_replay_v2_sweep(&states, block_state, [len], &mut |sample, rec| {
+                        assert!(rec[0].is_some(), "len >= 1");
                         assert!(got[sample].is_none(), "sample {sample} emitted twice");
-                        got[sample] = Some((r.position, r.value.to_bits()));
+                        got[sample] = bits(rec[0]);
                         emitted += 1;
                     });
                     assert_eq!(emitted, m, "len {len} block {block}");
                     for (sample, state) in states.iter().enumerate() {
-                        let r = prefix_min_replay_v2_scalar(*state, block_state, len)
-                            .expect("len >= 1");
+                        let r = prefix_min_replay_v2_scalar(*state, block_state, [len]);
                         assert_eq!(
                             got[sample],
-                            Some((r.position, r.value.to_bits())),
+                            bits(r[0]),
                             "len {len} block {block} sample {sample}"
                         );
                     }
@@ -1093,8 +892,8 @@ mod tests {
             }
         }
         let mut calls = 0;
-        prefix_min_replay_v2_sweep(&[1, 2], 3, 0, &mut |_, rec| {
-            assert!(rec.is_none());
+        prefix_min_replay_v2_sweep(&[1, 2], 3, [0], &mut |_, rec| {
+            assert!(rec[0].is_none());
             calls += 1;
         });
         assert_eq!(calls, 2);

@@ -9,12 +9,11 @@
 use crate::error::JoinError;
 use crate::exact::JoinStatistics;
 use crate::vectorize::ColumnVectors;
-use ipsketch_core::method::{AnySketch, AnySketcher, SketchMethod};
+use ipsketch_core::method::{AnySketch, AnySketcher, SketchMethod, SketchPath};
 use ipsketch_core::serialize::{BinarySketch, SliceReader};
 use ipsketch_core::traits::{Sketch, Sketcher};
 use ipsketch_core::{FormatVersion, SketchError};
 use ipsketch_data::Table;
-use ipsketch_vector::SparseVector;
 
 /// The sketched representation of one table column: sketches of the key-indicator,
 /// value and squared-value vectors.
@@ -241,16 +240,16 @@ impl JoinEstimator {
     ///
     /// Returns [`JoinError`] if the column is missing, empty, or cannot be sketched.
     pub fn sketch_column(&self, table: &Table, column: &str) -> Result<SketchedColumn, JoinError> {
-        self.sketch_column_with(table, column, |v| self.sketcher.sketch(v))
+        self.sketch_nonzero_column(table, column, SketchPath::OneShot)
     }
 
     /// Shared body of the one-shot and partitioned column-sketching paths: builds the
-    /// Figure-3 vectors, validates them, and sketches all three with `sketch`.
-    fn sketch_column_with(
+    /// Figure-3 vectors, validates them, and sketches all three along `path`.
+    fn sketch_nonzero_column(
         &self,
         table: &Table,
         column: &str,
-        sketch: impl Fn(&SparseVector) -> Result<AnySketch, SketchError>,
+        path: SketchPath,
     ) -> Result<SketchedColumn, JoinError> {
         let vectors = ColumnVectors::from_table(table, column)?;
         // A column whose values are all zero still has a valid key-indicator sketch but
@@ -262,13 +261,31 @@ impl JoinEstimator {
                 column: vectors.column,
             });
         }
+        self.sketch_vectors(vectors, path)
+    }
+
+    /// Sketches a column's three Figure-3 vectors along `path` through the sketcher's
+    /// column-level entry point ([`AnySketcher::sketch_triple`]).
+    fn sketch_vectors(
+        &self,
+        vectors: ColumnVectors,
+        path: SketchPath,
+    ) -> Result<SketchedColumn, JoinError> {
+        let [key_indicator, values, squared_values] = self.sketcher.sketch_triple(
+            [
+                &vectors.key_indicator,
+                &vectors.values,
+                &vectors.squared_values,
+            ],
+            path,
+        )?;
         Ok(SketchedColumn {
             table: vectors.table,
             column: vectors.column,
             rows: vectors.rows,
-            key_indicator: sketch(&vectors.key_indicator)?,
-            values: sketch(&vectors.values)?,
-            squared_values: sketch(&vectors.squared_values)?,
+            key_indicator,
+            values,
+            squared_values,
         })
     }
 
@@ -293,9 +310,7 @@ impl JoinEstimator {
         column: &str,
         partitions: usize,
     ) -> Result<SketchedColumn, JoinError> {
-        self.sketch_column_with(table, column, |v| {
-            self.sketcher.sketch_chunked(v, partitions)
-        })
+        self.sketch_nonzero_column(table, column, SketchPath::Chunked(partitions))
     }
 
     /// Computes a shard's contribution to the squared Euclidean norms of the three
@@ -345,20 +360,12 @@ impl JoinEstimator {
                 column: vectors.column,
             });
         }
-        Ok(SketchedColumn {
-            table: vectors.table,
-            column: vectors.column,
-            rows: vectors.rows,
-            key_indicator: self
-                .sketcher
-                .sketch_partial(&vectors.key_indicator, announced.key_indicator_sq.sqrt())?,
-            values: self
-                .sketcher
-                .sketch_partial(&vectors.values, announced.values_sq.sqrt())?,
-            squared_values: self
-                .sketcher
-                .sketch_partial(&vectors.squared_values, announced.squared_values_sq.sqrt())?,
-        })
+        let norms = [
+            announced.key_indicator_sq.sqrt(),
+            announced.values_sq.sqrt(),
+            announced.squared_values_sq.sqrt(),
+        ];
+        self.sketch_vectors(vectors, SketchPath::Announced(norms))
     }
 
     /// Folds two shard-partial sketched columns of the same `table.column` into one —
@@ -885,6 +892,39 @@ mod tests {
                 exact.join_size
             );
         }
+        Ok(())
+    }
+
+    #[test]
+    fn column_blob_bytes_are_pinned() -> Result<(), JoinError> {
+        // The column's three vectors are sketched in one pass; the blob must be
+        // byte-for-byte what three separate sketches give, and what the three-call
+        // implementation wrote (the FNV-1a digest below was recorded from it).
+        let est = JoinEstimator::weighted_minhash(400.0, 7)?;
+        let (ta, tb) = correlated_tables(300, 120, -1.0);
+        let (fa, fb) = Table::figure_2_tables();
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for (table, column) in [(&ta, "v"), (&tb, "v"), (&fa, "V_A"), (&fb, "V_B")] {
+            let bytes = est.sketch_column(table, column)?.encode(FormatVersion::V2);
+            let vectors = ColumnVectors::from_table(table, column)?;
+            let sketcher = est.sketcher();
+            let separate = SketchedColumn::from_parts(
+                vectors.table,
+                vectors.column,
+                vectors.rows,
+                sketcher.sketch(&vectors.key_indicator)?,
+                sketcher.sketch(&vectors.values)?,
+                sketcher.sketch(&vectors.squared_values)?,
+            );
+            assert_eq!(bytes, separate.encode(FormatVersion::V2), "{column}");
+            for byte in bytes {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        assert_eq!(
+            digest, 0xd0fc_4cd3_da89_3cee,
+            "column blob bytes changed: {digest:#018x}"
+        );
         Ok(())
     }
 }

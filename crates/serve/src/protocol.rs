@@ -1024,7 +1024,8 @@ pub struct WireClusterStats {
     pub replicas: u64,
     /// Client requests the router has handled.
     pub requests: u64,
-    /// Per-node requests the router has fanned out (≥ `requests`).
+    /// Node requests the router has sent: one per node a client request went
+    /// to, however many attempts it took.
     pub fanouts: u64,
     /// Reads answered complete despite a node connect/IO failure — the failed
     /// node's columns were covered by replicas on the surviving nodes.

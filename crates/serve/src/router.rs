@@ -706,7 +706,6 @@ impl Router {
                 })
             }
             RequestBody::Ingest { table, partitions } => {
-                self.stats.fanouts.fetch_add(1, Ordering::Relaxed);
                 let per_node = self.partition_on(&topo, &table.name, &table.columns);
                 let mut registered = BTreeSet::new();
                 let mut skipped = BTreeSet::new();
@@ -761,7 +760,6 @@ impl Router {
                     .remove(session)
                     .ok_or_else(|| unknown_session(*session))?;
                 let state = entry.lock().expect("session lock");
-                self.stats.fanouts.fetch_add(1, Ordering::Relaxed);
                 let session_topo = Arc::clone(&state.topo);
                 let mut registered = BTreeSet::new();
                 let mut skipped = BTreeSet::new();
@@ -829,7 +827,6 @@ impl Router {
                 ),
             });
         }
-        self.stats.fanouts.fetch_add(1, Ordering::Relaxed);
         let topo = Arc::clone(&state.topo);
         let per_node = self.partition_on(&topo, &shard.name, &shard.columns);
         for (idx, cols) in per_node.iter().enumerate() {
@@ -963,7 +960,6 @@ impl Router {
         table: &str,
         column: &str,
     ) -> Result<ResponseBody, WireError> {
-        self.stats.fanouts.fetch_add(1, Ordering::Relaxed);
         let body = RequestBody::DropColumn {
             table: table.to_string(),
             column: column.to_string(),
@@ -1021,7 +1017,6 @@ impl Router {
         table: &str,
         column: &str,
     ) -> Result<ResponseBody, WireError> {
-        self.stats.fanouts.fetch_add(1, Ordering::Relaxed);
         let body = RequestBody::ExportColumn {
             table: table.to_string(),
             column: column.to_string(),
@@ -1075,7 +1070,6 @@ impl Router {
         pool: &mut NodePool<'_>,
         sketch: &WireSketch,
     ) -> Result<ResponseBody, WireError> {
-        self.stats.fanouts.fetch_add(1, Ordering::Relaxed);
         let mut registered = BTreeSet::new();
         let mut skipped = BTreeSet::new();
         for idx in owners(&topo.nodes, self.replicas, &sketch.table, &sketch.column) {
@@ -1114,7 +1108,6 @@ impl Router {
         pool: &mut NodePool<'_>,
         body: &RequestBody,
     ) -> Result<Vec<ResponseBody>, WireError> {
-        self.stats.fanouts.fetch_add(1, Ordering::Relaxed);
         let any_healthy = topo
             .states
             .iter()
@@ -1393,6 +1386,7 @@ impl<'a> NodePool<'a> {
         let attempts = if idempotent { retry.read_attempts } else { 1 };
         let mut fresh_failures = 0u32;
         let mut backoff_attempt = 0u32;
+        let mut sent = false;
         loop {
             let pooled = self.conns[idx].is_some();
             if !pooled {
@@ -1414,6 +1408,11 @@ impl<'a> NodePool<'a> {
                 }
             }
             let conn = self.conns[idx].as_mut().expect("connected above");
+            if !sent {
+                // `fanouts` counts node requests, not the attempts one takes.
+                sent = true;
+                self.router.stats.fanouts.fetch_add(1, Ordering::Relaxed);
+            }
             match conn.call(&request) {
                 Ok(response) => {
                     state.record_ok();

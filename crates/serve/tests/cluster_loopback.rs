@@ -530,6 +530,46 @@ fn a_stopped_node_fails_over_to_its_replicas_bit_identically() {
 }
 
 #[test]
+fn fanouts_count_one_per_node_request() {
+    // `fanouts` is per node request, as the protocol documents: one routed read
+    // on a healthy cluster adds exactly the number of nodes it called.
+    let (query, good, bad) = lake();
+    let nodes = boot_nodes("fanouts", 41, 3);
+    let router = boot_router(tcp_specs(&nodes), 2);
+    let mut client = Client::connect(router.addr());
+    client.ingest(&good);
+    client.ingest(&bad);
+
+    let before = router.stats();
+    let response = client.call(&query_request(1, &query, "rides", 5));
+    assert!(response.result.is_ok(), "query succeeds");
+    let after = router.stats();
+    assert_eq!(after.requests - before.requests, 1);
+    assert_eq!(
+        after.fanouts - before.fanouts,
+        3,
+        "one query reads all three nodes"
+    );
+    assert_eq!(after.failovers, before.failovers);
+
+    // `info` fans out too, and reports its own node requests in the member.
+    let response = client.call(&Request {
+        id: Json::Null,
+        body: RequestBody::Info { server: false },
+    });
+    match response.result.expect("info succeeds") {
+        ResponseBody::Info { cluster, .. } => {
+            let cluster = cluster.expect("routers report cluster state");
+            assert_eq!(cluster.fanouts - after.fanouts, 3);
+        }
+        other => panic!("expected info, got {other:?}"),
+    }
+
+    router.shutdown();
+    cleanup(nodes);
+}
+
+#[test]
 fn mixed_transport_routers_answer_byte_identically() {
     let (query, good, bad) = lake();
     let seed = 37;
