@@ -10,7 +10,9 @@
 //! * `kernel_speedups` — scalar-twin time over vectorized-twin time per kernel
 //!   (bit-for-bit identical implementations, so this isolates the restructuring win),
 //!   plus `sketch_build/WMH_v2_column`: a column's three vectors sketched by three
-//!   vectorized sweeps over one shared replay;
+//!   vectorized sweeps over one shared replay, and `estimate_column/{WMH,CS}`: a
+//!   column pair's six products by six sequential calls (per-repetition dot products
+//!   for CS) over one fused call;
 //! * `format_speedups` — the format-v2 kernel wins: v1-stream time over v2-stream
 //!   time for the WMH custom-ln sketch-build (vectorized twin vs twin), measured on
 //!   interleaved best-of-reps so both arms see the same machine conditions, and gated
@@ -27,11 +29,13 @@
 //!   10% slower than its scalar reference (the CI `bench-baseline` gate).
 
 use criterion::Criterion;
-use ipsketch_core::countsketch::CountSketcher;
+use ipsketch_core::countsketch::{CountSketch, CountSketcher};
 use ipsketch_core::icws::IcwsSketcher;
 use ipsketch_core::jl::JlSketcher;
 use ipsketch_core::kernel::{dot_scalar, dot_unrolled, KernelMode};
-use ipsketch_core::method::{AnySketcher, SketchMethod, DEFAULT_WMH_DISCRETIZATION};
+use ipsketch_core::method::{
+    AnySketch, AnySketcher, SketchMethod, COLUMN_PAIR_PRODUCTS, DEFAULT_WMH_DISCRETIZATION,
+};
 use ipsketch_core::runner::parallel_map;
 use ipsketch_core::storage::{
     countsketch_buckets_for_budget, icws_samples_for_budget, jl_rows_for_budget,
@@ -196,6 +200,21 @@ fn write_json(
     Ok(path)
 }
 
+/// A CountSketch estimate as one dot product per repetition, collected and sorted
+/// for the median — the per-call shape the interleaved estimator replaces.
+fn per_repetition_median(x: &CountSketch, y: &CountSketch) -> f64 {
+    let mut estimates: Vec<f64> = (0..x.repetitions())
+        .map(|rep| dot_unrolled(x.repetition(rep), y.repetition(rep)))
+        .collect();
+    estimates.sort_by(|a, b| a.partial_cmp(b).expect("finite estimates"));
+    let n = estimates.len();
+    if n % 2 == 1 {
+        estimates[n / 2]
+    } else {
+        (estimates[n / 2 - 1] + estimates[n / 2]) / 2.0
+    }
+}
+
 #[allow(clippy::too_many_lines)]
 fn main() {
     let cfg = Config::from_env();
@@ -338,6 +357,52 @@ fn main() {
         std::hint::black_box(dot_unrolled(ja.rows(), jb.rows()));
     });
     kernel_speedups.push(("estimate_dot/JL".to_string(), s / v));
+
+    // One (query, candidate) column pair's six post-join products, as six sequential
+    // calls against one fused call — bit-identical arms, so each row gates like a
+    // kernel twin.  WMH (at the suite's budget) fuses the six Algorithm-5 passes into
+    // one; CountSketch, at the serving companion's 256 buckets × 5 repetitions,
+    // interleaves each call's per-repetition dot products.
+    let vb_indicator =
+        SparseVector::from_pairs(vb.iter().map(|(i, _)| (i, 1.0))).expect("finite values");
+    let vb_squared = SparseVector::from_pairs(vb.iter().map(|(i, v)| (i, v * v))).expect("finite");
+    let pair_columns = [column, [&vb_indicator, &vb, &vb_squared]];
+    let pair_sketchers = [
+        AnySketcher::for_budget(SketchMethod::WeightedMinHash, cfg.budget_doubles, SEED)
+            .expect("budget fits"),
+        AnySketcher::CountSketch(CountSketcher::new(256, SEED).expect("buckets >= 1")),
+    ];
+    for sketcher in &pair_sketchers {
+        let [qa, qb] = pair_columns.map(|col| col.map(|v| sketcher.sketch(v).expect("sketchable")));
+        let (qa, qb) = (qa.each_ref(), qb.each_ref());
+        let label = sketcher.method().label();
+        let s = match sketcher {
+            AnySketcher::CountSketch(_) => {
+                suite.bench("estimate_column", label, "per_repetition_dots", || {
+                    for (i, j) in COLUMN_PAIR_PRODUCTS {
+                        let (AnySketch::CountSketch(x), AnySketch::CountSketch(y)) = (qa[i], qb[j])
+                        else {
+                            unreachable!("CountSketch sketches")
+                        };
+                        std::hint::black_box(per_repetition_median(x, y));
+                    }
+                })
+            }
+            _ => suite.bench("estimate_column", label, "six_calls", || {
+                for (i, j) in COLUMN_PAIR_PRODUCTS {
+                    std::hint::black_box(
+                        sketcher
+                            .estimate_inner_product(qa[i], qb[j])
+                            .expect("compatible"),
+                    );
+                }
+            }),
+        };
+        let v = suite.bench("estimate_column", label, "fused", || {
+            std::hint::black_box(sketcher.estimate_column_pair(qa, qb).expect("compatible"));
+        });
+        kernel_speedups.push((format!("estimate_column/{label}"), s / v));
+    }
 
     // ---- Dispatched per-method baselines: sketch-build, merge, estimate. ----
     for method in methods() {

@@ -254,21 +254,84 @@ impl Sketcher for CountSketcher {
     fn estimate_inner_product(&self, a: &CountSketch, b: &CountSketch) -> Result<f64, SketchError> {
         self.check_own("first", a)?;
         self.check_own("second", b)?;
-        // Per-repetition estimates, combined by the median.
-        let mut estimates: Vec<f64> = (0..self.repetitions)
-            .map(|rep| kernel::dot(a.repetition(rep), b.repetition(rep)))
-            .collect();
-        estimates.sort_by(|x, y| x.partial_cmp(y).expect("estimates are finite"));
-        let n = estimates.len();
-        Ok(if n % 2 == 1 {
-            estimates[n / 2]
+        // Per-repetition estimates, combined by the median.  Up to
+        // `STACK_REPETITIONS` of them live on the stack.
+        let mut stack = [0.0; STACK_REPETITIONS];
+        let mut heap = Vec::new();
+        let estimates = if self.repetitions <= STACK_REPETITIONS {
+            &mut stack[..self.repetitions]
         } else {
-            (estimates[n / 2 - 1] + estimates[n / 2]) / 2.0
-        })
+            heap.resize(self.repetitions, 0.0);
+            &mut heap[..]
+        };
+        repetition_dots(&a.table, &b.table, self.buckets, estimates);
+        Ok(median(estimates))
     }
 
     fn name(&self) -> &'static str {
         "CS"
+    }
+}
+
+/// Repetition counts up to which the estimator keeps its per-repetition estimates on
+/// the stack (the paper's default is 5).
+const STACK_REPETITIONS: usize = 16;
+
+/// Repetitions whose dot products [`repetition_dots`] interleaves in one pass.
+const DOT_BLOCK: usize = 8;
+
+/// The per-repetition dot products of two repetition-major tables:
+/// `out[rep] = ⟨a.repetition(rep), b.repetition(rep)⟩`.
+///
+/// Up to [`DOT_BLOCK`] repetitions are walked together, bucket by bucket, each with
+/// its own accumulator that starts at `−0.0` and adds its products in bucket order —
+/// exactly [`kernel::dot_scalar`]'s and [`kernel::dot_unrolled`]'s sequence, so every
+/// estimate is bit-identical to theirs.  Interleaving only lets the repetitions' add
+/// chains overlap instead of running one after another.
+fn repetition_dots(a: &[f64], b: &[f64], buckets: usize, out: &mut [f64]) {
+    for (block, out) in out.chunks_mut(DOT_BLOCK).enumerate() {
+        let offset = block * DOT_BLOCK * buckets;
+        let (a, b) = (&a[offset..], &b[offset..]);
+        match out.len() {
+            1 => dots_block::<1>(a, b, buckets, out),
+            2 => dots_block::<2>(a, b, buckets, out),
+            3 => dots_block::<3>(a, b, buckets, out),
+            4 => dots_block::<4>(a, b, buckets, out),
+            5 => dots_block::<5>(a, b, buckets, out),
+            6 => dots_block::<6>(a, b, buckets, out),
+            7 => dots_block::<7>(a, b, buckets, out),
+            _ => dots_block::<DOT_BLOCK>(a, b, buckets, out),
+        }
+    }
+}
+
+/// [`repetition_dots`] for `R` consecutive repetitions.
+fn dots_block<const R: usize>(a: &[f64], b: &[f64], buckets: usize, out: &mut [f64]) {
+    let ra: [&[f64]; R] = std::array::from_fn(|r| &a[r * buckets..(r + 1) * buckets]);
+    let rb: [&[f64]; R] = std::array::from_fn(|r| &b[r * buckets..(r + 1) * buckets]);
+    let mut acc = [-0.0; R];
+    for i in 0..buckets {
+        for r in 0..R {
+            acc[r] += ra[r][i] * rb[r][i];
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
+/// The median of the per-repetition estimates (the mean of the middle two for an
+/// even count), or NaN if any estimate is NaN: a corrupt bucket has no defensible
+/// median, and the caller decides what a NaN score means.  Sorting is stable and
+/// treats `−0.0` and `0.0` as equal, as the historical `partial_cmp` sort did.
+fn median(estimates: &mut [f64]) -> f64 {
+    if estimates.iter().any(|e| e.is_nan()) {
+        return f64::NAN;
+    }
+    estimates.sort_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
+    let n = estimates.len();
+    if n % 2 == 1 {
+        estimates[n / 2]
+    } else {
+        (estimates[n / 2 - 1] + estimates[n / 2]) / 2.0
     }
 }
 
@@ -514,5 +577,39 @@ mod tests {
         // an even count is the average of the middle two and must be close to 5.
         let est = s.estimate_inner_product(&sk, &sk).unwrap();
         assert!(est > 0.0);
+    }
+
+    #[test]
+    fn a_nan_bucket_gives_a_nan_estimate_not_a_panic() {
+        // The decoder accepts any f64 bucket, so a damaged blob can carry a NaN.  The
+        // median of a NaN repetition is undefined: the estimate is NaN, and finite
+        // repetitions elsewhere do not hide it.
+        for repetitions in [1, 4, 5, 17] {
+            let s = CountSketcher::with_repetitions(8, repetitions, 3).unwrap();
+            let v = SparseVector::from_pairs([(1, 1.0), (2, -2.0), (9, 4.0)]).unwrap();
+            let clean = s.sketch(&v).unwrap();
+            let mut damaged = clean.clone();
+            let last = damaged.table.len() - 1;
+            damaged.table[last] = f64::NAN;
+            assert!(s
+                .estimate_inner_product(&clean, &clean)
+                .unwrap()
+                .is_finite());
+            assert!(s.estimate_inner_product(&clean, &damaged).unwrap().is_nan());
+            assert!(s.estimate_inner_product(&damaged, &clean).unwrap().is_nan());
+        }
+    }
+
+    #[test]
+    fn many_repetitions_spill_past_the_stack_buffer() {
+        let v = SparseVector::from_pairs([(1, 1.0), (2, 2.0), (40, -1.0)]).unwrap();
+        let s = CountSketcher::with_repetitions(16, STACK_REPETITIONS + 3, 5).unwrap();
+        let sk = s.sketch(&v).unwrap();
+        let mut reference: Vec<f64> = (0..s.repetitions())
+            .map(|rep| kernel::dot_scalar(sk.repetition(rep), sk.repetition(rep)))
+            .collect();
+        reference.sort_by(f64::total_cmp);
+        let est = s.estimate_inner_product(&sk, &sk).unwrap();
+        assert_eq!(est.to_bits(), reference[reference.len() / 2].to_bits());
     }
 }

@@ -9,8 +9,10 @@
 //!
 //! This module is the single dispatch point: [`mode`] is consulted by every kernel
 //! entry (`JlSketcher::sketch`, `CountSketcher::sketch`, `WeightedMinHasher`'s sample
-//! loop, `IcwsSketcher::sketch`, and the estimator dot products).  The mode is resolved
-//! once per process from the `IPSKETCH_KERNEL` environment variable:
+//! loop, `IcwsSketcher::sketch`, and JL's estimator dot product).  CountSketch's
+//! estimator needs no dispatch: its interleaved per-repetition dot products are
+//! bit-identical to both twins.  The mode is resolved once per process from the
+//! `IPSKETCH_KERNEL` environment variable:
 //!
 //! * unset or `vectorized` — use the vectorized kernels (the default);
 //! * `scalar` — force the scalar references (useful for benchmarking the baseline and

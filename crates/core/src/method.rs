@@ -145,6 +145,26 @@ impl Sketch for AnySketch {
     }
 }
 
+/// The six inner products of a (query, candidate) column pair that the paper's
+/// post-join statistics are built from, as `(query vector, candidate vector)` indices
+/// into the Figure-3 triple (0 key indicator, 1 values, 2 squared values), in the
+/// order [`AnySketcher::estimate_column_pair`] returns them: join size, `Σa`, `Σb`,
+/// `Σa²`, `Σb²` and `⟨a, b⟩` over the joined rows.
+pub const COLUMN_PAIR_PRODUCTS: [(usize, usize); 6] =
+    [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)];
+
+/// Evaluates `estimate(i, j)` for each pair of [`COLUMN_PAIR_PRODUCTS`] in order,
+/// stopping at the first error.
+pub(crate) fn column_pair_products(
+    mut estimate: impl FnMut(usize, usize) -> Result<f64, SketchError>,
+) -> Result<[f64; 6], SketchError> {
+    let mut products = [0.0; 6];
+    for (product, &(i, j)) in products.iter_mut().zip(&COLUMN_PAIR_PRODUCTS) {
+        *product = estimate(i, j)?;
+    }
+    Ok(products)
+}
+
 /// How [`AnySketcher::sketch_triple`] sketches each of its vectors — the three
 /// column-sketching paths of `ipsketch-join`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -457,6 +477,33 @@ impl AnySketcher {
         Ok([one(0)?, one(1)?, one(2)?])
     }
 
+    /// The six inner products of a (query, candidate) column pair, in
+    /// [`COLUMN_PAIR_PRODUCTS`] order: `a` and `b` are the two columns' (key
+    /// indicator, values, squared values) sketches — the column-level entry point of
+    /// estimation, as [`sketch_triple`](Self::sketch_triple) is of sketching.
+    ///
+    /// The result is bit-identical to six
+    /// [`estimate_inner_product`](Sketcher::estimate_inner_product) calls in that
+    /// order, and so is the error: the first one.  Every method but Weighted MinHash
+    /// makes those six calls.  WMH computes all six in one pass over the samples
+    /// instead ([`WeightedMinHasher::estimate_column_pair`]).
+    ///
+    /// # Errors
+    ///
+    /// The first error of the six sequential calls.
+    pub fn estimate_column_pair(
+        &self,
+        a: [&AnySketch; 3],
+        b: [&AnySketch; 3],
+    ) -> Result<[f64; 6], SketchError> {
+        if let (AnySketcher::WeightedMinHash(s), Some(a), Some(b)) =
+            (self, wmh_triple(a), wmh_triple(b))
+        {
+            return s.estimate_column_pair(a, b);
+        }
+        column_pair_products(|i, j| self.estimate_inner_product(a[i], b[j]))
+    }
+
     /// The method of this sketcher.
     #[must_use]
     pub fn method(&self) -> SketchMethod {
@@ -469,6 +516,16 @@ impl AnySketcher {
             AnySketcher::SimHash(_) => SketchMethod::SimHash,
             AnySketcher::Icws(_) => SketchMethod::Icws,
         }
+    }
+}
+
+/// The WMH sketches of a column triple, or `None` if any is another method's.
+fn wmh_triple(triple: [&AnySketch; 3]) -> Option<[&WeightedMinHashSketch; 3]> {
+    match triple {
+        [AnySketch::WeightedMinHash(x), AnySketch::WeightedMinHash(y), AnySketch::WeightedMinHash(z)] => {
+            Some([x, y, z])
+        }
+        _ => None,
     }
 }
 

@@ -34,12 +34,19 @@ pub fn union_size_from_minima(minima: &[f64]) -> Result<f64, SketchError> {
         }
         sum += v;
     }
+    Ok(union_size_from_sum(minima.len(), sum))
+}
+
+/// The Lemma-1 estimate `m / sum − 1` from the in-order sum of `m` validated minima —
+/// the arithmetic tail of [`union_size_from_minima`], shared with estimators that
+/// accumulate the sum themselves.
+pub(crate) fn union_size_from_sum(m: usize, sum: f64) -> f64 {
     if sum == 0.0 {
         // All minima are exactly zero — only possible for degenerate hash functions;
         // report an (effectively) infinite union rather than dividing by zero.
-        return Ok(f64::INFINITY);
+        return f64::INFINITY;
     }
-    Ok(minima.len() as f64 / sum - 1.0)
+    m as f64 / sum - 1.0
 }
 
 /// The KMV (k-th minimum value) estimator of the number of distinct elements: given the

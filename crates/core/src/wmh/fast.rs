@@ -334,6 +334,31 @@ impl WeightedMinHasher {
         }))
     }
 
+    /// The six Algorithm-5 products of a (query, candidate) column pair, in
+    /// [`COLUMN_PAIR_PRODUCTS`](crate::method::COLUMN_PAIR_PRODUCTS) order: `a` and `b`
+    /// are the two columns' (key indicator, values, squared values) sketches.
+    ///
+    /// Bit-identical to six [`estimate_inner_product`](Sketcher::estimate_inner_product)
+    /// calls in that order, computed in one pass over the samples when every sketch is
+    /// well formed.  Otherwise the six calls run as they are, so a malformed sketch
+    /// yields exactly their first error.
+    ///
+    /// # Errors
+    ///
+    /// The first error of the six sequential calls.
+    pub fn estimate_column_pair(
+        &self,
+        a: [&WeightedMinHashSketch; 3],
+        b: [&WeightedMinHashSketch; 3],
+    ) -> Result<[f64; 6], SketchError> {
+        match super::estimate_column_pair(self.params, a, b) {
+            Some(products) => Ok(products),
+            None => {
+                crate::method::column_pair_products(|i, j| self.estimate_inner_product(a[i], b[j]))
+            }
+        }
+    }
+
     /// Sketches with the scalar reference kernel (the internal
     /// `sample_minima_scalar` loop); prefer [`Sketcher::sketch`], which dispatches.
     ///

@@ -10,6 +10,8 @@
 //!   cross-check the fast implementation and to ablate the sketching cost.
 //! * [`estimate`](fn@estimate) implements Algorithm 5, the estimator whose guarantee is
 //!   Theorem 2: error at most `ε · max(‖a_I‖‖b‖, ‖a‖‖b_I‖)` with `m = O(1/ε²)` samples.
+//!   [`WeightedMinHasher::estimate_column_pair`] evaluates it, bit for bit, for the six
+//!   products of a (query, candidate) column pair in one pass over the samples.
 //!
 //! [`WeightedMinHasher`] is also a
 //! [`MergeableSketcher`](crate::traits::MergeableSketcher): since the record stream of
@@ -28,9 +30,10 @@ pub use fast::WeightedMinHasher;
 pub use naive::NaiveWeightedMinHasher;
 
 use crate::error::{incompatible, SketchError};
+use crate::method::COLUMN_PAIR_PRODUCTS;
 use crate::storage::sampling_sketch_doubles;
 use crate::traits::Sketch;
-use crate::union::union_size_from_minima;
+use crate::union::{union_size_from_minima, union_size_from_sum};
 
 /// Which sketching implementation produced a WMH sketch.
 ///
@@ -200,23 +203,105 @@ pub fn estimate(a: &WeightedMinHashSketch, b: &WeightedMinHashSketch) -> Result<
         .map(|(&x, &y)| x.min(y))
         .collect();
     let expanded_union = union_size_from_minima(&minima)?;
-    let weighted_union = expanded_union / a.params.discretization as f64;
 
     // Lines 1 & 3: inverse-probability-weighted collision sum.
     let mut collision_sum = 0.0;
     for i in 0..m {
         if a.hashes[i] == b.hashes[i] {
-            let va = a.values[i];
-            let vb = b.values[i];
-            let q = (va * va).min(vb * vb);
-            debug_assert!(q > 0.0, "sampled entries are non-zero by construction");
-            collision_sum += va * vb / q;
+            collision_sum += collision_term(a.values[i], b.values[i]);
         }
     }
-    let unit_estimate = weighted_union / m as f64 * collision_sum;
+    Ok(finish(a, b, expanded_union, collision_sum))
+}
 
-    // Line 4: undo the normalization by the stored norms.
-    Ok(a.norm * b.norm * unit_estimate)
+/// One collision's term `va·vb / min(va², vb²)` of Algorithm 5's sum.
+#[inline]
+fn collision_term(va: f64, vb: f64) -> f64 {
+    let q = (va * va).min(vb * vb);
+    debug_assert!(q > 0.0, "sampled entries are non-zero by construction");
+    va * vb / q
+}
+
+/// Algorithm 5's closing arithmetic: scale the collision sum by the weighted union
+/// (line 3) and undo the normalization by the stored norms (line 4).
+#[inline]
+fn finish(
+    a: &WeightedMinHashSketch,
+    b: &WeightedMinHashSketch,
+    expanded_union: f64,
+    collision_sum: f64,
+) -> f64 {
+    let m = a.hashes.len();
+    let weighted_union = expanded_union / a.params.discretization as f64;
+    let unit_estimate = weighted_union / m as f64 * collision_sum;
+    a.norm * b.norm * unit_estimate
+}
+
+/// The six products of a (query, candidate) column pair in one pass: [`estimate`] of
+/// `(a[i], b[j])` for each `(i, j)` of [`COLUMN_PAIR_PRODUCTS`], bit for bit.
+///
+/// One loop over the samples keeps six minima sums, each added in sample order (so
+/// each equals [`union_size_from_minima`]'s sum), and records which products collide
+/// at each sample as one bit of a per-64-sample mask — no branch per sample.  The
+/// collision terms are then added in sample order by walking each mask's set bits.
+///
+/// Returns `None` — estimate nothing — unless every sketch carries `params`, `m ≥ 1`
+/// samples and only hashes in `[0, 1]`.  Under those conditions no check of
+/// [`estimate`] can fail for any of the six pairs; otherwise the caller runs the six
+/// sequential calls, which produce exactly their own result or first error.
+pub(crate) fn estimate_column_pair(
+    params: WmhParams,
+    a: [&WeightedMinHashSketch; 3],
+    b: [&WeightedMinHashSketch; 3],
+) -> Option<[f64; 6]> {
+    let m = params.samples;
+    let well_formed = |s: &&WeightedMinHashSketch| {
+        s.params == params && s.hashes.len() == m && s.values.len() == m
+    };
+    if m == 0 || !a.iter().chain(&b).all(well_formed) {
+        return None;
+    }
+    let (ah, bh) = (a.map(|s| &s.hashes[..m]), b.map(|s| &s.hashes[..m]));
+    // Hashes in [0, 1] make every minimum valid for the union estimator (and exclude
+    // the non-finite hashes `estimate` refuses).  Not short-circuiting keeps the scan
+    // branch-free.
+    let mut in_range = true;
+    for hashes in ah.iter().chain(&bh) {
+        for h in *hashes {
+            in_range &= (0.0..=1.0).contains(h);
+        }
+    }
+    if !in_range {
+        return None;
+    }
+    let mut sums = [0.0f64; 6];
+    let mut collisions = [0.0f64; 6];
+    for start in (0..m).step_by(64) {
+        let end = (start + 64).min(m);
+        let mut masks = [0u64; 6];
+        for k in start..end {
+            let x = [ah[0][k], ah[1][k], ah[2][k]];
+            let y = [bh[0][k], bh[1][k], bh[2][k]];
+            let bit = k - start;
+            for (p, &(i, j)) in COLUMN_PAIR_PRODUCTS.iter().enumerate() {
+                sums[p] += x[i].min(y[j]);
+                masks[p] |= u64::from(x[i] == y[j]) << bit;
+            }
+        }
+        for (p, &(i, j)) in COLUMN_PAIR_PRODUCTS.iter().enumerate() {
+            let (va, vb) = (&a[i].values, &b[j].values);
+            let mut mask = masks[p];
+            while mask != 0 {
+                let k = start + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                collisions[p] += collision_term(va[k], vb[k]);
+            }
+        }
+    }
+    Some(std::array::from_fn(|p| {
+        let (i, j) = COLUMN_PAIR_PRODUCTS[p];
+        finish(a[i], b[j], union_size_from_sum(m, sums[p]), collisions[p])
+    }))
 }
 
 /// Shared parameter validation for the two sketcher constructors.
@@ -338,6 +423,62 @@ mod tests {
             (mean - exact).abs() < 0.03 * scale,
             "mean {mean}, exact {exact}, scale {scale}"
         );
+    }
+
+    #[test]
+    fn well_formed_column_pairs_take_the_fused_pass() {
+        let (a, b) = test_vectors();
+        let s = WeightedMinHasher::new(130, 4, 1 << 20).unwrap();
+        let col = |v: &SparseVector| {
+            let squared = SparseVector::from_pairs(v.iter().map(|(i, x)| (i, x * x))).unwrap();
+            let key = SparseVector::from_pairs(v.iter().map(|(i, _)| (i, 1.0))).unwrap();
+            [&key, v, &squared].map(|v| s.sketch(v).unwrap())
+        };
+        let (ca, cb) = (col(&a), col(&b));
+        let (ra, rb) = (ca.each_ref(), cb.each_ref());
+        let fused = estimate_column_pair(s.params(), ra, rb).expect("well formed");
+        for (p, &(i, j)) in COLUMN_PAIR_PRODUCTS.iter().enumerate() {
+            assert_eq!(
+                fused[p].to_bits(),
+                estimate(ra[i], rb[j]).unwrap().to_bits()
+            );
+        }
+
+        // A -0.0 hash is in range: the fused pass takes it, and `f64::min` treats it
+        // as the sequential calls do.
+        let mut negative_zero = cb[0].clone();
+        negative_zero.hashes[7] = -0.0;
+        let rb = [&negative_zero, &cb[1], &cb[2]];
+        let fused = estimate_column_pair(s.params(), ra, rb).expect("in range");
+        for (p, &(i, j)) in COLUMN_PAIR_PRODUCTS.iter().enumerate() {
+            assert_eq!(
+                fused[p].to_bits(),
+                estimate(ra[i], rb[j]).unwrap().to_bits()
+            );
+        }
+
+        // Inconsistent lengths (only constructible in-crate; the decoder refuses
+        // them) leave the fused pass to the sequential calls, as do hashes above 1.
+        let mut short_values = cb[1].clone();
+        short_values.values.pop();
+        let mut short_hashes = cb[2].clone();
+        short_hashes.hashes.pop();
+        let mut above_one = cb[0].clone();
+        above_one.hashes[7] = 1.5;
+        for bad in [short_values, short_hashes, above_one] {
+            let rb = [&cb[0], &bad, &cb[2]];
+            assert!(estimate_column_pair(s.params(), ra, rb).is_none());
+            let rb = [&bad, &cb[1], &cb[2]];
+            let sequential: Result<Vec<f64>, _> = COLUMN_PAIR_PRODUCTS
+                .iter()
+                .map(|&(i, j)| s.estimate_inner_product(ra[i], rb[j]))
+                .collect();
+            let fused = s.estimate_column_pair(ra, rb).map(|p| p.to_vec());
+            assert_eq!(
+                fused.map(|p| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>()),
+                sequential.map(|p| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            );
+        }
     }
 
     #[test]

@@ -77,6 +77,12 @@ impl SketchedColumn {
         &self.squared_values
     }
 
+    /// The three sketches in Figure-3 order: key indicator, values, squared values.
+    #[must_use]
+    pub fn sketches(&self) -> [&AnySketch; 3] {
+        [&self.key_indicator, &self.values, &self.squared_values]
+    }
+
     /// Total storage of the three sketches, in 64-bit-double equivalents.
     #[must_use]
     pub fn storage_doubles(&self) -> f64 {
@@ -412,7 +418,9 @@ impl JoinEstimator {
         &self.sketcher
     }
 
-    /// Estimates the full set of post-join statistics for a pair of sketched columns.
+    /// Estimates the full set of post-join statistics for a pair of sketched columns,
+    /// from the six inner products of
+    /// [`AnySketcher::estimate_column_pair`](ipsketch_core::AnySketcher::estimate_column_pair).
     ///
     /// # Errors
     ///
@@ -423,31 +431,15 @@ impl JoinEstimator {
         a: &SketchedColumn,
         b: &SketchedColumn,
     ) -> Result<JoinStatistics, JoinError> {
-        let join_size = self
+        let [join_size, sum_a, sum_b, sum_a_squared, sum_b_squared, inner_product] = self
             .sketcher
-            .estimate_inner_product(&a.key_indicator, &b.key_indicator)?
-            .max(0.0);
-        let sum_a = self
-            .sketcher
-            .estimate_inner_product(&a.values, &b.key_indicator)?;
-        let sum_b = self
-            .sketcher
-            .estimate_inner_product(&a.key_indicator, &b.values)?;
-        let sum_a_squared = self
-            .sketcher
-            .estimate_inner_product(&a.squared_values, &b.key_indicator)?
-            .max(0.0);
-        let sum_b_squared = self
-            .sketcher
-            .estimate_inner_product(&a.key_indicator, &b.squared_values)?
-            .max(0.0);
-        let inner_product = self.sketcher.estimate_inner_product(&a.values, &b.values)?;
+            .estimate_column_pair(a.sketches(), b.sketches())?;
         Ok(JoinStatistics::from_sufficient_statistics(
-            join_size,
+            non_negative(join_size),
             sum_a,
             sum_b,
-            sum_a_squared,
-            sum_b_squared,
+            non_negative(sum_a_squared),
+            non_negative(sum_b_squared),
             inner_product,
         ))
     }
@@ -462,10 +454,20 @@ impl JoinEstimator {
         a: &SketchedColumn,
         b: &SketchedColumn,
     ) -> Result<f64, JoinError> {
-        Ok(self
-            .sketcher
-            .estimate_inner_product(&a.key_indicator, &b.key_indicator)?
-            .max(0.0))
+        Ok(non_negative(self.sketcher.estimate_inner_product(
+            &a.key_indicator,
+            &b.key_indicator,
+        )?))
+    }
+}
+
+/// Clamps an estimate of a non-negative quantity at zero.  NaN passes through: it
+/// marks a corrupt sketch, and `f64::max` would turn it into a plausible 0.
+fn non_negative(estimate: f64) -> f64 {
+    if estimate.is_nan() {
+        estimate
+    } else {
+        estimate.max(0.0)
     }
 }
 

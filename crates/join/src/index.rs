@@ -9,6 +9,7 @@
 
 use crate::error::JoinError;
 use crate::estimate::{JoinEstimator, SketchedColumn};
+use crate::exact::JoinStatistics;
 use ipsketch_core::runner::{default_threads, parallel_map};
 use ipsketch_data::Table;
 
@@ -349,7 +350,7 @@ impl SketchIndex {
         query: &SketchedColumn,
         k: usize,
     ) -> Result<Vec<RankedColumn>, JoinError> {
-        self.rank(query, k, |r| r.estimated_join_size)
+        Ok(top_k(self.score_all(query, join_size_score)?, k))
     }
 
     /// Sketches a query column with the companion (cheap-tier) configuration, or
@@ -449,54 +450,32 @@ impl SketchIndex {
             .filter_map(|i| i.map(|(lower, _)| lower))
             .collect();
         let threshold = if k > 0 && lowers.len() >= k {
-            lowers.sort_by(|a, b| b.total_cmp(a));
-            Some(lowers[k - 1])
+            Some(
+                *lowers
+                    .select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a))
+                    .1,
+            )
         } else {
             None
         };
 
-        // Primary rerank of the survivors — identical scoring, identical total order,
-        // identical non-finite handling to the flat scan.
-        let mut results = Vec::new();
-        let mut survivors = 0usize;
+        // Primary rerank of the survivors — the flat scan's scoring, order and
+        // non-finite handling.
+        let mut scored = Vec::new();
         for (entry, interval) in candidates.iter().zip(&intervals) {
             let survives = match (threshold, interval) {
                 (Some(tau), Some((_, upper))) => *upper >= tau,
                 _ => true,
             };
-            if !survives {
-                continue;
+            if survives {
+                scored.push(self.score_entry(query, entry, join_size_score)?);
             }
-            survivors += 1;
-            let stats = self.estimator.estimate(query, &entry.sketch)?;
-            let ranked = RankedColumn {
-                id: entry.id.clone(),
-                score: stats.join_size,
-                estimated_join_size: stats.join_size,
-                estimated_correlation: stats.correlation,
-            };
-            if !ranked.score.is_finite() {
-                return Err(JoinError::NonFiniteScore {
-                    table: entry.id.table.clone(),
-                    column: entry.id.column.clone(),
-                });
-            }
-            results.push(ranked);
         }
-        results.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then_with(|| a.id.table.cmp(&b.id.table))
-                .then_with(|| a.id.column.cmp(&b.id.column))
-        });
-        results.truncate(k);
-        Ok((
-            results,
-            CascadeStats {
-                candidates: candidates.len(),
-                survivors,
-            },
-        ))
+        let stats = CascadeStats {
+            candidates: candidates.len(),
+            survivors: scored.len(),
+        };
+        Ok((top_k(scored, k), stats))
     }
 
     /// Answers a batch of cascade joinability queries (each a primary + companion
@@ -537,10 +516,9 @@ impl SketchIndex {
         k: usize,
         min_join_size: f64,
     ) -> Result<Vec<RankedColumn>, JoinError> {
-        let mut results = self.rank(query, usize::MAX, |r| r.estimated_correlation.abs())?;
-        results.retain(|r| r.estimated_join_size >= min_join_size);
-        results.truncate(k);
-        Ok(results)
+        let mut scored = self.score_all(query, |stats| stats.correlation.abs())?;
+        scored.retain(|s| s.join_size >= min_join_size);
+        Ok(top_k(scored, k))
     }
 
     /// Answers a batch of joinability queries in one call — the shape a query service
@@ -604,54 +582,84 @@ impl SketchIndex {
         .collect()
     }
 
-    /// Shared ranking implementation.
-    fn rank<F>(
+    /// Scores every indexed column outside the query's own table, in index order.
+    fn score_all(
         &self,
         query: &SketchedColumn,
-        k: usize,
-        score: F,
-    ) -> Result<Vec<RankedColumn>, JoinError>
-    where
-        F: Fn(&RankedColumn) -> f64,
-    {
-        let mut results = Vec::new();
-        for entry in &self.entries {
-            if entry.id.table == query.table {
-                continue;
-            }
-            let stats = self.estimator.estimate(query, &entry.sketch)?;
-            let mut ranked = RankedColumn {
-                id: entry.id.clone(),
-                score: 0.0,
-                estimated_join_size: stats.join_size,
-                estimated_correlation: stats.correlation,
-            };
-            ranked.score = score(&ranked);
-            // Well-formed sketches always estimate finite statistics; a NaN or infinite
-            // score means a corrupt/hand-built sketch and has no defensible rank, so
-            // fail with a typed error naming the culprit instead of panicking mid-sort.
-            if !ranked.score.is_finite() {
-                return Err(JoinError::NonFiniteScore {
-                    table: entry.id.table.clone(),
-                    column: entry.id.column.clone(),
-                });
-            }
-            results.push(ranked);
-        }
-        // Deterministic total order: score descending, then `(table, column)`
-        // ascending.  Without the tie-break, equal scores rank in index insertion
-        // order — two indexes holding the same columns could disagree, and a
-        // router merging per-node top-k lists could never reproduce a single
-        // node's answer bit for bit.
-        results.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then_with(|| a.id.table.cmp(&b.id.table))
-                .then_with(|| a.id.column.cmp(&b.id.column))
-        });
-        results.truncate(k);
-        Ok(results)
+        score: fn(&JoinStatistics) -> f64,
+    ) -> Result<Vec<Scored<'_>>, JoinError> {
+        self.entries
+            .iter()
+            .filter(|entry| entry.id.table != query.table)
+            .map(|entry| self.score_entry(query, entry, score))
+            .collect()
     }
+
+    /// Scores one candidate with the primary estimator — the single scoring step of
+    /// the flat scan and the cascade rerank.
+    fn score_entry<'a>(
+        &self,
+        query: &SketchedColumn,
+        entry: &'a IndexEntry,
+        score: fn(&JoinStatistics) -> f64,
+    ) -> Result<Scored<'a>, JoinError> {
+        let stats = self.estimator.estimate(query, &entry.sketch)?;
+        let score = score(&stats);
+        // Well-formed sketches always estimate finite statistics; a NaN or infinite
+        // score means a corrupt/hand-built sketch and has no defensible rank, so
+        // fail with a typed error naming the culprit instead of panicking mid-sort.
+        if !score.is_finite() {
+            return Err(JoinError::NonFiniteScore {
+                table: entry.id.table.clone(),
+                column: entry.id.column.clone(),
+            });
+        }
+        Ok(Scored {
+            entry,
+            score,
+            join_size: stats.join_size,
+            correlation: stats.correlation,
+        })
+    }
+}
+
+/// One candidate scored by the primary estimator.  It borrows its index entry, so
+/// only the `k` candidates a query returns pay for cloning their [`ColumnId`].
+struct Scored<'a> {
+    entry: &'a IndexEntry,
+    score: f64,
+    join_size: f64,
+    correlation: f64,
+}
+
+/// The joinability score: the estimated join size.
+fn join_size_score(stats: &JoinStatistics) -> f64 {
+    stats.join_size
+}
+
+/// The `k` best of `scored` as ranked results.
+///
+/// Deterministic total order: score descending, then `(table, column)` ascending.
+/// Without the tie-break, equal scores rank in index insertion order — two indexes
+/// holding the same columns could disagree, and a router merging per-node top-k lists
+/// could never reproduce a single node's answer bit for bit.
+fn top_k(mut scored: Vec<Scored<'_>>, k: usize) -> Vec<RankedColumn> {
+    scored.sort_by(|a, b| {
+        b.score
+            .total_cmp(&a.score)
+            .then_with(|| a.entry.id.table.cmp(&b.entry.id.table))
+            .then_with(|| a.entry.id.column.cmp(&b.entry.id.column))
+    });
+    scored
+        .into_iter()
+        .take(k)
+        .map(|s| RankedColumn {
+            id: s.entry.id.clone(),
+            score: s.score,
+            estimated_join_size: s.join_size,
+            estimated_correlation: s.correlation,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1180,6 +1188,95 @@ mod tests {
             "companionless candidates must appear in the ranking"
         );
         assert_eq!(stats.candidates, index.len());
+        Ok(())
+    }
+
+    /// Rewrites the first bucket of a CountSketch to NaN, as a damaged blob could —
+    /// the decoder accepts any f64 bucket.
+    fn nan_bucket(sketch: &AnySketch) -> AnySketch {
+        assert!(matches!(sketch, AnySketch::CountSketch(_)));
+        let mut bytes = BinarySketch::to_bytes(sketch).to_vec();
+        // Layout: header (6) + seed (8) + buckets (8) + table-length prefix (8).
+        bytes[30..38].copy_from_slice(&f64::NAN.to_le_bytes());
+        AnySketch::from_bytes(&bytes).expect("layout is preserved")
+    }
+
+    fn with_nan_key_bucket(column: &SketchedColumn) -> SketchedColumn {
+        SketchedColumn::from_parts(
+            column.table.clone(),
+            column.column.clone(),
+            column.rows,
+            nan_bucket(column.key_indicator()),
+            column.values().clone(),
+            column.squared_values().clone(),
+        )
+    }
+
+    #[test]
+    fn a_nan_companion_is_never_pruned() -> Result<(), JoinError> {
+        // The best candidates carry a damaged companion whose cheap score is NaN.
+        // They must survive the prefilter even at a zero-width margin, where a
+        // cheap score read as 0 would put them below a half-overlapping decoy's, so
+        // the cascade still answers exactly like the flat scan.
+        let (query, good, bad) = scenario();
+        let decoy = Table::new(
+            "decoy",
+            (250..750).collect(),
+            vec![Column::new(
+                "half",
+                (250..750).map(|i| f64::from(i % 13) + 1.0).collect(),
+            )],
+        )?;
+        let primary = JoinEstimator::weighted_minhash(300.0, 3)?;
+        let companion = cs_companion(3);
+        let mut index = SketchIndex::new(primary.clone());
+        index.set_companion_estimator(Some(companion.clone()));
+        index.insert_table(&bad)?;
+        index.insert_table(&decoy)?;
+        for column in good.columns() {
+            let damaged = with_nan_key_bucket(&companion.sketch_column(&good, &column.name)?);
+            index.insert_sketched_with_companion(
+                primary.sketch_column(&good, &column.name)?,
+                Some(damaged),
+            )?;
+        }
+        let q = index.sketch_query(&query, "rides")?;
+        let cq = index.sketch_companion_query(&query, "rides")?.unwrap();
+        for k in [1, 2, 4] {
+            let flat = index.top_k_joinable(&q, k)?;
+            assert_eq!(flat[0].id.table, "good");
+            for confidence in [0.0, DEFAULT_CASCADE_CONFIDENCE] {
+                let (cascade, stats) = index.top_k_joinable_cascade(&q, &cq, k, confidence)?;
+                assert_eq!(cascade, flat, "k {k} confidence {confidence}");
+                assert!(stats.survivors >= good.columns().len());
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_nan_bucket_in_a_countsketch_primary_is_a_typed_error() -> Result<(), JoinError> {
+        // Previously the CountSketch median sorted with `expect("estimates are
+        // finite")`, so one NaN bucket panicked the ranking thread.
+        let (query, good, _) = scenario();
+        let est = JoinEstimator::new(AnySketcher::for_budget(
+            SketchMethod::CountSketch,
+            300.0,
+            3,
+        )?);
+        let mut index = SketchIndex::new(est.clone());
+        index.insert_table(&good)?;
+        let q = index.sketch_query(&query, "rides")?;
+        let mut evil = with_nan_key_bucket(&est.sketch_column(&good, "precip")?);
+        evil.table = "evil".to_string();
+        index.insert_sketched(evil)?;
+        let err = index
+            .top_k_joinable(&q, 5)
+            .expect_err("a NaN join size must not rank");
+        assert!(
+            matches!(err, JoinError::NonFiniteScore { ref table, .. } if table == "evil"),
+            "unexpected error: {err:?}"
+        );
         Ok(())
     }
 

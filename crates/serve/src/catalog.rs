@@ -719,11 +719,13 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CatalogError
     file.sync_all().map_err(|e| io_error(&tmp, &e))?;
     drop(file);
     fs::rename(&tmp, path).map_err(|e| io_error(path, &e))?;
-    // Make the rename itself durable by flushing the parent directory entry.  Best
-    // effort: not every platform supports opening a directory for sync.
+    // Make the rename itself durable by flushing the parent directory entry.  Not
+    // every platform can open a directory for sync, so that case is tolerated; but a
+    // directory that opens and then fails to sync has not made the rename durable,
+    // and the caller must not report the write as committed.
     if let Some(parent) = path.parent() {
         if let Ok(dir) = fs::File::open(parent) {
-            let _ = dir.sync_all();
+            dir.sync_all().map_err(|e| io_error(parent, &e))?;
         }
     }
     Ok(())
