@@ -12,7 +12,7 @@
 //! * `query_under_ingest` — queries while a background client keeps
 //!   registering fresh tables, exercising the read/write lock split.
 //!
-//! A fourth, `routed_query` (TCP only — the router front end speaks the line
+//! A fourth, `routed_query` (TCP only — `ipsketch route` binds the line
 //! framing), sends the same single queries through an `ipsketch route`-style
 //! router fronting three in-process nodes at replication 2, pricing the
 //! fan-out/merge hop relative to the plain `query` rows.  A fifth,
@@ -661,8 +661,9 @@ fn main() {
         let _ = std::fs::remove_dir_all(&workload.root);
     }
 
-    // The routed scenarios measure the router's line-TCP front end only: the
-    // router has no HTTP listener (HTTP is a node-side transport option).
+    // The routed scenarios measure the router's line-TCP binding only: the
+    // serving core can bind HTTP for a router too, but `serve_router` (and so
+    // `ipsketch route`) binds one TCP address.
     // `routed_query_flaky_node` repeats the run with one node resetting every
     // connection: the price of failover plus a 2-of-3 fan-out.
     for (name, flaky) in [("routed_query", false), ("routed_query_flaky_node", true)] {

@@ -777,9 +777,13 @@ fn route_impl(options: &RouteOptions, out: &mut dyn Write) -> Result<(), CliErro
     )?;
     out.flush()?;
     // Route until killed; nodes are dialed lazily, so a node that is still
-    // booting only fails the requests that need it.
+    // booting only fails the requests that need it.  As with `serve`, `wait`
+    // only returns if the serving core dies on its own.
     handle.wait();
-    Ok(())
+    Err(CliError::Io(
+        "router terminated unexpectedly (fatal reactor I/O error); the listener is closed"
+            .to_string(),
+    ))
 }
 
 #[cfg(not(feature = "server"))]

@@ -79,13 +79,18 @@ impl FaultMode {
 #[derive(Debug, Clone)]
 pub struct FaultHandle {
     mode: Arc<Mutex<FaultMode>>,
+    conns: Arc<Mutex<Vec<TcpStream>>>,
 }
 
 impl FaultHandle {
-    /// Switches the fault mode; connections accepted from now on see the new
-    /// mode (in-flight connections keep the mode they started under).
+    /// Switches the fault mode and severs every open connection, so all
+    /// traffic from now on sees the new mode: a client's pooled keep-alive
+    /// connections break, and the client reconnects into the fault.
     pub fn set_mode(&self, mode: FaultMode) {
         *self.mode.lock().expect("fault mode lock") = mode;
+        for stream in self.conns.lock().expect("conns lock").drain(..) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
     }
 
     /// The currently configured mode.
@@ -134,11 +139,12 @@ impl FaultProxy {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let upstream = upstream.into();
+        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
         let handle = FaultHandle {
             mode: Arc::new(Mutex::new(mode)),
+            conns: Arc::clone(&conns),
         };
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
         let threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let handle = handle.clone();

@@ -29,11 +29,13 @@
 //! * [`metrics`] — lock-free server observability: per-op log-bucketed latency
 //!   histograms, request/error counters, connection/queue gauges, snapshotted into
 //!   the `info` op's optional `server` member.
-//! * [`server`] (feature `server`) — the concurrent network front end: a `poll(2)`
-//!   reactor driving both framers (line-delimited TCP and HTTP/1.1), a worker pool
-//!   over a read-write-locked [`QueryService`], concurrent shard-partial ingest
-//!   sessions, configured overload shedding, and background catalog compaction.
-//! * [`router`] (feature `server`) — the multi-node front end: rendezvous-hashed
+//! * [`server`] (feature `server`) — the serving core: a `poll(2)` reactor driving
+//!   both framers (line-delimited TCP and HTTP/1.1), a worker pool, configured
+//!   overload shedding, metrics and one background thread, in front of a
+//!   `Backend` — the catalog node (a read-write-locked [`QueryService`],
+//!   concurrent shard-partial ingest sessions, background catalog compaction)
+//!   or the router.
+//! * [`router`] (feature `server`) — the multi-node backend: rendezvous-hashed
 //!   column placement with replication, fan-out reads merged under the
 //!   deterministic total order, per-attempt deadlines with idempotent-only
 //!   retries, a health lifecycle (threshold demotion, background probing),

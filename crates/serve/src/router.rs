@@ -28,14 +28,22 @@
 //! `batch-query`, `export-column`) retry — a timed-out write has an unknown
 //! outcome, so it fails fast with `deadline_exceeded` instead.  Nodes that
 //! fail `failure_threshold` consecutive attempts are demoted out of the read
-//! fan-out; a background prober re-checks demoted nodes with `info` and
-//! promotes them back.  Demotions, promotions, and probe counts surface in
+//! fan-out; the periodic maintenance pass re-checks demoted nodes with `info`
+//! and promotes them back.  Demotions, promotions, and probe counts surface in
 //! the `cluster` member of `info`.
 //!
 //! The node list itself is swappable at runtime ([`Router::set_nodes`]):
 //! in-flight requests and open ingest sessions pin the topology they started
 //! on, so a live rebalance (copy blobs with [`rebalance`], then flip the
 //! router) never splits one request across two placements.
+//!
+//! The router is a [`Backend`] of the serving core ([`crate::server`]): the
+//! core's reactor, framings, queue, shedding and metrics front it exactly as
+//! they front a catalog node, and [`serve_router`] is that core bound to one
+//! TCP address.  Each core worker keeps its own pool of node connections, one
+//! per node, and the core's background thread runs the router's maintenance
+//! pass (probe demoted nodes, expire idle ingest sessions) every
+//! [`RouterConfig::probe_interval`].
 //!
 //! `docs/PROTOCOL.md` § Cluster routing and § Timeouts, retries, and
 //! idempotency are the normative descriptions; `tests/cluster_loopback.rs`
@@ -45,25 +53,21 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use crate::metrics::ServerMetrics;
 use crate::protocol::{
     ErrorCode, InfoColumn, Request, RequestBody, Response, ResponseBody, WireClusterStats,
     WireError, WireNodeStats, WireRanked, WireServiceStats, WireSketch, WireTable,
 };
+use crate::server::{serve_backend, Backend, ServerConfig, ServerHandle};
 use crate::wire::Json;
 
 /// Default replication factor: every key lives on two nodes, so the cluster
 /// keeps answering (bit-identically) with any single node down.
 pub const DEFAULT_REPLICAS: usize = 2;
-
-/// Router request lines are bounded like the server's default.
-const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// How a node is spoken to on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,6 +223,34 @@ fn merge_notes(mut notes: Vec<crate::protocol::WireNote>) -> Option<crate::proto
     notes.into_iter().next()
 }
 
+/// Merges the `Report` answers of the nodes a write went to, in order, into
+/// one: registered pairs and skipped columns, each sorted and deduplicated.
+/// The first failed call ends the write (later nodes are not called).
+fn merge_reports(
+    reports: impl IntoIterator<Item = Result<ResponseBody, WireError>>,
+    op: &str,
+) -> Result<ResponseBody, WireError> {
+    let mut registered = BTreeSet::new();
+    let mut skipped = BTreeSet::new();
+    for report in reports {
+        let ResponseBody::Report {
+            registered: r,
+            skipped: s,
+        } = report?
+        else {
+            return Err(internal(&format!(
+                "node answered {op} with a non-report body"
+            )));
+        };
+        registered.extend(r);
+        skipped.extend(s);
+    }
+    Ok(ResponseBody::Report {
+        registered: registered.into_iter().collect(),
+        skipped: skipped.into_iter().collect(),
+    })
+}
+
 /// Per-attempt deadlines and the retry/backoff schedule every router→node
 /// session runs under.
 ///
@@ -338,16 +370,16 @@ impl RouterConfig {
         self
     }
 
-    /// Sets the health-probe interval for demoted nodes (`None` disables the
-    /// prober thread).
+    /// Sets the interval of the maintenance pass that probes demoted nodes and
+    /// expires idle ingest sessions (`None` disables it).
     #[must_use]
     pub fn probe_interval(mut self, interval: Option<Duration>) -> RouterConfig {
         self.probe_interval = interval;
         self
     }
 
-    /// Sets how long an idle router-side ingest session lives before the
-    /// prober thread reaps it.
+    /// Sets how long an idle router-side ingest session lives before a
+    /// maintenance pass reaps it.
     #[must_use]
     pub fn session_ttl(mut self, ttl: Duration) -> RouterConfig {
         self.session_ttl = ttl;
@@ -355,7 +387,7 @@ impl RouterConfig {
     }
 }
 
-/// Per-node health and error counters, shared across router connections.
+/// Per-node health and error counters, shared across server workers.
 #[derive(Debug)]
 struct NodeState {
     errors: AtomicU64,
@@ -416,7 +448,7 @@ impl Topology {
 
 /// Cluster-wide router counters backing the `info` response's `cluster`
 /// member.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RouterStats {
     requests: AtomicU64,
     fanouts: AtomicU64,
@@ -437,7 +469,7 @@ struct RouterSession {
     /// Node index → that node's session id, opened at first contact.  A
     /// `BTreeMap` so `ingest-finish` fans out in deterministic node order.
     node_sessions: BTreeMap<usize, u64>,
-    /// Last activity; idle sessions past the TTL are reaped by the prober.
+    /// Last activity; idle sessions past the TTL are reaped by maintenance.
     touched: Instant,
 }
 
@@ -472,9 +504,9 @@ fn is_timeout(error: &io::Error) -> bool {
     )
 }
 
-/// The routing core: placement, fan-out, merge, health, and session mapping.
-/// Owns no sockets — each router connection thread brings its own
-/// [`NodePool`].
+/// The routing backend: placement, fan-out, merge, health, and session
+/// mapping.  Owns no sockets — each server worker brings its own pool of node
+/// connections.
 #[derive(Debug)]
 pub struct Router {
     topology: RwLock<Arc<Topology>>,
@@ -484,7 +516,6 @@ pub struct Router {
     probe_interval: Option<Duration>,
     session_ttl: Duration,
     stats: RouterStats,
-    metrics: ServerMetrics,
     sessions: Mutex<HashMap<u64, Arc<Mutex<RouterSession>>>>,
     next_session: AtomicU64,
 }
@@ -526,12 +557,7 @@ impl Router {
             failure_threshold: config.failure_threshold,
             probe_interval: config.probe_interval,
             session_ttl: config.session_ttl,
-            stats: RouterStats {
-                requests: AtomicU64::new(0),
-                fanouts: AtomicU64::new(0),
-                failovers: AtomicU64::new(0),
-            },
-            metrics: ServerMetrics::default(),
+            stats: RouterStats::default(),
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(0),
         })
@@ -640,168 +666,11 @@ impl Router {
         }
     }
 
-    /// Executes one decoded request against the cluster.  `pool` is the
-    /// calling connection's private set of node connections.
-    ///
-    /// # Errors
-    ///
-    /// Forwards node-side [`WireError`]s verbatim; unreachable nodes surface
-    /// as `io` (or `deadline_exceeded` for timed-out writes), reads only
-    /// after every replica failed.
-    pub fn execute(
-        &self,
-        body: &RequestBody,
-        pool: &mut NodePool<'_>,
-    ) -> Result<ResponseBody, WireError> {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let topo = self.topology();
-        match body {
-            RequestBody::Info { server } => self.info(&topo, *server, pool),
-            RequestBody::Query { k, .. } => {
-                let responses = self.fan_read(&topo, pool, body)?;
-                let mut per_node = Vec::with_capacity(responses.len());
-                let mut notes = Vec::new();
-                for resp in responses {
-                    match resp {
-                        ResponseBody::Ranking { ranking, note } => {
-                            per_node.push(ranking);
-                            notes.extend(note);
-                        }
-                        _ => return Err(internal("node answered query with a non-ranking body")),
-                    }
-                }
-                Ok(ResponseBody::Ranking {
-                    ranking: merge_rankings(per_node, *k),
-                    note: merge_notes(notes),
-                })
-            }
-            RequestBody::BatchQuery { k, queries, .. } => {
-                let responses = self.fan_read(&topo, pool, body)?;
-                let mut per_node = Vec::with_capacity(responses.len());
-                let mut notes = Vec::new();
-                for resp in responses {
-                    match resp {
-                        ResponseBody::Rankings { rankings, note } => {
-                            if rankings.len() != queries.len() {
-                                return Err(internal(
-                                    "node answered batch-query with a mis-sized batch",
-                                ));
-                            }
-                            per_node.push(rankings);
-                            notes.extend(note);
-                        }
-                        _ => {
-                            return Err(internal("node answered batch-query with a non-batch body"))
-                        }
-                    }
-                }
-                let merged = (0..queries.len())
-                    .map(|i| {
-                        merge_rankings(per_node.iter().map(|node| node[i].clone()).collect(), *k)
-                    })
-                    .collect();
-                Ok(ResponseBody::Rankings {
-                    rankings: merged,
-                    note: merge_notes(notes),
-                })
-            }
-            RequestBody::Ingest { table, partitions } => {
-                let per_node = self.partition_on(&topo, &table.name, &table.columns);
-                let mut registered = BTreeSet::new();
-                let mut skipped = BTreeSet::new();
-                for (idx, cols) in per_node.iter().enumerate() {
-                    if cols.is_empty() {
-                        continue;
-                    }
-                    let sub = RequestBody::Ingest {
-                        table: Self::subset(table, cols),
-                        partitions: *partitions,
-                    };
-                    match self.call_write(&topo, pool, idx, &sub)? {
-                        ResponseBody::Report {
-                            registered: r,
-                            skipped: s,
-                        } => {
-                            registered.extend(r);
-                            skipped.extend(s);
-                        }
-                        _ => return Err(internal("node answered ingest with a non-report body")),
-                    }
-                }
-                Ok(ResponseBody::Report {
-                    registered: registered.into_iter().collect(),
-                    skipped: skipped.into_iter().collect(),
-                })
-            }
-            RequestBody::IngestBegin { table } => {
-                let id = self.next_session.fetch_add(1, Ordering::Relaxed) + 1;
-                self.sessions.lock().expect("sessions lock").insert(
-                    id,
-                    Arc::new(Mutex::new(RouterSession {
-                        table: table.clone(),
-                        topo: Arc::clone(&topo),
-                        node_sessions: BTreeMap::new(),
-                        touched: Instant::now(),
-                    })),
-                );
-                Ok(ResponseBody::Session(id))
-            }
-            RequestBody::IngestAnnounce { session, shard } => {
-                self.session_shard_op(pool, *session, shard, true)
-            }
-            RequestBody::IngestSubmit { session, shard } => {
-                self.session_shard_op(pool, *session, shard, false)
-            }
-            RequestBody::IngestFinish { session } => {
-                let entry = self
-                    .sessions
-                    .lock()
-                    .expect("sessions lock")
-                    .remove(session)
-                    .ok_or_else(|| unknown_session(*session))?;
-                let state = entry.lock().expect("session lock");
-                let session_topo = Arc::clone(&state.topo);
-                let mut registered = BTreeSet::new();
-                let mut skipped = BTreeSet::new();
-                for (&idx, &node_session) in &state.node_sessions {
-                    let finish = RequestBody::IngestFinish {
-                        session: node_session,
-                    };
-                    match self.call_write(&session_topo, pool, idx, &finish)? {
-                        ResponseBody::Report {
-                            registered: r,
-                            skipped: s,
-                        } => {
-                            registered.extend(r);
-                            skipped.extend(s);
-                        }
-                        _ => {
-                            return Err(internal(
-                                "node answered ingest-finish with a non-report body",
-                            ))
-                        }
-                    }
-                }
-                Ok(ResponseBody::Report {
-                    registered: registered.into_iter().collect(),
-                    skipped: skipped.into_iter().collect(),
-                })
-            }
-            RequestBody::DropColumn { table, column } => {
-                self.drop_column(&topo, pool, table, column)
-            }
-            RequestBody::ExportColumn { table, column } => {
-                self.export_column(&topo, pool, table, column)
-            }
-            RequestBody::ImportColumn { sketch } => self.import_column(&topo, pool, sketch),
-        }
-    }
-
     /// `ingest-announce` / `ingest-submit`: partition the shard column-wise
     /// and forward each owner its sub-shard under that node's session.
     fn session_shard_op(
         &self,
-        pool: &mut NodePool<'_>,
+        pool: &mut NodePool,
         session: u64,
         shard: &WireTable,
         announce: bool,
@@ -874,12 +743,7 @@ impl Router {
     /// `info`: fan out, verify every node runs the same sketcher fingerprint,
     /// and merge columns/stats into one cluster-wide view (plus the `cluster`
     /// member only routers emit).
-    fn info(
-        &self,
-        topo: &Arc<Topology>,
-        server: bool,
-        pool: &mut NodePool<'_>,
-    ) -> Result<ResponseBody, WireError> {
+    fn info(&self, topo: &Arc<Topology>, pool: &mut NodePool) -> Result<ResponseBody, WireError> {
         let probe = RequestBody::Info { server: false };
         let responses = self.fan_read(topo, pool, &probe)?;
         let mut head: Option<(String, String, String, Option<String>)> = None;
@@ -946,7 +810,7 @@ impl Router {
                 bytes_on_disk,
                 last_compaction: None,
             }),
-            server: server.then(|| self.metrics.snapshot()),
+            server: None,
             cluster: Some(Box::new(self.cluster_stats())),
         })
     }
@@ -956,19 +820,16 @@ impl Router {
     fn drop_column(
         &self,
         topo: &Arc<Topology>,
-        pool: &mut NodePool<'_>,
+        pool: &mut NodePool,
+        request: &NodeRequest<'_>,
         table: &str,
         column: &str,
     ) -> Result<ResponseBody, WireError> {
-        let body = RequestBody::DropColumn {
-            table: table.to_string(),
-            column: column.to_string(),
-        };
         let mut dropped = false;
         let mut remote: Option<WireError> = None;
         let mut unreachable: Option<String> = None;
         for idx in 0..topo.nodes.len() {
-            match pool.call(topo, idx, &body) {
+            match pool.call(self, topo, idx, request) {
                 Ok(ResponseBody::Dropped { .. }) => dropped = true,
                 Ok(_) => {
                     return Err(internal(
@@ -1013,14 +874,11 @@ impl Router {
     fn export_column(
         &self,
         topo: &Arc<Topology>,
-        pool: &mut NodePool<'_>,
+        pool: &mut NodePool,
+        request: &NodeRequest<'_>,
         table: &str,
         column: &str,
     ) -> Result<ResponseBody, WireError> {
-        let body = RequestBody::ExportColumn {
-            table: table.to_string(),
-            column: column.to_string(),
-        };
         let mut order = owners(&topo.nodes, self.replicas, table, column);
         for idx in 0..topo.nodes.len() {
             if !order.contains(&idx) {
@@ -1030,7 +888,7 @@ impl Router {
         let mut failed = 0u64;
         let mut unreachable: Option<String> = None;
         for idx in order {
-            match pool.call(topo, idx, &body) {
+            match pool.call(self, topo, idx, request) {
                 Ok(ResponseBody::Sketch(sketch)) => {
                     if failed > 0 {
                         self.stats.failovers.fetch_add(failed, Ordering::Relaxed);
@@ -1067,47 +925,78 @@ impl Router {
     fn import_column(
         &self,
         topo: &Arc<Topology>,
-        pool: &mut NodePool<'_>,
+        pool: &mut NodePool,
         sketch: &WireSketch,
     ) -> Result<ResponseBody, WireError> {
-        let mut registered = BTreeSet::new();
-        let mut skipped = BTreeSet::new();
-        for idx in owners(&topo.nodes, self.replicas, &sketch.table, &sketch.column) {
-            let body = RequestBody::ImportColumn {
-                sketch: sketch.clone(),
-            };
-            match self.call_write(topo, pool, idx, &body)? {
-                ResponseBody::Report {
-                    registered: r,
-                    skipped: s,
-                } => {
-                    registered.extend(r);
-                    skipped.extend(s);
+        let body = RequestBody::ImportColumn {
+            sketch: sketch.clone(),
+        };
+        let writes = owners(&topo.nodes, self.replicas, &sketch.table, &sketch.column)
+            .into_iter()
+            .map(|idx| self.call_write(topo, pool, idx, &body));
+        merge_reports(writes, "import-column")
+    }
+
+    /// `query` / `batch-query`: fan out, then merge each query's per-node
+    /// rankings and the nodes' advisory notes.
+    fn query(
+        &self,
+        topo: &Arc<Topology>,
+        pool: &mut NodePool,
+        body: &RequestBody,
+        k: u64,
+    ) -> Result<ResponseBody, WireError> {
+        let batch = match body {
+            RequestBody::BatchQuery { queries, .. } => Some(queries.len()),
+            _ => None,
+        };
+        let mut per_node = Vec::new();
+        let mut notes = Vec::new();
+        for response in self.fan_read(topo, pool, body)? {
+            let (rankings, note) = match (response, batch) {
+                (ResponseBody::Ranking { ranking, note }, None) => (vec![ranking], note),
+                (ResponseBody::Rankings { rankings, note }, Some(n)) if rankings.len() == n => {
+                    (rankings, note)
                 }
                 _ => {
-                    return Err(internal(
-                        "node answered import-column with a non-report body",
-                    ))
+                    return Err(internal(&format!(
+                        "node answered {} with a mis-shaped body",
+                        body.op()
+                    )))
                 }
-            }
+            };
+            per_node.push(rankings);
+            notes.extend(note);
         }
-        Ok(ResponseBody::Report {
-            registered: registered.into_iter().collect(),
-            skipped: skipped.into_iter().collect(),
+        let note = merge_notes(notes);
+        let mut merged = (0..batch.unwrap_or(1)).map(|i| {
+            let column = per_node.iter_mut().map(|node| std::mem::take(&mut node[i]));
+            merge_rankings(column.collect(), k)
+        });
+        Ok(match batch {
+            None => ResponseBody::Ranking {
+                ranking: merged.next().expect("one query yields one ranking"),
+                note,
+            },
+            Some(_) => ResponseBody::Rankings {
+                rankings: merged.collect(),
+                note,
+            },
         })
     }
 
     /// Fans `body` to every node in `topo`.  Demoted nodes are skipped while
-    /// at least one healthy node remains (the prober owns their recovery);
+    /// at least one healthy node remains (maintenance probes them back);
     /// skipped and unreachable nodes count as failovers once somebody
     /// answers, and if every healthy node failed the demoted ones get a last
     /// chance before the read is declared dead.
     fn fan_read(
         &self,
         topo: &Arc<Topology>,
-        pool: &mut NodePool<'_>,
+        pool: &mut NodePool,
         body: &RequestBody,
     ) -> Result<Vec<ResponseBody>, WireError> {
+        let request = NodeRequest::new(body);
         let any_healthy = topo
             .states
             .iter()
@@ -1122,7 +1011,7 @@ impl Router {
                 failed += 1;
                 continue;
             }
-            match pool.call(topo, idx, body) {
+            match pool.call(self, topo, idx, &request) {
                 Ok(resp) => answered.push(resp),
                 Err(NodeError::Remote(error)) => return Err(error),
                 Err(NodeError::Unreachable { message, .. }) => {
@@ -1133,7 +1022,7 @@ impl Router {
         }
         if answered.is_empty() {
             for idx in skipped {
-                match pool.call(topo, idx, body) {
+                match pool.call(self, topo, idx, &request) {
                     Ok(resp) => {
                         answered.push(resp);
                         failed = failed.saturating_sub(1);
@@ -1162,42 +1051,41 @@ impl Router {
     fn call_write(
         &self,
         topo: &Arc<Topology>,
-        pool: &mut NodePool<'_>,
+        pool: &mut NodePool,
         idx: usize,
         body: &RequestBody,
     ) -> Result<ResponseBody, WireError> {
-        pool.call(topo, idx, body).map_err(|error| match error {
-            NodeError::Remote(e) => e,
-            NodeError::Unreachable { message, timed_out } => {
-                if timed_out {
-                    WireError {
-                        code: ErrorCode::DeadlineExceeded,
-                        message: format!(
-                            "deadline exceeded waiting on catalog node {}: the op was \
+        pool.call(self, topo, idx, &NodeRequest::new(body))
+            .map_err(|error| match error {
+                NodeError::Remote(e) => e,
+                NodeError::Unreachable { message, timed_out } => {
+                    if timed_out {
+                        WireError {
+                            code: ErrorCode::DeadlineExceeded,
+                            message: format!(
+                                "deadline exceeded waiting on catalog node {}: the op was \
                              not retried and may or may not have been applied ({message})",
-                            topo.nodes[idx].addr
-                        ),
-                    }
-                } else {
-                    WireError {
-                        code: ErrorCode::Io,
-                        message,
+                                topo.nodes[idx].addr
+                            ),
+                        }
+                    } else {
+                        WireError {
+                            code: ErrorCode::Io,
+                            message,
+                        }
                     }
                 }
-            }
-        })
+            })
     }
 
-    /// One prober pass: every demoted node gets a fresh-connection `info`
+    /// One probe pass: every demoted node gets a fresh-connection `info`
     /// round trip and is promoted back on success.  Probe failures leave the
     /// demotion in place without inflating the error counter — the node was
     /// already out of rotation.
     fn probe_demoted(&self) {
         let topo = self.topology();
-        let request = Request {
-            id: Json::Null,
-            body: RequestBody::Info { server: false },
-        };
+        let info = RequestBody::Info { server: false };
+        let request = NodeRequest::new(&info);
         for (spec, state) in topo.nodes.iter().zip(&topo.states) {
             if state.healthy.load(Ordering::Relaxed) {
                 continue;
@@ -1229,6 +1117,106 @@ impl Router {
     }
 }
 
+impl Backend for Router {
+    type Worker = NodePool;
+
+    /// Executes one decoded request against the cluster over the calling
+    /// worker's node connections.  Node-side [`WireError`]s are forwarded
+    /// verbatim; unreachable nodes surface as `io` (or `deadline_exceeded` for
+    /// timed-out writes), reads only after every replica failed.
+    fn execute(&self, pool: &mut NodePool, body: &RequestBody) -> Result<ResponseBody, WireError> {
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        let topo = self.topology();
+        match body {
+            RequestBody::Info { .. } => self.info(&topo, pool),
+            RequestBody::Query { k, .. } | RequestBody::BatchQuery { k, .. } => {
+                self.query(&topo, pool, body, *k)
+            }
+            RequestBody::Ingest { table, partitions } => {
+                let per_node = self.partition_on(&topo, &table.name, &table.columns);
+                let writes = (per_node.iter().enumerate())
+                    .filter(|(_, cols)| !cols.is_empty())
+                    .map(|(idx, cols)| {
+                        let sub = RequestBody::Ingest {
+                            table: Self::subset(table, cols),
+                            partitions: *partitions,
+                        };
+                        self.call_write(&topo, pool, idx, &sub)
+                    });
+                merge_reports(writes, "ingest")
+            }
+            RequestBody::IngestBegin { table } => {
+                let id = self.next_session.fetch_add(1, Ordering::Relaxed) + 1;
+                self.sessions.lock().expect("sessions lock").insert(
+                    id,
+                    Arc::new(Mutex::new(RouterSession {
+                        table: table.clone(),
+                        topo: Arc::clone(&topo),
+                        node_sessions: BTreeMap::new(),
+                        touched: Instant::now(),
+                    })),
+                );
+                Ok(ResponseBody::Session(id))
+            }
+            RequestBody::IngestAnnounce { session, shard } => {
+                self.session_shard_op(pool, *session, shard, true)
+            }
+            RequestBody::IngestSubmit { session, shard } => {
+                self.session_shard_op(pool, *session, shard, false)
+            }
+            RequestBody::IngestFinish { session } => {
+                let entry = self
+                    .sessions
+                    .lock()
+                    .expect("sessions lock")
+                    .remove(session)
+                    .ok_or_else(|| unknown_session(*session))?;
+                let state = entry.lock().expect("session lock");
+                let finishes = state.node_sessions.iter().map(|(&idx, &node_session)| {
+                    let finish = RequestBody::IngestFinish {
+                        session: node_session,
+                    };
+                    self.call_write(&state.topo, pool, idx, &finish)
+                });
+                merge_reports(finishes, "ingest-finish")
+            }
+            RequestBody::DropColumn { table, column } => {
+                self.drop_column(&topo, pool, &NodeRequest::new(body), table, column)
+            }
+            RequestBody::ExportColumn { table, column } => {
+                self.export_column(&topo, pool, &NodeRequest::new(body), table, column)
+            }
+            RequestBody::ImportColumn { sketch } => self.import_column(&topo, pool, sketch),
+        }
+    }
+
+    /// Probes demoted nodes, then reaps idle ingest sessions.
+    fn maintain(&self) {
+        self.probe_demoted();
+        self.expire_sessions();
+    }
+}
+
+/// A request as the router sends it to nodes: encoded once, however many
+/// nodes and attempts it goes to.
+struct NodeRequest<'a> {
+    body: &'a RequestBody,
+    line: String,
+}
+
+impl<'a> NodeRequest<'a> {
+    fn new(body: &'a RequestBody) -> NodeRequest<'a> {
+        let request = Request {
+            id: Json::Null,
+            body: body.clone(),
+        };
+        NodeRequest {
+            body,
+            line: request.encode(),
+        }
+    }
+}
+
 /// One pooled connection to a node.
 struct NodeConn {
     transport: NodeTransport,
@@ -1239,7 +1227,7 @@ struct NodeConn {
 impl NodeConn {
     /// Connects under the policy's deadlines: connect, read, and write
     /// timeouts all apply per attempt, so no node call can block a router
-    /// connection past its configured budget.
+    /// worker past its configured budget.
     fn connect(spec: &NodeSpec, retry: &RetryPolicy) -> io::Result<NodeConn> {
         let addr = spec.addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(
@@ -1259,8 +1247,8 @@ impl NodeConn {
     }
 
     /// One request/response round trip on this connection.
-    fn call(&mut self, request: &Request) -> io::Result<Response> {
-        let line = request.encode();
+    fn call(&mut self, request: &NodeRequest<'_>) -> io::Result<Response> {
+        let line = &request.line;
         match self.transport {
             NodeTransport::Tcp => {
                 self.writer.write_all(line.as_bytes())?;
@@ -1329,71 +1317,111 @@ impl NodeConn {
     }
 }
 
-/// One router connection's private node connections, opened lazily and reset
-/// whenever the topology snapshot they were opened under is swapped out.
-pub struct NodePool<'a> {
-    router: &'a Router,
-    topo: Arc<Topology>,
-    conns: Vec<Option<NodeConn>>,
-}
+/// The worker-owned node pool lives in a private module: the type is public
+/// only because [`Backend::Worker`] names it, and nothing outside this file
+/// can name it.
+mod pool {
+    use super::{is_idempotent, is_timeout, NodeConn, NodeError, NodeRequest, Router, Topology};
+    use crate::protocol::ResponseBody;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+    use std::thread;
 
-impl<'a> NodePool<'a> {
-    /// An empty pool for `router`'s current node list.
-    #[must_use]
-    pub fn new(router: &'a Router) -> NodePool<'a> {
-        let topo = router.topology();
-        NodePool {
-            conns: topo.nodes.iter().map(|_| None).collect(),
-            topo,
-            router,
-        }
+    /// One server worker's private node connections, opened lazily and reset
+    /// whenever the topology snapshot they were opened under is swapped out.
+    #[derive(Default)]
+    pub struct NodePool {
+        topo: Option<Arc<Topology>>,
+        conns: Vec<Option<NodeConn>>,
     }
 
-    /// Re-targets the pool at `topo` (dropping every pooled connection) when
-    /// it is not the snapshot the pool was last synced to.
-    fn sync(&mut self, topo: &Arc<Topology>) {
-        if !Arc::ptr_eq(&self.topo, topo) {
-            self.topo = Arc::clone(topo);
-            self.conns = topo.nodes.iter().map(|_| None).collect();
+    impl NodePool {
+        /// Re-targets the pool at `topo` (dropping every pooled connection) when
+        /// it is not the snapshot the pool was last synced to.
+        fn sync(&mut self, topo: &Arc<Topology>) {
+            if !self.topo.as_ref().is_some_and(|own| Arc::ptr_eq(own, topo)) {
+                self.topo = Some(Arc::clone(topo));
+                self.conns = topo.nodes.iter().map(|_| None).collect();
+            }
         }
-    }
 
-    /// One round trip to node `idx` of `topo` under the router's
-    /// [`RetryPolicy`].
-    ///
-    /// A failed round trip on a *pooled* connection proves nothing about the
-    /// node (it may simply have dropped an idle keep-alive), so it is retried
-    /// once on a fresh connection without recording a node error — but only
-    /// for idempotent bodies: a write may already have landed, so it returns
-    /// unreachable immediately.  Failures on *fresh* connections record node
-    /// errors (driving demotion) and, for idempotent bodies, retry with
-    /// deterministic backoff up to [`RetryPolicy::read_attempts`].
-    fn call(
-        &mut self,
-        topo: &Arc<Topology>,
-        idx: usize,
-        body: &RequestBody,
-    ) -> Result<ResponseBody, NodeError> {
-        self.sync(topo);
-        let request = Request {
-            id: Json::Null,
-            body: body.clone(),
-        };
-        let spec = &topo.nodes[idx];
-        let state = &topo.states[idx];
-        let retry = &self.router.retry;
-        let idempotent = is_idempotent(body);
-        let attempts = if idempotent { retry.read_attempts } else { 1 };
-        let mut fresh_failures = 0u32;
-        let mut backoff_attempt = 0u32;
-        let mut sent = false;
-        loop {
-            let pooled = self.conns[idx].is_some();
-            if !pooled {
-                match NodeConn::connect(spec, retry) {
-                    Ok(conn) => self.conns[idx] = Some(conn),
+        /// One round trip to node `idx` of `topo` under `router`'s
+        /// [`RetryPolicy`].
+        ///
+        /// A failed round trip on a *pooled* connection proves nothing about the
+        /// node (it may simply have dropped an idle keep-alive), so it is retried
+        /// once on a fresh connection without recording a node error — but only
+        /// for idempotent bodies: a write may already have landed, so it returns
+        /// unreachable immediately.  Failures on *fresh* connections record node
+        /// errors (driving demotion) and, for idempotent bodies, retry with
+        /// deterministic backoff up to [`RetryPolicy::read_attempts`].
+        pub(super) fn call(
+            &mut self,
+            router: &Router,
+            topo: &Arc<Topology>,
+            idx: usize,
+            request: &NodeRequest<'_>,
+        ) -> Result<ResponseBody, NodeError> {
+            self.sync(topo);
+            let spec = &topo.nodes[idx];
+            let state = &topo.states[idx];
+            let retry = &router.retry;
+            let idempotent = is_idempotent(request.body);
+            let attempts = if idempotent { retry.read_attempts } else { 1 };
+            let mut fresh_failures = 0u32;
+            let mut backoff_attempt = 0u32;
+            let mut sent = false;
+            loop {
+                let pooled = self.conns[idx].is_some();
+                if !pooled {
+                    match NodeConn::connect(spec, retry) {
+                        Ok(conn) => self.conns[idx] = Some(conn),
+                        Err(error) => {
+                            state.record_error(router.failure_threshold);
+                            fresh_failures += 1;
+                            if idempotent && fresh_failures < attempts {
+                                thread::sleep(retry.backoff(idx as u64, backoff_attempt));
+                                backoff_attempt += 1;
+                                continue;
+                            }
+                            return Err(NodeError::Unreachable {
+                                message: format!("catalog node {} unreachable: {error}", spec.addr),
+                                timed_out: is_timeout(&error),
+                            });
+                        }
+                    }
+                }
+                let conn = self.conns[idx].as_mut().expect("connected above");
+                if !sent {
+                    // `fanouts` counts node requests, not the attempts one takes.
+                    sent = true;
+                    router.stats.fanouts.fetch_add(1, Ordering::Relaxed);
+                }
+                match conn.call(request) {
+                    Ok(response) => {
+                        state.record_ok();
+                        return match response.result {
+                            Ok(body) => Ok(body),
+                            Err(error) => Err(NodeError::Remote(error)),
+                        };
+                    }
                     Err(error) => {
-                        state.record_error(self.router.failure_threshold);
+                        self.conns[idx] = None;
+                        if pooled {
+                            if idempotent {
+                                // Free reconnect: a dropped keep-alive is not a
+                                // node failure and must not demote anybody.
+                                continue;
+                            }
+                            return Err(NodeError::Unreachable {
+                                message: format!(
+                                    "catalog node {} failed mid-write on a pooled connection: {error}",
+                                    spec.addr
+                                ),
+                                timed_out: is_timeout(&error),
+                            });
+                        }
+                        state.record_error(router.failure_threshold);
                         fresh_failures += 1;
                         if idempotent && fresh_failures < attempts {
                             thread::sleep(retry.backoff(idx as u64, backoff_attempt));
@@ -1401,58 +1429,17 @@ impl<'a> NodePool<'a> {
                             continue;
                         }
                         return Err(NodeError::Unreachable {
-                            message: format!("catalog node {} unreachable: {error}", spec.addr),
+                            message: format!("catalog node {} failed: {error}", spec.addr),
                             timed_out: is_timeout(&error),
                         });
                     }
-                }
-            }
-            let conn = self.conns[idx].as_mut().expect("connected above");
-            if !sent {
-                // `fanouts` counts node requests, not the attempts one takes.
-                sent = true;
-                self.router.stats.fanouts.fetch_add(1, Ordering::Relaxed);
-            }
-            match conn.call(&request) {
-                Ok(response) => {
-                    state.record_ok();
-                    return match response.result {
-                        Ok(body) => Ok(body),
-                        Err(error) => Err(NodeError::Remote(error)),
-                    };
-                }
-                Err(error) => {
-                    self.conns[idx] = None;
-                    if pooled {
-                        if idempotent {
-                            // Free reconnect: a dropped keep-alive is not a
-                            // node failure and must not demote anybody.
-                            continue;
-                        }
-                        return Err(NodeError::Unreachable {
-                            message: format!(
-                                "catalog node {} failed mid-write on a pooled connection: {error}",
-                                spec.addr
-                            ),
-                            timed_out: is_timeout(&error),
-                        });
-                    }
-                    state.record_error(self.router.failure_threshold);
-                    fresh_failures += 1;
-                    if idempotent && fresh_failures < attempts {
-                        thread::sleep(retry.backoff(idx as u64, backoff_attempt));
-                        backoff_attempt += 1;
-                        continue;
-                    }
-                    return Err(NodeError::Unreachable {
-                        message: format!("catalog node {} failed: {error}", spec.addr),
-                        timed_out: is_timeout(&error),
-                    });
                 }
             }
         }
     }
 }
+
+use pool::NodePool;
 
 fn internal(message: &str) -> WireError {
     WireError {
@@ -1623,11 +1610,7 @@ fn rebalance_call(
         conns[idx] = Some(conn);
     }
     let conn = conns[idx].as_mut().expect("connected above");
-    let request = Request {
-        id: Json::Null,
-        body: body.clone(),
-    };
-    match conn.call(&request) {
+    match conn.call(&NodeRequest::new(body)) {
         Ok(response) => response.result,
         Err(error) => {
             conns[idx] = None;
@@ -1647,37 +1630,25 @@ fn rebalance_io(addr: &str, error: &io::Error) -> WireError {
     }
 }
 
-/// Shared state between the accept loop, connection threads, the prober, and
-/// the handle.
-struct RouterShared {
-    router: Router,
-    stop: AtomicBool,
-    client_streams: Mutex<Vec<TcpStream>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    probe_lock: Mutex<()>,
-    probe_cv: Condvar,
-}
+/// A running router: the serving core over a [`Router`] backend.
+pub type RouterHandle = ServerHandle<Router>;
 
-/// A running router front end; dropping without [`shutdown`](Self::shutdown)
-/// leaks the accept thread, so tests should always shut down.
-pub struct RouterHandle {
-    addr: SocketAddr,
-    shared: Arc<RouterShared>,
-    accept: Option<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    /// The bound listener address.
+impl ServerHandle<Router> {
+    /// The bound line-delimited TCP address.
+    ///
+    /// # Panics
+    ///
+    /// When the router was started through [`serve_backend`] with no TCP
+    /// address.
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.tcp_addr().expect("router bound a TCP address")
     }
 
     /// A live snapshot of the cluster counters.
     #[must_use]
     pub fn stats(&self) -> WireClusterStats {
-        self.shared.router.cluster_stats()
+        self.backend().cluster_stats()
     }
 
     /// Atomically re-points the running router at a new node list — the
@@ -1687,234 +1658,24 @@ impl RouterHandle {
     ///
     /// [`RouterConfigError::NoNodes`] when `nodes` is empty.
     pub fn set_nodes(&self, nodes: Vec<NodeSpec>) -> Result<(), RouterConfigError> {
-        self.shared.router.set_nodes(nodes)
-    }
-
-    /// Blocks until the accept loop exits (it only does when the process is
-    /// killed or [`shutdown`](Self::shutdown) runs from another thread) — the
-    /// CLI's run-until-killed mode.
-    pub fn wait(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-    }
-
-    /// Stops accepting, closes every client connection, and joins all
-    /// threads (prober included).
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // Acquire-release the probe lock before notifying so a prober already
-        // past its stop check but not yet waiting cannot miss the wakeup.
-        drop(self.shared.probe_lock.lock().expect("probe lock"));
-        self.shared.probe_cv.notify_all();
-        if let Some(prober) = self.prober.take() {
-            let _ = prober.join();
-        }
-        // Nudge the blocking accept so it observes the stop flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for stream in self
-            .shared
-            .client_streams
-            .lock()
-            .expect("streams lock")
-            .drain(..)
-        {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        let threads: Vec<_> = self
-            .shared
-            .conn_threads
-            .lock()
-            .expect("threads lock")
-            .drain(..)
-            .collect();
-        for thread in threads {
-            let _ = thread.join();
-        }
+        self.backend().set_nodes(nodes)
     }
 }
 
-/// Binds `addr` and serves the line-JSON protocol over `router`: one blocking
-/// thread per client connection, each with its own node-connection pool, plus
-/// a background health prober when the config asks for one.
+/// Binds `addr` and serves the line-JSON protocol over `router` with the
+/// serving core's defaults ([`ServerConfig::builder`]), except that the
+/// maintenance pass runs every [`RouterConfig::probe_interval`].
 ///
 /// # Errors
 ///
 /// Propagates the bind failure.
 pub fn serve_router(router: Router, addr: SocketAddr) -> io::Result<RouterHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let probe_interval = router.probe_interval;
-    let shared = Arc::new(RouterShared {
-        router,
-        stop: AtomicBool::new(false),
-        client_streams: Mutex::new(Vec::new()),
-        conn_threads: Mutex::new(Vec::new()),
-        probe_lock: Mutex::new(()),
-        probe_cv: Condvar::new(),
-    });
-    let accept_shared = Arc::clone(&shared);
-    let accept = thread::Builder::new()
-        .name("router-accept".to_string())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if accept_shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                if let Ok(clone) = stream.try_clone() {
-                    accept_shared
-                        .client_streams
-                        .lock()
-                        .expect("streams lock")
-                        .push(clone);
-                }
-                let conn_shared = Arc::clone(&accept_shared);
-                let handle = thread::Builder::new()
-                    .name("router-conn".to_string())
-                    .spawn(move || handle_connection(&conn_shared, stream))
-                    .expect("spawn router connection thread");
-                accept_shared
-                    .conn_threads
-                    .lock()
-                    .expect("threads lock")
-                    .push(handle);
-            }
-        })?;
-    let prober = match probe_interval {
-        Some(interval) => {
-            let probe_shared = Arc::clone(&shared);
-            Some(
-                thread::Builder::new()
-                    .name("router-probe".to_string())
-                    .spawn(move || loop {
-                        let guard = probe_shared.probe_lock.lock().expect("probe lock");
-                        if probe_shared.stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let (guard, _) = probe_shared
-                            .probe_cv
-                            .wait_timeout(guard, interval)
-                            .expect("probe wait");
-                        drop(guard);
-                        if probe_shared.stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        probe_shared.router.probe_demoted();
-                        probe_shared.router.expire_sessions();
-                    })?,
-            )
-        }
-        None => None,
-    };
-    Ok(RouterHandle {
-        addr,
-        shared,
-        accept: Some(accept),
-        prober,
-    })
-}
-
-/// Reads one newline-terminated line, bounded by `max` bytes.  Returns
-/// `Ok(None)` at EOF and `Err` with a wire error when the line overflowed.
-fn read_line_bounded(
-    reader: &mut BufReader<TcpStream>,
-    max: usize,
-    buf: &mut Vec<u8>,
-) -> io::Result<Option<Result<(), WireError>>> {
-    buf.clear();
-    let n = reader
-        .by_ref()
-        .take((max + 2) as u64)
-        .read_until(b'\n', buf)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if buf.last() != Some(&b'\n') {
-        if buf.len() > max {
-            return Ok(Some(Err(WireError {
-                code: ErrorCode::TooLarge,
-                message: format!("request line exceeds the router's {max}-byte bound"),
-            })));
-        }
-        // EOF mid-line: nothing well-formed to answer.
-        return Ok(None);
-    }
-    Ok(Some(Ok(())))
-}
-
-fn handle_connection(shared: &RouterShared, stream: TcpStream) {
-    let metrics = &shared.router.metrics;
-    metrics.connections_open.fetch_add(1, Ordering::Relaxed);
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        metrics.connections_open.fetch_sub(1, Ordering::Relaxed);
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut pool = NodePool::new(&shared.router);
-    let mut buf = Vec::new();
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let framed = match read_line_bounded(&mut reader, MAX_LINE_BYTES, &mut buf) {
-            Ok(Some(framed)) => framed,
-            Ok(None) | Err(_) => break,
-        };
-        let started = Instant::now();
-        let (response, op, close) = match framed {
-            Err(error) => (
-                Response {
-                    id: Json::Null,
-                    result: Err(error),
-                },
-                "invalid",
-                true,
-            ),
-            Ok(()) => {
-                let line = String::from_utf8_lossy(&buf);
-                let line = line.trim_end_matches(['\r', '\n']);
-                match Request::decode(line) {
-                    Err(decode_error) => (
-                        Response {
-                            id: decode_error.id,
-                            result: Err(decode_error.error),
-                        },
-                        "invalid",
-                        false,
-                    ),
-                    Ok(request) => {
-                        let op = request.body.op();
-                        let result = shared.router.execute(&request.body, &mut pool);
-                        (
-                            Response {
-                                id: request.id,
-                                result,
-                            },
-                            op,
-                            false,
-                        )
-                    }
-                }
-            }
-        };
-        let is_error = response.result.is_err();
-        metrics.record(op, started.elapsed(), is_error);
-        let mut line = response.encode();
-        line.push('\n');
-        if writer.write_all(line.as_bytes()).is_err() {
-            break;
-        }
-        if close {
-            break;
-        }
-    }
-    metrics.connections_open.fetch_sub(1, Ordering::Relaxed);
+    let config = ServerConfig::builder()
+        .tcp(addr.to_string())
+        .maintenance_interval(router.probe_interval)
+        .build()
+        .expect("a TCP address is a valid configuration");
+    serve_backend(router, config)
 }
 
 #[cfg(test)]

@@ -1,50 +1,57 @@
-//! The concurrent network front end over a [`QueryService`]: both framers, one
-//! reactor.
+//! The serving core: one reactor, one worker pool and one background thread in
+//! front of a [`Backend`] — the catalog [`Node`] that [`serve`] runs, or the
+//! cluster [`Router`](crate::router::Router).
 //!
 //! Two wire framings share every layer below the socket: the line-delimited JSON
 //! framing (one request or response per `\n`-terminated line; normative spec:
 //! `docs/PROTOCOL.md`) and the HTTP/1.1 binding of the same protocol
 //! ([`crate::http`]; `POST /v1/<op>`, `GET /v1/info`, curl-able).  A server binds
-//! either or both through [`ServerConfig::builder`].  The design splits work
-//! across three kinds of threads, sized so the sketch runner keeps headroom:
+//! either or both through [`ServerConfig::builder`].  The core owns everything
+//! but execution; the work splits across three kinds of threads, sized so the
+//! sketch runner keeps headroom:
 //!
 //! * **Reactor (1 thread).**  A `poll(2)` readiness loop (the vendored [`polling`]
 //!   shim — the offline image has no tokio) owns the listeners and every
 //!   connection: it accepts, reads, frames requests (lines or HTTP messages), and
-//!   writes responses.  It never parses JSON or touches the service, so a slow
-//!   query cannot stall accepts or other connections' I/O.
-//! * **Workers (`workers` threads).**  Pull framed requests from a queue, execute
-//!   them against the shared state, and hand encoded responses back to the
+//!   writes responses.  It never parses JSON or touches the backend, so a slow
+//!   request cannot stall accepts or other connections' I/O.
+//! * **Workers (`workers` threads).**  Pull framed requests from a queue, decode
+//!   and execute them on the backend, and hand encoded responses back to the
 //!   reactor.  Requests from *one* connection run strictly in order (responses
 //!   come back in request order — no client-side correlation needed); requests
-//!   from different connections run in parallel.
-//! * **Maintenance (1 thread).**  Runs catalog compaction/re-manifest on an
-//!   interval and after ingests, behind the same exclusive lock as registrations.
+//!   from different connections run in parallel.  Each worker owns its
+//!   backend's [`Backend::Worker`] state (the router's node connections).
+//! * **Background (1 thread).**  Calls [`Backend::maintain`] every
+//!   [`ServerConfig::maintenance_interval`], on request, and until shutdown.  The node expires idle ingest
+//!   sessions and compacts its catalog; the router probes demoted nodes and
+//!   expires its own ingest sessions.
 //!
-//! The service sits behind a read-write lock: queries take shared read access and
-//! fan each batch out on the work-claiming runner (`top_k_*_batch`), so a single
-//! wire batch saturates cores; ingests and compaction take the write lock.  The
-//! server holds a [`runner`] thread reservation for its own threads, so those
-//! runner fan-outs automatically leave headroom for the accept loop instead of
-//! oversubscribing the machine.
+//! Overload is shed at two gates, both surfaced as the typed `overloaded` error
+//! (HTTP `503`) and counted in [`ServerMetrics`]: past the connection cap a new
+//! connection is answered and closed without ever reaching a worker; past the
+//! queue-depth cap a framed request is refused but its connection stays usable, so
+//! a client that backs off needs no reconnect.  Every request is timed into the
+//! same metrics, and the core fills the `server` member of an `info {server:
+//! true}` answer from them, whichever backend answered.
+//!
+//! In the [`Node`], the service sits behind a read-write lock: queries take
+//! shared read access and fan each batch out on the work-claiming runner
+//! (`top_k_*_batch`), so a single wire batch saturates cores; ingests and
+//! compaction take the write lock.  The server holds a [`runner`] thread
+//! reservation for its own threads, so those runner fan-outs automatically leave
+//! headroom for the reactor instead of oversubscribing the machine.
 //!
 //! Shard-partial ingest sessions ([`ShardedIngestState`]) live *outside* the service
 //! lock in a session map: `announce`/`submit` sketch with a clone of the catalog's
 //! estimator and take no service lock at all, so any number of registration sessions
 //! make progress while queries are served; only `ingest-finish` (the catalog commit)
 //! briefly takes the write lock.
-//!
-//! Overload is shed at two gates, both surfaced as the typed `overloaded` error
-//! (HTTP `503`) and counted in [`ServerMetrics`]: past the connection cap a new
-//! connection is answered and closed without ever reaching a worker; past the
-//! queue-depth cap a framed request is refused but its connection stays usable, so
-//! a client that backs off needs no reconnect.
 
 use crate::http::{self, HttpRequest};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
-    ErrorCode, InfoColumn, Mode, Request, RequestBody, Response, ResponseBody, WireCompaction,
-    WireError, WireNote, WireQuery, WireRanked, WireServiceStats, WireSketch,
+    ErrorCode, InfoColumn, Mode, Request, RequestBody, RequestDecodeError, Response, ResponseBody,
+    WireCompaction, WireError, WireNote, WireQuery, WireRanked, WireServiceStats, WireSketch,
 };
 use crate::service::{CascadeNote, QueryService, ShardedIngestState};
 use crate::wire::Json;
@@ -56,7 +63,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -96,7 +103,7 @@ impl ServerConfig {
     /// [`http`](ServerConfigBuilder::http) is set.
     #[must_use]
     pub fn builder() -> ServerConfigBuilder {
-        ServerConfigBuilder {
+        ServerConfigBuilder(ServerConfig {
             tcp: None,
             http: None,
             workers: 2,
@@ -105,7 +112,7 @@ impl ServerConfig {
             max_queue_depth: 1024,
             maintenance_interval: Some(Duration::from_secs(30)),
             session_ttl: Duration::from_secs(15 * 60),
-        }
+        })
     }
 
     /// The line-delimited TCP bind address, if one is configured.
@@ -145,13 +152,16 @@ impl ServerConfig {
         self.max_queue_depth
     }
 
-    /// Idle interval between periodic maintenance passes (`None`: on demand only).
+    /// Idle interval between periodic [`Backend::maintain`] passes (`None`: on
+    /// demand only).  [`serve_router`](crate::router::serve_router) sets it to
+    /// the router's `RouterConfig::probe_interval`.
     #[must_use]
     pub fn maintenance_interval(&self) -> Option<Duration> {
         self.maintenance_interval
     }
 
-    /// How long an ingest session may sit untouched before it is expired.
+    /// How long a node's ingest session may sit untouched before it is expired.
+    /// A router's comes from `RouterConfig::session_ttl`.
     #[must_use]
     pub fn session_ttl(&self) -> Duration {
         self.session_ttl
@@ -159,30 +169,23 @@ impl ServerConfig {
 }
 
 /// Builder for [`ServerConfig`]; see [`ServerConfig::builder`] for the defaults.
+/// It holds the configuration being built, unvalidated until
+/// [`build`](Self::build).
 #[derive(Debug, Clone)]
-pub struct ServerConfigBuilder {
-    tcp: Option<String>,
-    http: Option<String>,
-    workers: usize,
-    max_line_bytes: usize,
-    max_connections: usize,
-    max_queue_depth: usize,
-    maintenance_interval: Option<Duration>,
-    session_ttl: Duration,
-}
+pub struct ServerConfigBuilder(ServerConfig);
 
 impl ServerConfigBuilder {
     /// Binds the line-delimited TCP framer on `addr` (port 0 for ephemeral).
     #[must_use]
     pub fn tcp(mut self, addr: impl Into<String>) -> Self {
-        self.tcp = Some(addr.into());
+        self.0.tcp = Some(addr.into());
         self
     }
 
     /// Binds the HTTP/1.1 framer on `addr` (port 0 for ephemeral).
     #[must_use]
     pub fn http(mut self, addr: impl Into<String>) -> Self {
-        self.http = Some(addr.into());
+        self.0.http = Some(addr.into());
         self
     }
 
@@ -191,7 +194,7 @@ impl ServerConfigBuilder {
     /// batch internally) most of the machine.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+        self.0.workers = workers;
         self
     }
 
@@ -200,7 +203,7 @@ impl ServerConfigBuilder {
     /// bodies earn `413` before the body is read.
     #[must_use]
     pub fn max_line_bytes(mut self, bytes: usize) -> Self {
-        self.max_line_bytes = bytes;
+        self.0.max_line_bytes = bytes;
         self
     }
 
@@ -208,7 +211,7 @@ impl ServerConfigBuilder {
     /// typed `overloaded` error and closed without reaching a worker.
     #[must_use]
     pub fn max_connections(mut self, connections: usize) -> Self {
-        self.max_connections = connections;
+        self.0.max_connections = connections;
         self
     }
 
@@ -216,25 +219,28 @@ impl ServerConfigBuilder {
     /// are answered `overloaded`; their connection stays open and usable.
     #[must_use]
     pub fn max_queue_depth(mut self, depth: usize) -> Self {
-        self.max_queue_depth = depth;
+        self.0.max_queue_depth = depth;
         self
     }
 
-    /// Sets how often the maintenance thread compacts the catalog when idle
-    /// (`None` disables periodic passes; ingest-triggered ones still run).
+    /// Sets how often the maintenance pass runs when idle (`None` disables
+    /// periodic passes; ingest-triggered ones still run).  A node compacts its
+    /// catalog then; [`serve_router`](crate::router::serve_router) sets this
+    /// from `RouterConfig::probe_interval`.
     #[must_use]
     pub fn maintenance_interval(mut self, interval: Option<Duration>) -> Self {
-        self.maintenance_interval = interval;
+        self.0.maintenance_interval = interval;
         self
     }
 
-    /// Sets how long an ingest session may sit untouched before a maintenance
-    /// pass expires it.  Sessions hold folded partial sketches, so abandoned ones
-    /// (client crashed before `ingest-finish`) would otherwise leak for the
-    /// server's lifetime.
+    /// Sets how long a node's ingest session may sit untouched before a
+    /// maintenance pass expires it.  Sessions hold folded partial sketches, so
+    /// abandoned ones (client crashed before `ingest-finish`) would otherwise
+    /// leak for the server's lifetime.  A router's TTL is
+    /// `RouterConfig::session_ttl`.
     #[must_use]
     pub fn session_ttl(mut self, ttl: Duration) -> Self {
-        self.session_ttl = ttl;
+        self.0.session_ttl = ttl;
         self
     }
 
@@ -246,34 +252,26 @@ impl ServerConfigBuilder {
     /// bind address, at least one worker, nonzero connection and queue caps, and
     /// a request bound of at least 1 KiB.
     pub fn build(self) -> Result<ServerConfig, ConfigError> {
-        if self.tcp.is_none() && self.http.is_none() {
+        let config = self.0;
+        if config.tcp.is_none() && config.http.is_none() {
             return Err(ConfigError::NoBindAddress);
         }
-        if self.workers == 0 {
+        if config.workers == 0 {
             return Err(ConfigError::ZeroWorkers);
         }
-        if self.max_connections == 0 {
+        if config.max_connections == 0 {
             return Err(ConfigError::ZeroConnectionCap);
         }
-        if self.max_queue_depth == 0 {
+        if config.max_queue_depth == 0 {
             return Err(ConfigError::ZeroQueueDepth);
         }
-        if self.max_line_bytes < MIN_LINE_BYTES {
+        if config.max_line_bytes < MIN_LINE_BYTES {
             return Err(ConfigError::LineBoundTooSmall {
-                got: self.max_line_bytes,
+                got: config.max_line_bytes,
                 min: MIN_LINE_BYTES,
             });
         }
-        Ok(ServerConfig {
-            tcp: self.tcp,
-            http: self.http,
-            workers: self.workers,
-            max_line_bytes: self.max_line_bytes,
-            max_connections: self.max_connections,
-            max_queue_depth: self.max_queue_depth,
-            maintenance_interval: self.maintenance_interval,
-            session_ttl: self.session_ttl,
-        })
+        Ok(config)
     }
 }
 
@@ -318,7 +316,8 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Running totals of the maintenance thread, exposed for observability and tests.
+/// Running totals of the node's maintenance passes, exposed for observability
+/// and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
     /// Completed compaction passes.
@@ -331,11 +330,40 @@ pub struct MaintenanceStats {
     pub sessions_expired: u64,
 }
 
+/// What the serving core runs requests on: the catalog [`Node`] or the cluster
+/// [`Router`](crate::router::Router).
+///
+/// The core owns the listeners, the reactor, both framings, the queue, the
+/// workers, shedding, metrics (the `server` member of `info` included) and one
+/// background thread; a backend only executes decoded requests and runs its
+/// upkeep.
+pub trait Backend: Send + Sync + 'static {
+    /// State each worker thread owns privately and lends to every request it
+    /// executes: `()` for the node, the router's pooled node connections.
+    type Worker: Default;
+
+    /// Executes one decoded request.  An `info` answer leaves its `server`
+    /// member unset; the core fills it.
+    ///
+    /// # Errors
+    ///
+    /// The typed protocol error the client receives.
+    fn execute(
+        &self,
+        worker: &mut Self::Worker,
+        body: &RequestBody,
+    ) -> Result<ResponseBody, WireError>;
+
+    /// One upkeep pass, run on the core's background thread every
+    /// [`ServerConfig::maintenance_interval`] and on request.
+    fn maintain(&self);
+}
+
 /// Handle to a running server: address introspection, observability, shutdown.
 ///
 /// Dropping the handle shuts the server down and joins its threads.
-pub struct ServerHandle {
-    shared: Arc<Shared>,
+pub struct ServerHandle<B: Backend = Node> {
+    shared: Arc<Shared<B>>,
     tcp_addr: Option<SocketAddr>,
     http_addr: Option<SocketAddr>,
     threads: Vec<JoinHandle<()>>,
@@ -343,7 +371,7 @@ pub struct ServerHandle {
     _reservation: ThreadReservation,
 }
 
-impl ServerHandle {
+impl<B: Backend> ServerHandle<B> {
     /// The bound line-delimited TCP address (useful with port 0), if configured.
     #[must_use]
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
@@ -359,18 +387,12 @@ impl ServerHandle {
     /// The live observability state: per-op latency histograms, counters, gauges.
     #[must_use]
     pub fn metrics(&self) -> &ServerMetrics {
-        &self.shared.metrics
+        &self.shared.core.metrics
     }
 
-    /// Maintenance totals so far.
-    #[must_use]
-    pub fn maintenance_stats(&self) -> MaintenanceStats {
-        *self.shared.maintenance_stats.lock()
-    }
-
-    /// Asks the maintenance thread for an immediate compaction pass.
-    pub fn request_maintenance(&self) {
-        self.shared.signal_maintenance();
+    /// The backend this server runs.
+    pub(crate) fn backend(&self) -> &B {
+        &self.shared.backend
     }
 
     /// Stops accepting, drains nothing further, and joins every thread.  In-flight
@@ -392,17 +414,27 @@ impl ServerHandle {
     }
 
     fn shutdown_inner(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
-        self.shared.maint_cv.notify_all();
-        let _ = self.shared.poller.notify();
+        self.shared.core.stop();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
     }
 }
 
-impl Drop for ServerHandle {
+impl ServerHandle<Node> {
+    /// Maintenance totals so far.
+    #[must_use]
+    pub fn maintenance_stats(&self) -> MaintenanceStats {
+        *self.backend().maintenance_stats.lock()
+    }
+
+    /// Asks the background thread for an immediate maintenance pass.
+    pub fn request_maintenance(&self) {
+        self.shared.core.wakeup.request();
+    }
+}
+
+impl<B: Backend> Drop for ServerHandle<B> {
     fn drop(&mut self) {
         if !self.threads.is_empty() {
             self.shutdown_inner();
@@ -418,6 +450,28 @@ impl Drop for ServerHandle {
 ///
 /// Returns the OS error if a listener cannot bind or the reactor cannot be set up.
 pub fn serve(service: QueryService, config: ServerConfig) -> io::Result<ServerHandle> {
+    let node = Node::new(service, &config);
+    let wakeup = Arc::clone(&node.wakeup);
+    start(node, config, wakeup)
+}
+
+/// Starts a server over any [`Backend`] with the validated `config`; [`serve`]
+/// is this over a [`Node`], and
+/// [`serve_router`](crate::router::serve_router) over a router bound to one TCP
+/// address.  `config`'s session TTL only matters to [`serve`].
+///
+/// # Errors
+///
+/// Returns the OS error if a listener cannot bind or the reactor cannot be set up.
+pub fn serve_backend<B: Backend>(backend: B, config: ServerConfig) -> io::Result<ServerHandle<B>> {
+    start(backend, config, Arc::default())
+}
+
+fn start<B: Backend>(
+    backend: B,
+    config: ServerConfig,
+    wakeup: Arc<Wakeup>,
+) -> io::Result<ServerHandle<B>> {
     let poller = Poller::new()?;
     let bind = |addr: &str, key: usize| -> io::Result<(TcpListener, SocketAddr)> {
         let listener = TcpListener::bind(addr)?;
@@ -439,64 +493,54 @@ pub fn serve(service: QueryService, config: ServerConfig) -> io::Result<ServerHa
     let (tcp_listener, tcp_addr) = tcp.map_or((None, None), |(l, a)| (Some(l), Some(a)));
     let (http_listener, http_addr) = http.map_or((None, None), |(l, a)| (Some(l), Some(a)));
 
-    // The service's estimator is cloned once for the session map: sharded-ingest
-    // sketching must not need any service lock.  The configuration is immutable for
-    // the catalog's lifetime, so the clone can never go stale.
-    let estimator = service.estimator().clone();
-    let companion_estimator = service.companion_estimator().cloned();
+    let workers = config.workers;
     let shared = Arc::new(Shared {
-        service: RwLock::new(service),
-        estimator,
-        companion_estimator,
-        sessions: Mutex::new(SessionMap {
-            next_id: 1,
-            slots: HashMap::new(),
-        }),
-        queue: StdMutex::new(VecDeque::new()),
-        queue_cv: Condvar::new(),
-        maint: StdMutex::new(false),
-        maint_cv: Condvar::new(),
-        maintenance_stats: Mutex::new(MaintenanceStats::default()),
-        metrics: ServerMetrics::default(),
-        outbox: Mutex::new(Vec::new()),
-        poller,
-        shutdown: AtomicBool::new(false),
-        config: config.clone(),
+        core: Core {
+            queue: StdMutex::new(VecDeque::new()),
+            queue_cv: Condvar::new(),
+            wakeup,
+            metrics: ServerMetrics::default(),
+            outbox: Mutex::new(Vec::new()),
+            poller,
+            shutdown: AtomicBool::new(false),
+            config,
+        },
+        backend,
     });
-
     // Reactor + workers occupy cores for as long as the server runs; reserving them
     // makes every runner-backed batch fan-out leave that headroom automatically.
-    let reservation = runner::reserve_threads(1 + config.workers);
-
-    let mut threads = Vec::with_capacity(config.workers + 2);
+    // The handle exists before any thread does, so a failed spawn drops it and
+    // stops whatever already started.
+    let mut handle = ServerHandle {
+        shared: Arc::clone(&shared),
+        tcp_addr,
+        http_addr,
+        threads: Vec::with_capacity(workers + 2),
+        _reservation: runner::reserve_threads(1 + workers),
+    };
+    let thread = |name: String| std::thread::Builder::new().name(name);
     let reactor_shared = Arc::clone(&shared);
-    threads.push(
-        std::thread::Builder::new()
-            .name("ipsketch-reactor".to_string())
-            .spawn(move || reactor_loop(&reactor_shared, tcp_listener, http_listener))?,
+    handle.threads.push(
+        thread("ipsketch-reactor".to_string())
+            .spawn(move || reactor_loop(&reactor_shared.core, tcp_listener, http_listener))?,
     );
-    for worker in 0..config.workers {
+    for worker in 0..workers {
         let worker_shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("ipsketch-worker-{worker}"))
+        handle.threads.push(
+            thread(format!("ipsketch-worker-{worker}"))
                 .spawn(move || worker_loop(&worker_shared))?,
         );
     }
-    let maint_shared = Arc::clone(&shared);
-    threads.push(
-        std::thread::Builder::new()
-            .name("ipsketch-maintenance".to_string())
-            .spawn(move || maintenance_loop(&maint_shared))?,
-    );
+    handle
+        .threads
+        .push(thread("ipsketch-maintenance".to_string()).spawn(move || background_loop(&shared))?);
+    Ok(handle)
+}
 
-    Ok(ServerHandle {
-        shared,
-        tcp_addr,
-        http_addr,
-        threads,
-        _reservation: reservation,
-    })
+/// Locks a std mutex, shrugging off poisoning: every critical section here
+/// leaves its data consistent, even if a holder panicked.
+fn lock<T>(mutex: &StdMutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Which wire framing a connection speaks (fixed by the listener it arrived on).
@@ -530,46 +574,26 @@ struct Outgoing {
     close_after: bool,
 }
 
-/// One live shard-partial ingest session.  The state slot holds `None` while
-/// `ingest-finish` consumes it, so a racing operation on the same session gets a
-/// clean `unknown_session` instead of blocking or corrupting it.
-struct SessionSlot {
-    state: Arc<Mutex<Option<ShardedIngestState>>>,
-    /// When the session was last looked up; maintenance expires sessions whose
-    /// idle time exceeds the configured TTL.
-    touched: Instant,
+/// The background thread's "run a pass now" flag under its condvar.
+#[derive(Default)]
+struct Wakeup {
+    pending: StdMutex<bool>,
+    cv: Condvar,
 }
 
-struct SessionMap {
-    next_id: u64,
-    slots: HashMap<u64, SessionSlot>,
-}
-
-impl SessionMap {
-    /// Looks up a session's state, refreshing its idle clock.
-    fn touch(&mut self, session: u64) -> Option<Arc<Mutex<Option<ShardedIngestState>>>> {
-        self.slots.get_mut(&session).map(|slot| {
-            slot.touched = Instant::now();
-            Arc::clone(&slot.state)
-        })
+impl Wakeup {
+    fn request(&self) {
+        *lock(&self.pending) = true;
+        self.cv.notify_all();
     }
 }
 
-/// State shared by the reactor, workers, and maintenance threads.
-struct Shared {
-    service: RwLock<QueryService>,
-    estimator: JoinEstimator,
-    /// Clone of the catalog's companion (cheap-tier) estimator, when it stores
-    /// one: cascade queries sketch their cheap-tier query outside any lock,
-    /// exactly like the primary tier.
-    companion_estimator: Option<JoinEstimator>,
-    sessions: Mutex<SessionMap>,
+/// The backend-independent state of a server, shared by the reactor, the
+/// workers and the background thread.
+struct Core {
     queue: StdMutex<VecDeque<Job>>,
     queue_cv: Condvar,
-    /// "A maintenance pass is requested" flag under its condvar's mutex.
-    maint: StdMutex<bool>,
-    maint_cv: Condvar,
-    maintenance_stats: Mutex<MaintenanceStats>,
+    wakeup: Arc<Wakeup>,
     metrics: ServerMetrics,
     outbox: Mutex<Vec<Outgoing>>,
     poller: Poller,
@@ -577,32 +601,50 @@ struct Shared {
     config: ServerConfig,
 }
 
-impl Shared {
-    fn signal_maintenance(&self) {
-        *self
-            .maint
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-        self.maint_cv.notify_all();
+impl Core {
+    /// Tells every thread to exit.  Each condvar's mutex is taken before its
+    /// notify, so a thread between its shutdown check and its wait cannot miss
+    /// the wakeup.
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        drop(lock(&self.queue));
+        self.queue_cv.notify_all();
+        drop(lock(&self.wakeup.pending));
+        self.wakeup.cv.notify_all();
+        let _ = self.poller.notify();
     }
+}
+
+/// A server's core and the backend it runs requests on.
+struct Shared<B> {
+    core: Core,
+    backend: B,
 }
 
 /// Splits complete `\n`-terminated lines off the front of `buf`, tolerating `\r\n`
 /// and skipping empty lines.  Leaves the trailing partial line in place.
-fn drain_lines(buf: &mut Vec<u8>) -> Vec<Vec<u8>> {
+///
+/// `scanned` carries over between calls: the first `scanned` bytes of `buf` are
+/// known to hold no `\n`, so the search resumes after them and every byte is
+/// searched once, however the stream is chunked.
+fn drain_lines(buf: &mut Vec<u8>, scanned: &mut usize) -> Vec<Vec<u8>> {
     let mut lines = Vec::new();
     let mut start = 0;
-    while let Some(nl) = buf[start..].iter().position(|&b| b == b'\n') {
-        let mut end = start + nl;
+    let mut from = *scanned;
+    while let Some(offset) = buf[from..].iter().position(|&b| b == b'\n') {
+        let nl = from + offset;
+        let mut end = nl;
         if end > start && buf[end - 1] == b'\r' {
             end -= 1;
         }
         if end > start {
             lines.push(buf[start..end].to_vec());
         }
-        start += nl + 1;
+        start = nl + 1;
+        from = start;
     }
     buf.drain(..start);
+    *scanned = buf.len();
     lines
 }
 
@@ -611,6 +653,9 @@ struct Conn {
     stream: TcpStream,
     framing: Framing,
     read_buf: Vec<u8>,
+    /// How much of `read_buf` line framing has already searched (see
+    /// [`drain_lines`]).
+    scanned: usize,
     write_buf: Vec<u8>,
     /// Requests framed but not yet dispatched (per-connection requests run in order).
     pending: VecDeque<Payload>,
@@ -637,6 +682,7 @@ impl Conn {
             stream,
             framing,
             read_buf: Vec::new(),
+            scanned: 0,
             write_buf: Vec::new(),
             pending: VecDeque::new(),
             in_flight: false,
@@ -657,28 +703,26 @@ impl Conn {
 }
 
 /// The reactor: owns the listeners and all connection I/O.
-fn reactor_loop(shared: &Shared, tcp: Option<TcpListener>, http: Option<TcpListener>) {
+fn reactor_loop(core: &Core, tcp: Option<TcpListener>, http: Option<TcpListener>) {
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_key = FIRST_CONN_KEY;
     let mut events: Vec<Event> = Vec::new();
     loop {
         events.clear();
         // A modest timeout backstops lost wakeups; all real work is notify-driven.
-        if shared
+        if core
             .poller
             .wait(&mut events, Some(Duration::from_millis(500)))
             .is_err()
         {
             // A failing poll(2) is unrecoverable for the reactor; shut down rather
             // than spin.
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.queue_cv.notify_all();
-            shared.maint_cv.notify_all();
+            core.stop();
             return;
         }
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if core.shutdown.load(Ordering::SeqCst) {
             for conn in conns.values() {
-                let _ = shared.poller.delete(&conn.stream);
+                let _ = core.poller.delete(&conn.stream);
             }
             return;
         }
@@ -687,18 +731,18 @@ fn reactor_loop(shared: &Shared, tcp: Option<TcpListener>, http: Option<TcpListe
             match event.key {
                 TCP_LISTENER_KEY => {
                     if let Some(listener) = &tcp {
-                        accept_ready(shared, listener, Framing::Line, &mut conns, &mut next_key);
+                        accept_ready(core, listener, Framing::Line, &mut conns, &mut next_key);
                     }
                 }
                 HTTP_LISTENER_KEY => {
                     if let Some(listener) = &http {
-                        accept_ready(shared, listener, Framing::Http, &mut conns, &mut next_key);
+                        accept_ready(core, listener, Framing::Http, &mut conns, &mut next_key);
                     }
                 }
                 key => {
                     if let Some(conn) = conns.get_mut(&key) {
                         if event.readable {
-                            read_ready(shared, key, conn);
+                            read_ready(core, key, conn);
                         }
                         if event.writable {
                             flush(conn);
@@ -710,7 +754,7 @@ fn reactor_loop(shared: &Shared, tcp: Option<TcpListener>, http: Option<TcpListe
 
         // Move completed responses from the workers into connection write buffers;
         // each response retires its connection's in-flight request.
-        let outgoing = std::mem::take(&mut *shared.outbox.lock());
+        let outgoing = std::mem::take(&mut *core.outbox.lock());
         for out in outgoing {
             if let Some(conn) = conns.get_mut(&out.conn) {
                 conn.write_buf.extend_from_slice(&out.bytes);
@@ -718,7 +762,7 @@ fn reactor_loop(shared: &Shared, tcp: Option<TcpListener>, http: Option<TcpListe
                 if out.close_after {
                     conn.peer_closed = true;
                 }
-                dispatch_next(shared, out.conn, conn);
+                dispatch_next(core, out.conn, conn);
                 flush(conn);
             }
         }
@@ -729,7 +773,7 @@ fn reactor_loop(shared: &Shared, tcp: Option<TcpListener>, http: Option<TcpListe
         // the connection closes as soon as the error response flushes.
         conns.retain(|&key, conn| {
             if conn.wants_close() {
-                let _ = shared.poller.delete(&conn.stream);
+                let _ = core.poller.delete(&conn.stream);
                 return false;
             }
             let interest = if conn.poisoned {
@@ -739,11 +783,10 @@ fn reactor_loop(shared: &Shared, tcp: Option<TcpListener>, http: Option<TcpListe
             } else {
                 Event::all(key)
             };
-            let _ = shared.poller.modify(&conn.stream, interest);
+            let _ = core.poller.modify(&conn.stream, interest);
             true
         });
-        shared
-            .metrics
+        core.metrics
             .connections_open
             .store(conns.len() as u64, Ordering::Relaxed);
     }
@@ -753,7 +796,7 @@ fn reactor_loop(shared: &Shared, tcp: Option<TcpListener>, http: Option<TcpListe
 /// is answered `overloaded` in its framer's encoding and closed without ever
 /// reaching a worker.
 fn accept_ready(
-    shared: &Shared,
+    core: &Core,
     listener: &TcpListener,
     framing: Framing,
     conns: &mut HashMap<usize, Conn>,
@@ -768,21 +811,20 @@ fn accept_ready(
                 let key = *next_key;
                 *next_key += 1;
                 let mut conn = Conn::new(stream, framing);
-                if conns.len() >= shared.config.max_connections {
+                if conns.len() >= core.config.max_connections {
                     // Reject: pre-fill the response, poison so reads never arm and
                     // the connection drops as soon as the bytes flush.
-                    shared
-                        .metrics
+                    core.metrics
                         .connections_rejected
                         .fetch_add(1, Ordering::Relaxed);
                     let response = http::overloaded_response(&format!(
                         "connection cap of {} reached; retry after backoff",
-                        shared.config.max_connections
+                        core.config.max_connections
                     ));
                     conn.write_buf = encode_for(framing, &response, false);
                     conn.poisoned = true;
                 }
-                if shared.poller.add(&conn.stream, Event::all(key)).is_ok() {
+                if core.poller.add(&conn.stream, Event::all(key)).is_ok() {
                     conns.insert(key, conn);
                 }
             }
@@ -821,7 +863,7 @@ const READS_PER_EVENT: usize = 64;
 /// Reads what is available (bounded per event), frames requests eagerly so the
 /// size bound applies *per request* — a pipelined burst of individually legal
 /// requests is never rejected on its aggregate size — and dispatches if idle.
-fn read_ready(shared: &Shared, key: usize, conn: &mut Conn) {
+fn read_ready(core: &Core, key: usize, conn: &mut Conn) {
     if conn.poisoned {
         // Nothing past a broken frame is decodable; stop consuming input so the
         // connection reaches its flush-then-close state instead of buffering an
@@ -838,8 +880,8 @@ fn read_ready(shared: &Shared, key: usize, conn: &mut Conn) {
             Ok(n) => {
                 conn.read_buf.extend_from_slice(&chunk[..n]);
                 match conn.framing {
-                    Framing::Line => frame_lines(shared, conn),
-                    Framing::Http => frame_http(shared, conn),
+                    Framing::Line => frame_lines(core, conn),
+                    Framing::Http => frame_http(core, conn),
                 }
                 if conn.poisoned {
                     break;
@@ -853,31 +895,31 @@ fn read_ready(shared: &Shared, key: usize, conn: &mut Conn) {
             }
         }
     }
-    dispatch_next(shared, key, conn);
+    dispatch_next(core, key, conn);
 }
 
 /// Frames complete lines off a line-framed connection's read buffer.
-fn frame_lines(shared: &Shared, conn: &mut Conn) {
-    for line in drain_lines(&mut conn.read_buf) {
-        if line.len() > shared.config.max_line_bytes {
-            poison_too_large(shared, conn);
+fn frame_lines(core: &Core, conn: &mut Conn) {
+    for line in drain_lines(&mut conn.read_buf, &mut conn.scanned) {
+        if line.len() > core.config.max_line_bytes {
+            poison_too_large(core, conn);
             return;
         }
         conn.pending.push_back(Payload::Line(line));
     }
     // Only the *unframed tail* is held to the bound: a single line still growing
     // past it can never complete legally.
-    if conn.read_buf.len() > shared.config.max_line_bytes {
-        poison_too_large(shared, conn);
+    if conn.read_buf.len() > core.config.max_line_bytes {
+        poison_too_large(core, conn);
     }
 }
 
 /// Frames complete HTTP requests off an HTTP connection's read buffer.  A framing
 /// violation poisons the connection with the typed closing response; `Expect:
 /// 100-continue` earns one interim response per request.
-fn frame_http(shared: &Shared, conn: &mut Conn) {
+fn frame_http(core: &Core, conn: &mut Conn) {
     loop {
-        match http::try_frame(&mut conn.read_buf, shared.config.max_line_bytes) {
+        match http::try_frame(&mut conn.read_buf, core.config.max_line_bytes) {
             Ok(http::FrameStep::Request(request)) => {
                 conn.sent_continue = false;
                 conn.pending.push_back(Payload::Http(request));
@@ -890,7 +932,7 @@ fn frame_http(shared: &Shared, conn: &mut Conn) {
                 return;
             }
             Err(e) => {
-                shared.metrics.record("invalid", Duration::ZERO, true);
+                core.metrics.record("invalid", Duration::ZERO, true);
                 conn.poison_response = Some(http::encode_framing_error(&e));
                 conn.read_buf.clear();
                 conn.poisoned = true;
@@ -905,25 +947,24 @@ fn frame_http(shared: &Shared, conn: &mut Conn) {
 /// and the `too_large` error goes out last (see [`dispatch_next`]) before the
 /// close.  Idempotent: a line crossing the bound more than once still earns one
 /// response.
-fn poison_too_large(shared: &Shared, conn: &mut Conn) {
+fn poison_too_large(core: &Core, conn: &mut Conn) {
     if conn.poisoned {
         return;
     }
-    shared.metrics.record("invalid", Duration::ZERO, true);
+    core.metrics.record("invalid", Duration::ZERO, true);
     let response = Response {
         id: Json::Null,
         result: Err(WireError {
             code: ErrorCode::TooLarge,
             message: format!(
                 "request line exceeds the {}-byte bound",
-                shared.config.max_line_bytes
+                core.config.max_line_bytes
             ),
         }),
     };
-    let mut bytes = response.encode().into_bytes();
-    bytes.push(b'\n');
-    conn.poison_response = Some(bytes);
+    conn.poison_response = Some(encode_for(Framing::Line, &response, false));
     conn.read_buf.clear();
+    conn.scanned = 0;
     conn.poisoned = true;
 }
 
@@ -932,24 +973,18 @@ fn poison_too_large(shared: &Shared, conn: &mut Conn) {
 /// connection stays usable.  On a poisoned connection, the stored framing error is
 /// emitted only once every earlier request has been answered, preserving response
 /// order.
-fn dispatch_next(shared: &Shared, key: usize, conn: &mut Conn) {
+fn dispatch_next(core: &Core, key: usize, conn: &mut Conn) {
     if conn.in_flight {
         return;
     }
     while let Some(payload) = conn.pending.pop_front() {
-        let mut queue = shared
-            .queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if queue.len() >= shared.config.max_queue_depth {
+        let mut queue = lock(&core.queue);
+        if queue.len() >= core.config.max_queue_depth {
             drop(queue);
-            shared
-                .metrics
-                .queue_rejected
-                .fetch_add(1, Ordering::Relaxed);
+            core.metrics.queue_rejected.fetch_add(1, Ordering::Relaxed);
             let response = http::overloaded_response(&format!(
                 "request queue is full ({} queued); retry after backoff",
-                shared.config.max_queue_depth
+                core.config.max_queue_depth
             ));
             let keep_alive = match &payload {
                 Payload::Line(_) => true,
@@ -963,13 +998,12 @@ fn dispatch_next(shared: &Shared, key: usize, conn: &mut Conn) {
             continue;
         }
         queue.push_back(Job { conn: key, payload });
-        shared
-            .metrics
+        core.metrics
             .queue_depth
             .store(queue.len() as u64, Ordering::Relaxed);
         drop(queue);
         conn.in_flight = true;
-        shared.queue_cv.notify_one();
+        core.queue_cv.notify_one();
         return;
     }
     if let Some(bytes) = conn.poison_response.take() {
@@ -999,93 +1033,111 @@ fn flush(conn: &mut Conn) {
     }
 }
 
-/// A worker: executes framed requests against the shared state, timing each one
-/// into the metrics under its op label.
-fn worker_loop(shared: &Shared) {
+/// A worker: executes framed requests on the backend, timing each one into the
+/// metrics under its op label.
+fn worker_loop<B: Backend>(shared: &Shared<B>) {
+    let core = &shared.core;
+    let mut worker = B::Worker::default();
     loop {
         let job = {
-            let mut queue = shared
-                .queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut queue = lock(&core.queue);
             loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if core.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 if let Some(job) = queue.pop_front() {
-                    shared
-                        .metrics
+                    core.metrics
                         .queue_depth
                         .store(queue.len() as u64, Ordering::Relaxed);
                     break job;
                 }
-                queue = shared
+                queue = core
                     .queue_cv
                     .wait(queue)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let started = Instant::now();
+        let execute = |body: &RequestBody| execute(shared, &mut worker, body);
         let (bytes, op, is_error, close_after) = match &job.payload {
             Payload::Line(line) => {
-                let (response, op) = handle_line(shared, line);
-                let mut bytes = response.encode().into_bytes();
-                bytes.push(b'\n');
+                let (response, op) = respond(decode_line(line), execute);
+                let bytes = encode_for(Framing::Line, &response, true);
                 (bytes, op, response.result.is_err(), false)
             }
-            Payload::Http(request) => handle_http(shared, request),
+            Payload::Http(request) => handle_http(request, execute),
         };
-        shared.metrics.record(op, started.elapsed(), is_error);
-        shared.outbox.lock().push(Outgoing {
+        core.metrics.record(op, started.elapsed(), is_error);
+        core.outbox.lock().push(Outgoing {
             conn: job.conn,
             bytes,
             close_after,
         });
-        let _ = shared.poller.notify();
+        let _ = core.poller.notify();
     }
 }
 
-/// Parses and executes one line-framed request; returns the response and the op
-/// label to account it under (`"invalid"` when no op could be decoded).
-fn handle_line(shared: &Shared, line: &[u8]) -> (Response, &'static str) {
-    let text = match std::str::from_utf8(line) {
-        Ok(text) => text,
-        Err(_) => {
-            return (
-                Response {
-                    id: Json::Null,
-                    result: Err(WireError::bad_request("request line is not valid UTF-8")),
-                },
-                "invalid",
-            )
-        }
-    };
-    let request = match Request::decode(text) {
-        Ok(request) => request,
-        Err(failure) => {
-            return (
-                Response {
-                    id: failure.id,
-                    result: Err(failure.error),
-                },
-                "invalid",
-            )
-        }
-    };
-    let op = request.body.op();
-    (
-        Response {
-            result: execute(shared, &request.body),
-            id: request.id,
-        },
-        op,
-    )
+/// Executes one decoded request on the backend; an `info {server: true}` answer
+/// gets the core's metrics as its `server` member.
+fn execute<B: Backend>(
+    shared: &Shared<B>,
+    worker: &mut B::Worker,
+    body: &RequestBody,
+) -> Result<ResponseBody, WireError> {
+    let mut result = shared.backend.execute(worker, body);
+    if let (RequestBody::Info { server: true }, Ok(ResponseBody::Info { server, .. })) =
+        (body, &mut result)
+    {
+        *server = Some(shared.core.metrics.snapshot());
+    }
+    result
 }
 
-/// Routes, decodes, and executes one HTTP request; returns the complete response
-/// bytes, the op label, whether the outcome was an error, and whether the
-/// connection must close after the response flushes.
-fn handle_http(shared: &Shared, request: &HttpRequest) -> (Vec<u8>, &'static str, bool, bool) {
+/// Answers a decoded request through `execute`, or a decode failure as is;
+/// returns the response and the op label to account it under (`"invalid"` when
+/// no op could be decoded).
+fn respond(
+    decoded: Result<Request, RequestDecodeError>,
+    execute: impl FnOnce(&RequestBody) -> Result<ResponseBody, WireError>,
+) -> (Response, &'static str) {
+    match decoded {
+        Ok(request) => {
+            let op = request.body.op();
+            let result = execute(&request.body);
+            (
+                Response {
+                    id: request.id,
+                    result,
+                },
+                op,
+            )
+        }
+        Err(failure) => (
+            Response {
+                id: failure.id,
+                result: Err(failure.error),
+            },
+            "invalid",
+        ),
+    }
+}
+
+/// Decodes one line-framed request.
+fn decode_line(line: &[u8]) -> Result<Request, RequestDecodeError> {
+    let text = std::str::from_utf8(line).map_err(|_| RequestDecodeError {
+        id: Json::Null,
+        error: WireError::bad_request("request line is not valid UTF-8"),
+    })?;
+    Request::decode(text)
+}
+
+/// Routes and decodes one HTTP request and runs it through `execute`; returns
+/// the complete response bytes, the op label, whether the outcome was an error,
+/// and whether the connection must close after the response flushes.
+fn handle_http(
+    request: &HttpRequest,
+    execute: impl FnOnce(&RequestBody) -> Result<ResponseBody, WireError>,
+) -> (Vec<u8>, &'static str, bool, bool) {
     let keep_alive = request.keep_alive;
     let close_after = !keep_alive;
     let (path, query_string) = http::split_target(&request.target);
@@ -1104,7 +1156,7 @@ fn handle_http(shared: &Shared, request: &HttpRequest) -> (Vec<u8>, &'static str
             close_after,
         );
     };
-    let typed = match request.method.as_str() {
+    let decoded = match request.method.as_str() {
         "POST" => http::decode_request(op, &request.body),
         "GET" if op == "info" => Ok(http::info_request(query_string)),
         method => {
@@ -1114,424 +1166,435 @@ fn handle_http(shared: &Shared, request: &HttpRequest) -> (Vec<u8>, &'static str
                     "method {method} not allowed on {path}; use POST (GET only on /v1/info)"
                 ))),
             };
-            let mut line = response.encode();
-            line.push('\n');
             return (
-                http::encode_response(405, line.as_bytes(), keep_alive),
+                http::encode_response(
+                    405,
+                    &encode_for(Framing::Line, &response, keep_alive),
+                    keep_alive,
+                ),
                 "invalid",
                 true,
                 close_after,
             );
         }
     };
-    match typed {
-        Ok(typed) => {
-            let response = Response {
-                result: execute(shared, &typed.body),
-                id: typed.id,
-            };
-            let is_error = response.result.is_err();
-            (
-                http::encode_protocol_response(&response, keep_alive),
-                op,
-                is_error,
-                close_after,
-            )
-        }
-        Err(failure) => {
-            let response = Response {
-                id: failure.id,
-                result: Err(failure.error),
-            };
-            (
-                http::encode_protocol_response(&response, keep_alive),
-                "invalid",
-                true,
-                close_after,
-            )
-        }
-    }
+    let (response, op) = respond(decoded, execute);
+    (
+        http::encode_protocol_response(&response, keep_alive),
+        op,
+        response.result.is_err(),
+        close_after,
+    )
 }
 
-/// Executes a decoded request body against the shared state.
-fn execute(shared: &Shared, body: &RequestBody) -> Result<ResponseBody, WireError> {
-    match body {
-        RequestBody::Info { server } => {
-            let service = shared.service.read();
-            let stats = service.stats();
-            Ok(ResponseBody::Info {
-                columns: service
-                    .catalog()
-                    .live_entries()
-                    .map(|e| InfoColumn {
-                        table: e.table.clone(),
-                        column: e.column.clone(),
-                        rows: e.rows,
-                    })
-                    .collect(),
-                stats: Some(WireServiceStats {
-                    columns: stats.columns as u64,
-                    hydrated: stats.hydrated as u64,
-                    bytes_on_disk: stats.bytes_on_disk,
-                    last_compaction: stats.last_compaction.as_ref().map(|report| WireCompaction {
-                        removed_files: report.removed_files.len() as u64,
-                        live_columns: report.live_columns as u64,
-                    }),
-                }),
-                sketcher: stats.sketcher,
-                fingerprint: stats.fingerprint,
-                method: stats.method,
-                format: Some(stats.format),
-                server: server.then(|| shared.metrics.snapshot()),
-                // Single catalog nodes never report cluster state; only the
-                // router synthesizes info responses with a `cluster` member.
-                cluster: None,
-            })
-        }
-        RequestBody::Query {
-            mode,
-            k,
-            min_join_size,
-            cascade,
-            query,
-        } => {
-            let (rankings, note) = run_batch(
-                shared,
-                std::slice::from_ref(query),
-                *mode,
-                *k,
-                *min_join_size,
-                *cascade,
-            )?;
-            let [ranking] =
-                <[Vec<WireRanked>; 1]>::try_from(rankings).expect("one query yields one ranking");
-            Ok(ResponseBody::Ranking { ranking, note })
-        }
-        RequestBody::BatchQuery {
-            mode,
-            k,
-            min_join_size,
-            cascade,
-            queries,
-        } => {
-            let (rankings, note) = run_batch(shared, queries, *mode, *k, *min_join_size, *cascade)?;
-            Ok(ResponseBody::Rankings { rankings, note })
-        }
-        RequestBody::Ingest { table, partitions } => {
-            let table = table.to_table()?;
-            // Sketch every column *outside* the service lock (the expensive part —
-            // seconds for a large table), so queries keep flowing; only the final
-            // registration commit below needs exclusive access.
-            let mut sketched = Vec::new();
-            let mut companions = Vec::new();
-            let mut skipped = Vec::new();
-            for column in table.columns() {
-                let result = match partitions {
-                    Some(partitions) => shared.estimator.sketch_column_partitioned(
-                        &table,
-                        &column.name,
-                        usize::try_from(*partitions).unwrap_or(usize::MAX),
-                    ),
-                    None => shared.estimator.sketch_column(&table, &column.name),
-                };
-                match result {
-                    Ok(primary) => {
-                        // The companion (cheap-tier) sketch is always built
-                        // one-shot: its sketchers are mergeable, so the result
-                        // is independent of the primary's partitioning.
-                        let companion = match &shared.companion_estimator {
-                            Some(est) => Some(
-                                est.sketch_column(&table, &column.name)
-                                    .map_err(WireError::from)?,
-                            ),
-                            None => None,
-                        };
-                        sketched.push(primary);
-                        companions.push(companion);
-                    }
-                    Err(ipsketch_join::JoinError::EmptyColumn { .. }) => {
-                        skipped.push(column.name.clone());
-                    }
-                    Err(other) => return Err(other.into()),
-                }
-            }
-            let report = shared
-                .service
-                .write()
-                .register_sketched_with_companions(sketched, companions)
-                .map_err(WireError::from)?;
-            shared.signal_maintenance();
-            Ok(ResponseBody::Report {
-                registered: report.registered,
-                skipped,
-            })
-        }
-        RequestBody::IngestBegin { table } => {
-            let mut sessions = shared.sessions.lock();
-            let id = sessions.next_id;
-            sessions.next_id += 1;
-            sessions.slots.insert(
-                id,
-                SessionSlot {
-                    state: Arc::new(Mutex::new(Some(
-                        ShardedIngestState::new(table.clone())
-                            .with_companion(shared.companion_estimator.clone()),
-                    ))),
-                    touched: Instant::now(),
-                },
-            );
-            Ok(ResponseBody::Session(id))
-        }
-        RequestBody::IngestAnnounce { session, shard } => {
-            with_session(shared, *session, |state| {
-                state.announce(&shard.to_table()?).map_err(WireError::from)
-            })?;
-            Ok(ResponseBody::Session(*session))
-        }
-        RequestBody::IngestSubmit { session, shard } => {
-            with_session(shared, *session, |state| {
-                state
-                    .submit(&shared.estimator, &shard.to_table()?)
-                    .map_err(WireError::from)
-            })?;
-            Ok(ResponseBody::Session(*session))
-        }
-        RequestBody::IngestFinish { session } => {
-            let slot = shared
-                .sessions
-                .lock()
-                .touch(*session)
-                .ok_or_else(|| unknown_session(*session))?;
-            // Take the state out of its slot first, so a racing second finish (or
-            // announce/submit) observes an empty slot — not a deadlock on the
-            // service write lock below.
-            let state = slot
-                .lock()
-                .take()
-                .ok_or_else(|| unknown_session(*session))?;
-            // The session is consumed whether the commit succeeds or fails (its
-            // partial sketches are moved into the registration); drop the map entry.
-            shared.sessions.lock().slots.remove(session);
-            let result = shared.service.write().finish_sharded_ingest(state);
-            let report = result.map_err(WireError::from)?;
-            shared.signal_maintenance();
-            Ok(ResponseBody::Report {
-                registered: report.registered,
-                skipped: report.skipped,
-            })
-        }
-        RequestBody::DropColumn { table, column } => {
-            shared
-                .service
-                .write()
-                .drop_column(table, column)
-                .map_err(WireError::from)?;
-            // The tombstoned blob is garbage now; let the maintenance thread's
-            // next compaction pass reclaim it.
-            shared.signal_maintenance();
-            Ok(ResponseBody::Dropped {
-                table: table.clone(),
-                column: column.clone(),
-            })
-        }
-        RequestBody::ExportColumn { table, column } => {
-            let service = shared.service.read();
-            let (rows, bytes) = service
-                .catalog()
-                .export_blob(table, column)
-                .map_err(WireError::from)?;
-            Ok(ResponseBody::Sketch(WireSketch {
-                table: table.clone(),
-                column: column.clone(),
-                rows,
-                bytes,
-            }))
-        }
-        RequestBody::ImportColumn { sketch } => {
-            let registered = shared
-                .service
-                .write()
-                .import_sketched_blob(&sketch.table, &sketch.column, &sketch.bytes)
-                .map_err(WireError::from)?;
-            shared.signal_maintenance();
-            Ok(ResponseBody::Report {
-                registered: if registered {
-                    vec![(sketch.table.clone(), sketch.column.clone())]
-                } else {
-                    Vec::new()
-                },
-                skipped: if registered {
-                    Vec::new()
-                } else {
-                    vec![sketch.column.clone()]
-                },
-            })
-        }
-    }
+/// The single-catalog backend that [`serve`] runs: a [`QueryService`] behind a
+/// read-write lock, its shard-partial ingest sessions, and the totals of its
+/// maintenance passes (expire idle sessions, then compact the catalog).
+pub struct Node {
+    service: RwLock<QueryService>,
+    estimator: JoinEstimator,
+    /// Clone of the catalog's companion (cheap-tier) estimator, when it stores
+    /// one: cascade queries sketch their cheap-tier query outside any lock,
+    /// exactly like the primary tier.
+    companion_estimator: Option<JoinEstimator>,
+    sessions: Mutex<SessionMap>,
+    session_ttl: Duration,
+    maintenance_stats: Mutex<MaintenanceStats>,
+    /// Asks the core's background thread for a pass after a write leaves
+    /// garbage behind.
+    wakeup: Arc<Wakeup>,
 }
 
-fn unknown_session(session: u64) -> WireError {
-    WireError {
-        code: ErrorCode::UnknownSession,
-        message: format!("no live ingest session {session} (finished, failed, or never begun)"),
-    }
+/// One live shard-partial ingest session.  The state slot holds `None` while
+/// `ingest-finish` consumes it, so a racing operation on the same session gets a
+/// clean `unknown_session` instead of blocking or corrupting it.
+struct SessionSlot {
+    state: Arc<Mutex<Option<ShardedIngestState>>>,
+    /// When the session was last looked up; maintenance expires sessions whose
+    /// idle time exceeds the configured TTL.
+    touched: Instant,
 }
 
-/// Runs `f` on the live state of `session`, refreshing its idle clock.
-fn with_session<T>(
-    shared: &Shared,
-    session: u64,
-    f: impl FnOnce(&mut ShardedIngestState) -> Result<T, WireError>,
-) -> Result<T, WireError> {
-    let slot = shared
-        .sessions
-        .lock()
-        .touch(session)
-        .ok_or_else(|| unknown_session(session))?;
-    let mut guard = slot.lock();
-    let state = guard.as_mut().ok_or_else(|| unknown_session(session))?;
-    f(state)
+struct SessionMap {
+    next_id: u64,
+    slots: HashMap<u64, SessionSlot>,
 }
 
-/// Sketches the query columns and ranks them as one runner-backed batch, under a
-/// shared read lock — the same code path as `QueryService::query_*_batch`, so wire
-/// answers are bit-identical to in-process answers.
-fn run_batch(
-    shared: &Shared,
-    queries: &[WireQuery],
-    mode: Mode,
-    k: u64,
-    min_join_size: f64,
-    cascade: bool,
-) -> Result<(Vec<Vec<WireRanked>>, Option<WireNote>), WireError> {
-    if cascade && mode == Mode::Related {
-        return Err(WireError::bad_request(
-            "`cascade` applies to `joinable` queries only",
-        ));
-    }
-    let k = usize::try_from(k).unwrap_or(usize::MAX);
-    // A cascade request against a catalog with no companion tier is answered by
-    // the flat scan with an advisory note — never an error (the answer is the
-    // same ranking, just computed the slow way).
-    let companion_est = if cascade {
-        shared.companion_estimator.as_ref()
-    } else {
-        None
-    };
-    let note = if cascade && companion_est.is_none() {
-        let fallback = CascadeNote::fallback();
-        Some(WireNote {
-            code: fallback.code.to_string(),
-            message: fallback.message,
+impl SessionMap {
+    /// Looks up a session's state, refreshing its idle clock.
+    fn touch(&mut self, session: u64) -> Option<Arc<Mutex<Option<ShardedIngestState>>>> {
+        self.slots.get_mut(&session).map(|slot| {
+            slot.touched = Instant::now();
+            Arc::clone(&slot.state)
         })
-    } else {
-        None
-    };
-    // Sketch the query columns *outside* any lock, with the immutable estimator
-    // clone (identical configuration → bit-identical sketches): the CPU-heavy
-    // phase of a large batch must never hold the read lock, or it would stall
-    // ingest commits and compaction behind it (and, on writer-preferring lock
-    // implementations, every later query behind those).
-    let mut sketched: Vec<SketchedColumn> = Vec::with_capacity(queries.len());
-    let mut cascade_pairs: Vec<(SketchedColumn, SketchedColumn)> = Vec::new();
-    for query in queries {
-        let table = query.to_table()?;
-        let primary = shared
-            .estimator
-            .sketch_column(&table, &query.column)
-            .map_err(WireError::from)?;
-        if let Some(est) = companion_est {
-            let companion = est
+    }
+}
+
+impl Node {
+    fn new(service: QueryService, config: &ServerConfig) -> Node {
+        // The service's estimator is cloned once for the session map: sharded-ingest
+        // sketching must not need any service lock.  The configuration is immutable
+        // for the catalog's lifetime, so the clone can never go stale.
+        let estimator = service.estimator().clone();
+        let companion_estimator = service.companion_estimator().cloned();
+        Node {
+            service: RwLock::new(service),
+            estimator,
+            companion_estimator,
+            sessions: Mutex::new(SessionMap {
+                next_id: 1,
+                slots: HashMap::new(),
+            }),
+            session_ttl: config.session_ttl,
+            maintenance_stats: Mutex::new(MaintenanceStats::default()),
+            wakeup: Arc::default(),
+        }
+    }
+
+    /// Runs `f` on the live state of `session`, refreshing its idle clock.
+    fn with_session<T>(
+        &self,
+        session: u64,
+        f: impl FnOnce(&mut ShardedIngestState) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        let slot = self
+            .sessions
+            .lock()
+            .touch(session)
+            .ok_or_else(|| unknown_session(session))?;
+        let mut guard = slot.lock();
+        let state = guard.as_mut().ok_or_else(|| unknown_session(session))?;
+        f(state)
+    }
+
+    /// Sketches the query columns and ranks them as one runner-backed batch, under a
+    /// shared read lock — the same code path as `QueryService::query_*_batch`, so wire
+    /// answers are bit-identical to in-process answers.
+    fn run_batch(
+        &self,
+        queries: &[WireQuery],
+        mode: Mode,
+        k: u64,
+        min_join_size: f64,
+        cascade: bool,
+    ) -> Result<(Vec<Vec<WireRanked>>, Option<WireNote>), WireError> {
+        if cascade && mode == Mode::Related {
+            return Err(WireError::bad_request(
+                "`cascade` applies to `joinable` queries only",
+            ));
+        }
+        let k = usize::try_from(k).unwrap_or(usize::MAX);
+        // A cascade request against a catalog with no companion tier is answered by
+        // the flat scan with an advisory note — never an error (the answer is the
+        // same ranking, just computed the slow way).
+        let companion_est = if cascade {
+            self.companion_estimator.as_ref()
+        } else {
+            None
+        };
+        let note = if cascade && companion_est.is_none() {
+            let fallback = CascadeNote::fallback();
+            Some(WireNote {
+                code: fallback.code.to_string(),
+                message: fallback.message,
+            })
+        } else {
+            None
+        };
+        // Sketch the query columns *outside* any lock, with the immutable estimator
+        // clone (identical configuration → bit-identical sketches): the CPU-heavy
+        // phase of a large batch must never hold the read lock, or it would stall
+        // ingest commits and compaction behind it (and, on writer-preferring lock
+        // implementations, every later query behind those).
+        let mut sketched: Vec<SketchedColumn> = Vec::with_capacity(queries.len());
+        let mut cascade_pairs: Vec<(SketchedColumn, SketchedColumn)> = Vec::new();
+        for query in queries {
+            let table = query.to_table()?;
+            let primary = self
+                .estimator
                 .sketch_column(&table, &query.column)
                 .map_err(WireError::from)?;
-            cascade_pairs.push((primary.clone(), companion));
-        }
-        sketched.push(primary);
-    }
-    loop {
-        {
-            let service = shared.service.read();
-            if service.is_fully_hydrated() {
-                let rankings = match mode {
-                    Mode::Joinable if companion_est.is_some() => {
-                        service.index().top_k_joinable_cascade_batch(
-                            &cascade_pairs,
-                            k,
-                            ipsketch_join::DEFAULT_CASCADE_CONFIDENCE,
-                        )
-                    }
-                    Mode::Joinable => service.index().top_k_joinable_batch(&sketched, k),
-                    Mode::Related => {
-                        service
-                            .index()
-                            .top_k_correlated_batch(&sketched, k, min_join_size)
-                    }
-                }
-                .map_err(WireError::from)?;
-                return Ok((
-                    rankings
-                        .iter()
-                        .map(|ranking| ranking.iter().map(WireRanked::from).collect())
-                        .collect(),
-                    note,
-                ));
+            if let Some(est) = companion_est {
+                let companion = est
+                    .sketch_column(&table, &query.column)
+                    .map_err(WireError::from)?;
+                cascade_pairs.push((primary.clone(), companion));
             }
+            sketched.push(primary);
         }
-        // Columns exist that are not in the index yet (catalog opened cold):
-        // hydrate under the write lock, then retry the read-locked fast path.
-        shared
-            .service
-            .write()
-            .ensure_hydrated()
-            .map_err(WireError::from)?;
+        loop {
+            {
+                let service = self.service.read();
+                if service.is_fully_hydrated() {
+                    let rankings = match mode {
+                        Mode::Joinable if companion_est.is_some() => {
+                            service.index().top_k_joinable_cascade_batch(
+                                &cascade_pairs,
+                                k,
+                                ipsketch_join::DEFAULT_CASCADE_CONFIDENCE,
+                            )
+                        }
+                        Mode::Joinable => service.index().top_k_joinable_batch(&sketched, k),
+                        Mode::Related => {
+                            service
+                                .index()
+                                .top_k_correlated_batch(&sketched, k, min_join_size)
+                        }
+                    }
+                    .map_err(WireError::from)?;
+                    return Ok((
+                        rankings
+                            .iter()
+                            .map(|ranking| ranking.iter().map(WireRanked::from).collect())
+                            .collect(),
+                        note,
+                    ));
+                }
+            }
+            // Columns exist that are not in the index yet (catalog opened cold):
+            // hydrate under the write lock, then retry the read-locked fast path.
+            self.service
+                .write()
+                .ensure_hydrated()
+                .map_err(WireError::from)?;
+        }
     }
 }
 
-/// The maintenance thread: compacts the catalog periodically and on demand.
-fn maintenance_loop(shared: &Shared) {
-    loop {
-        {
-            let mut pending = shared
-                .maint
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            while !*pending && !shared.shutdown.load(Ordering::SeqCst) {
-                match shared.config.maintenance_interval {
-                    Some(interval) => {
-                        let (guard, timeout) = shared
-                            .maint_cv
-                            .wait_timeout(pending, interval)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        pending = guard;
-                        if timeout.timed_out() {
-                            break; // Periodic pass.
+impl Backend for Node {
+    type Worker = ();
+
+    fn execute(&self, (): &mut (), body: &RequestBody) -> Result<ResponseBody, WireError> {
+        match body {
+            RequestBody::Info { .. } => {
+                let service = self.service.read();
+                let stats = service.stats();
+                Ok(ResponseBody::Info {
+                    columns: service
+                        .catalog()
+                        .live_entries()
+                        .map(|e| InfoColumn {
+                            table: e.table.clone(),
+                            column: e.column.clone(),
+                            rows: e.rows,
+                        })
+                        .collect(),
+                    stats: Some(WireServiceStats {
+                        columns: stats.columns as u64,
+                        hydrated: stats.hydrated as u64,
+                        bytes_on_disk: stats.bytes_on_disk,
+                        last_compaction: stats.last_compaction.as_ref().map(|report| {
+                            WireCompaction {
+                                removed_files: report.removed_files.len() as u64,
+                                live_columns: report.live_columns as u64,
+                            }
+                        }),
+                    }),
+                    sketcher: stats.sketcher,
+                    fingerprint: stats.fingerprint,
+                    method: stats.method,
+                    format: Some(stats.format),
+                    server: None,
+                    // Single catalog nodes never report cluster state; only the
+                    // router synthesizes info responses with a `cluster` member.
+                    cluster: None,
+                })
+            }
+            RequestBody::Query {
+                mode,
+                k,
+                min_join_size,
+                cascade,
+                query,
+            } => {
+                let (rankings, note) = self.run_batch(
+                    std::slice::from_ref(query),
+                    *mode,
+                    *k,
+                    *min_join_size,
+                    *cascade,
+                )?;
+                let [ranking] = <[Vec<WireRanked>; 1]>::try_from(rankings)
+                    .expect("one query yields one ranking");
+                Ok(ResponseBody::Ranking { ranking, note })
+            }
+            RequestBody::BatchQuery {
+                mode,
+                k,
+                min_join_size,
+                cascade,
+                queries,
+            } => {
+                let (rankings, note) =
+                    self.run_batch(queries, *mode, *k, *min_join_size, *cascade)?;
+                Ok(ResponseBody::Rankings { rankings, note })
+            }
+            RequestBody::Ingest { table, partitions } => {
+                let table = table.to_table()?;
+                // Sketch every column *outside* the service lock (the expensive part —
+                // seconds for a large table), so queries keep flowing; only the final
+                // registration commit below needs exclusive access.
+                let mut sketched = Vec::new();
+                let mut companions = Vec::new();
+                let mut skipped = Vec::new();
+                for column in table.columns() {
+                    let result = match partitions {
+                        Some(partitions) => self.estimator.sketch_column_partitioned(
+                            &table,
+                            &column.name,
+                            usize::try_from(*partitions).unwrap_or(usize::MAX),
+                        ),
+                        None => self.estimator.sketch_column(&table, &column.name),
+                    };
+                    match result {
+                        Ok(primary) => {
+                            // The companion (cheap-tier) sketch is always built
+                            // one-shot: its sketchers are mergeable, so the result
+                            // is independent of the primary's partitioning.
+                            let companion = match &self.companion_estimator {
+                                Some(est) => Some(
+                                    est.sketch_column(&table, &column.name)
+                                        .map_err(WireError::from)?,
+                                ),
+                                None => None,
+                            };
+                            sketched.push(primary);
+                            companions.push(companion);
                         }
-                    }
-                    None => {
-                        pending = shared
-                            .maint_cv
-                            .wait(pending)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
+                        Err(ipsketch_join::JoinError::EmptyColumn { .. }) => {
+                            skipped.push(column.name.clone());
+                        }
+                        Err(other) => return Err(other.into()),
                     }
                 }
+                let report = self
+                    .service
+                    .write()
+                    .register_sketched_with_companions(sketched, companions)
+                    .map_err(WireError::from)?;
+                self.wakeup.request();
+                Ok(ResponseBody::Report {
+                    registered: report.registered,
+                    skipped,
+                })
             }
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
+            RequestBody::IngestBegin { table } => {
+                let mut sessions = self.sessions.lock();
+                let id = sessions.next_id;
+                sessions.next_id += 1;
+                sessions.slots.insert(
+                    id,
+                    SessionSlot {
+                        state: Arc::new(Mutex::new(Some(
+                            ShardedIngestState::new(table.clone())
+                                .with_companion(self.companion_estimator.clone()),
+                        ))),
+                        touched: Instant::now(),
+                    },
+                );
+                Ok(ResponseBody::Session(id))
             }
-            *pending = false;
+            RequestBody::IngestAnnounce { session, shard } => {
+                self.with_session(*session, |state| {
+                    state.announce(&shard.to_table()?).map_err(WireError::from)
+                })?;
+                Ok(ResponseBody::Session(*session))
+            }
+            RequestBody::IngestSubmit { session, shard } => {
+                self.with_session(*session, |state| {
+                    state
+                        .submit(&self.estimator, &shard.to_table()?)
+                        .map_err(WireError::from)
+                })?;
+                Ok(ResponseBody::Session(*session))
+            }
+            RequestBody::IngestFinish { session } => {
+                let slot = self
+                    .sessions
+                    .lock()
+                    .touch(*session)
+                    .ok_or_else(|| unknown_session(*session))?;
+                // Take the state out of its slot first, so a racing second finish (or
+                // announce/submit) observes an empty slot — not a deadlock on the
+                // service write lock below.
+                let state = slot
+                    .lock()
+                    .take()
+                    .ok_or_else(|| unknown_session(*session))?;
+                // The session is consumed whether the commit succeeds or fails (its
+                // partial sketches are moved into the registration); drop the map entry.
+                self.sessions.lock().slots.remove(session);
+                let result = self.service.write().finish_sharded_ingest(state);
+                let report = result.map_err(WireError::from)?;
+                self.wakeup.request();
+                Ok(ResponseBody::Report {
+                    registered: report.registered,
+                    skipped: report.skipped,
+                })
+            }
+            RequestBody::DropColumn { table, column } => {
+                self.service
+                    .write()
+                    .drop_column(table, column)
+                    .map_err(WireError::from)?;
+                // The tombstoned blob is garbage now; let the next maintenance
+                // pass reclaim it.
+                self.wakeup.request();
+                Ok(ResponseBody::Dropped {
+                    table: table.clone(),
+                    column: column.clone(),
+                })
+            }
+            RequestBody::ExportColumn { table, column } => {
+                let service = self.service.read();
+                let (rows, bytes) = service
+                    .catalog()
+                    .export_blob(table, column)
+                    .map_err(WireError::from)?;
+                Ok(ResponseBody::Sketch(WireSketch {
+                    table: table.clone(),
+                    column: column.clone(),
+                    rows,
+                    bytes,
+                }))
+            }
+            RequestBody::ImportColumn { sketch } => {
+                let registered = self
+                    .service
+                    .write()
+                    .import_sketched_blob(&sketch.table, &sketch.column, &sketch.bytes)
+                    .map_err(WireError::from)?;
+                self.wakeup.request();
+                Ok(ResponseBody::Report {
+                    registered: if registered {
+                        vec![(sketch.table.clone(), sketch.column.clone())]
+                    } else {
+                        Vec::new()
+                    },
+                    skipped: if registered {
+                        Vec::new()
+                    } else {
+                        vec![sketch.column.clone()]
+                    },
+                })
+            }
         }
-        // Expire ingest sessions idle past the TTL before compacting: their folded
-        // partial sketches are the only server-side state a vanished client leaks.
+    }
+
+    /// Expires ingest sessions idle past the TTL, then compacts the catalog.
+    fn maintain(&self) {
+        // Sessions go first: their folded partial sketches are the only
+        // server-side state a vanished client leaks.
         let expired = {
-            let mut sessions = shared.sessions.lock();
+            let mut sessions = self.sessions.lock();
             let before = sessions.slots.len();
             sessions
                 .slots
-                .retain(|_, slot| slot.touched.elapsed() <= shared.config.session_ttl);
+                .retain(|_, slot| slot.touched.elapsed() <= self.session_ttl);
             (before - sessions.slots.len()) as u64
         };
-        let result = shared.service.write().compact();
-        let mut stats = shared.maintenance_stats.lock();
+        let result = self.service.write().compact();
+        let mut stats = self.maintenance_stats.lock();
         stats.sessions_expired += expired;
         match result {
             Ok(report) => {
@@ -1543,21 +1606,132 @@ fn maintenance_loop(shared: &Shared) {
     }
 }
 
+fn unknown_session(session: u64) -> WireError {
+    WireError {
+        code: ErrorCode::UnknownSession,
+        message: format!("no live ingest session {session} (finished, failed, or never begun)"),
+    }
+}
+
+/// The background thread: runs [`Backend::maintain`] every interval and
+/// whenever a pass is requested, until shutdown.
+fn background_loop<B: Backend>(shared: &Shared<B>) {
+    let core = &shared.core;
+    let interval = core.config.maintenance_interval;
+    loop {
+        {
+            let mut pending = lock(&core.wakeup.pending);
+            while !*pending && !core.shutdown.load(Ordering::SeqCst) {
+                match interval {
+                    Some(interval) => {
+                        let (guard, timeout) = core
+                            .wakeup
+                            .cv
+                            .wait_timeout(pending, interval)
+                            .unwrap_or_else(PoisonError::into_inner);
+                        pending = guard;
+                        if timeout.timed_out() {
+                            break; // Periodic pass.
+                        }
+                    }
+                    None => {
+                        pending = core
+                            .wakeup
+                            .cv
+                            .wait(pending)
+                            .unwrap_or_else(PoisonError::into_inner);
+                    }
+                }
+            }
+            if core.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            *pending = false;
+        }
+        shared.backend.maintain();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Frames `chunks` in order, as the reactor does read by read; returns the
+    /// lines and the unframed tail.
+    fn frame_chunked<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> (Vec<Vec<u8>>, Vec<u8>) {
+        let mut buf = Vec::new();
+        let mut scanned = 0;
+        let mut lines = Vec::new();
+        for chunk in chunks {
+            buf.extend_from_slice(chunk);
+            lines.extend(drain_lines(&mut buf, &mut scanned));
+        }
+        (lines, buf)
+    }
 
     #[test]
     fn drain_lines_frames_and_keeps_partials() {
         let mut buf = b"one\r\ntwo\n\n\r\npartial".to_vec();
-        let lines = drain_lines(&mut buf);
+        let mut scanned = 0;
+        let lines = drain_lines(&mut buf, &mut scanned);
         assert_eq!(lines, vec![b"one".to_vec(), b"two".to_vec()]);
         assert_eq!(buf, b"partial");
-        let lines = drain_lines(&mut buf);
+        assert_eq!(scanned, buf.len());
+        let lines = drain_lines(&mut buf, &mut scanned);
         assert!(lines.is_empty());
         buf.extend_from_slice(b" more\n");
-        assert_eq!(drain_lines(&mut buf), vec![b"partial more".to_vec()]);
+        assert_eq!(
+            drain_lines(&mut buf, &mut scanned),
+            vec![b"partial more".to_vec()]
+        );
         assert!(buf.is_empty());
+        assert_eq!(scanned, 0);
+        // A `\r\n` split across reads frames as in one read.
+        let (lines, tail) = frame_chunked([&b"a\r"[..], b"\nb\r", b"\n\r", b"\nc"]);
+        assert_eq!(lines, vec![b"a".to_vec(), b"b".to_vec()]);
+        assert_eq!(tail, b"c");
+    }
+
+    proptest! {
+        #[test]
+        fn every_chunking_frames_like_one_shot(
+            // Mostly `\n`, `\r` and `{`, so lines are short and empty lines and
+            // `\r\n` pairs are common; any other byte now and then.
+            stream in proptest::collection::vec(
+                (0u8..8, any::<u8>()).prop_map(|(kind, byte)| match kind {
+                    0 | 1 => b'\n',
+                    2 | 3 => b'\r',
+                    4 | 5 => b'{',
+                    _ => byte,
+                }),
+                0..300,
+            ),
+            cuts in proptest::collection::vec(0usize..300, 0..24),
+        ) {
+            let (one_shot, one_shot_tail) = frame_chunked([stream.as_slice()]);
+            // One-shot framing is the plain split: on `\n`, minus one trailing
+            // `\r`, skipping empty lines, the last piece left as the tail.
+            let mut pieces: Vec<&[u8]> = stream.split(|&b| b == b'\n').collect();
+            let tail = pieces.pop().expect("split yields at least one piece");
+            let expected: Vec<Vec<u8>> = pieces
+                .into_iter()
+                .map(|piece| piece.strip_suffix(b"\r").unwrap_or(piece))
+                .filter(|line| !line.is_empty())
+                .map(<[u8]>::to_vec)
+                .collect();
+            prop_assert_eq!(&one_shot, &expected);
+            prop_assert_eq!(one_shot_tail.as_slice(), tail);
+
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|cut| cut.min(stream.len())).collect();
+            cuts.push(0);
+            cuts.push(stream.len());
+            cuts.sort_unstable();
+            let (chunked, chunked_tail) =
+                frame_chunked(cuts.windows(2).map(|w| &stream[w[0]..w[1]]));
+            prop_assert_eq!(chunked, one_shot);
+            prop_assert_eq!(chunked_tail, one_shot_tail);
+        }
     }
 
     #[test]

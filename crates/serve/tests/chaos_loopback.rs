@@ -282,7 +282,8 @@ fn run_fault_scenario(
         other => panic!("expected ranking, got {other:?}"),
     }
 
-    // Turn the fault on and query over a fresh connection (fresh node pool).
+    // Turn the fault on (the proxy severs the router's pooled connections, so
+    // the router reconnects into the fault) and query over a fresh connection.
     proxy.handle().set_mode(mode);
     let mut degraded = Client::connect(router.addr());
     let started = Instant::now();

@@ -13,11 +13,11 @@ use ipsketch_serve::protocol::{
     ErrorCode, Mode, Request, RequestBody, Response, ResponseBody, WireQuery, WireRanked, WireTable,
 };
 use ipsketch_serve::router::{serve_router, NodeSpec, Router, RouterHandle};
-use ipsketch_serve::server::{serve, ServerConfig, ServerHandle};
+use ipsketch_serve::server::{serve, serve_backend, ServerConfig, ServerHandle};
 use ipsketch_serve::wire::Json;
 use ipsketch_serve::{shard_rows, QueryService};
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -482,8 +482,8 @@ fn a_stopped_node_fails_over_to_its_replicas_bit_identically() {
     stopped.handle.shutdown();
     let _ = fs::remove_dir_all(&stopped.root);
 
-    // A fresh connection (fresh node pool) so the loss is seen as a connect
-    // failure, not a broken keep-alive.
+    // The router's pooled connection to the stopped node breaks first (a free
+    // reconnect, not a node error); the reconnect then fails outright.
     let mut degraded = Client::connect(router.addr());
     let response = degraded.call(&query_request(2, &query, "rides", 5));
     match response.result.expect("query still succeeds") {
@@ -909,4 +909,250 @@ fn cascaded_queries_route_bit_identically_and_fall_back_deterministically() {
     cleanup(old_nodes);
     cleanup(single);
     fs::remove_dir_all(&twin_root).expect("cleanup");
+}
+
+/// Serves `router` through the shared core with `config` on ephemeral ports.
+fn serve_router_with(specs: Vec<NodeSpec>, config: ServerConfig) -> RouterHandle {
+    let router = Router::new(specs, 2).expect("router config");
+    serve_backend(router, config).expect("bind router")
+}
+
+/// Sends one `POST` over a fresh HTTP/1.1 connection; returns status and body.
+fn http_post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    write!(
+        writer,
+        "POST {path} HTTP/1.1\r\nHost: cluster\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send");
+    let mut reader = BufReader::new(stream);
+    let mut status_line = String::new();
+    reader.read_line(&mut status_line).expect("status line");
+    let status = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|code| code.parse().ok())
+        .expect("numeric status");
+    let mut length = 0usize;
+    loop {
+        let mut header = String::new();
+        reader.read_line(&mut header).expect("header");
+        let header = header.trim_end().to_ascii_lowercase();
+        if header.is_empty() {
+            break;
+        }
+        if let Some(value) = header.strip_prefix("content-length:") {
+            length = value.trim().parse().expect("numeric length");
+        }
+    }
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body).expect("body");
+    (status, String::from_utf8(body).expect("UTF-8 body"))
+}
+
+#[test]
+fn a_router_on_both_bindings_answers_http_byte_identically_to_tcp_and_one_node() {
+    let (query, good, bad) = lake();
+    let seed = 47;
+    let nodes = boot_nodes("bindings", seed, 3);
+    let config = ServerConfig::builder()
+        .tcp("127.0.0.1:0")
+        .http("127.0.0.1:0")
+        .build()
+        .expect("valid config");
+    let router = serve_router_with(tcp_specs(&nodes), config);
+    let mut client = Client::connect(router.addr());
+    client.ingest(&good);
+    client.ingest(&bad);
+
+    let single = boot_nodes("bindings-single", seed, 1);
+    let mut single_client = Client::connect(single[0].handle.tcp_addr().expect("tcp"));
+    single_client.ingest(&good);
+    single_client.ingest(&bad);
+
+    let request = query_request(7, &query, "rides", 5).encode();
+    client.send_raw(&request);
+    let via_tcp = client.recv_raw();
+    single_client.send_raw(&request);
+    let via_single = single_client.recv_raw();
+    let (status, via_http) = http_post(
+        router.http_addr().expect("http bound"),
+        "/v1/query",
+        &request,
+    );
+    assert_eq!(status, 200);
+    assert_eq!(
+        via_http,
+        format!("{via_tcp}\n"),
+        "HTTP body differs from the TCP line"
+    );
+    assert_eq!(via_tcp, via_single, "routed answer differs from one node");
+
+    router.shutdown();
+    cleanup(nodes);
+    cleanup(single);
+}
+
+#[test]
+fn a_router_past_its_connection_cap_answers_overloaded() {
+    let nodes = boot_nodes("conncap", 53, 2);
+    let config = ServerConfig::builder()
+        .tcp("127.0.0.1:0")
+        .max_connections(1)
+        .build()
+        .expect("valid config");
+    let router = serve_router_with(tcp_specs(&nodes), config);
+
+    // The first connection is served (one round trip proves it is registered).
+    let mut first = Client::connect(router.addr());
+    let response = first.call(&Request {
+        id: Json::u64(1),
+        body: RequestBody::Info { server: false },
+    });
+    assert!(response.result.is_ok(), "first connection is served");
+
+    // The second is answered `overloaded` without being asked anything, then closed.
+    let mut second = Client::connect(router.addr());
+    let response = Response::decode(&second.recv_raw()).expect("well-formed");
+    assert_eq!(
+        response.result.expect_err("over the cap").code,
+        ErrorCode::Overloaded
+    );
+    let mut rest = String::new();
+    assert_eq!(second.reader.read_line(&mut rest).expect("clean close"), 0);
+
+    // The first connection is unaffected.
+    let response = first.call(&Request {
+        id: Json::u64(2),
+        body: RequestBody::Info { server: false },
+    });
+    assert!(response.result.is_ok(), "first connection still served");
+
+    router.shutdown();
+    cleanup(nodes);
+}
+
+#[test]
+fn a_router_reports_the_shared_core_server_metrics() {
+    let (query, good, bad) = lake();
+    let nodes = boot_nodes("metrics", 59, 3);
+    let router = boot_router(tcp_specs(&nodes), 2);
+    let mut client = Client::connect(router.addr());
+    client.ingest(&good);
+    client.ingest(&bad);
+    assert!(client
+        .call(&query_request(1, &query, "rides", 5))
+        .result
+        .is_ok());
+    // A second connection, registered by one round trip of its own.
+    let mut idle = Client::connect(router.addr());
+    assert!(idle
+        .call(&Request {
+            id: Json::Null,
+            body: RequestBody::Info { server: false },
+        })
+        .result
+        .is_ok());
+
+    let response = client.call(&Request {
+        id: Json::Null,
+        body: RequestBody::Info { server: true },
+    });
+    let server = match response.result.expect("info succeeds") {
+        ResponseBody::Info { server, .. } => server.expect("server member requested"),
+        other => panic!("expected info, got {other:?}"),
+    };
+    assert_eq!(server.connections_open, 2, "{server:?}");
+    assert_eq!(server.connections_rejected, 0);
+    assert_eq!(server.queue_rejected, 0);
+    let count = |op: &str| {
+        server
+            .ops
+            .iter()
+            .find(|o| o.op == op)
+            .map_or(0, |o| o.count)
+    };
+    assert_eq!(count("ingest"), 2, "{server:?}");
+    assert_eq!(count("query"), 1, "{server:?}");
+    // The idle connection's `info`; this one is timed only after it answers.
+    assert_eq!(count("info"), 1, "{server:?}");
+    // The same core metrics are on the handle.
+    let snapshot = router.metrics().snapshot();
+    assert_eq!(
+        snapshot
+            .ops
+            .iter()
+            .find(|o| o.op == "info")
+            .map(|o| o.count),
+        Some(2)
+    );
+
+    router.shutdown();
+    cleanup(nodes);
+}
+
+#[test]
+fn a_router_frames_lines_like_a_node() {
+    let nodes = boot_nodes("toolarge", 61, 2);
+    let config = ServerConfig::builder()
+        .tcp("127.0.0.1:0")
+        .max_line_bytes(1024)
+        .build()
+        .expect("valid config");
+    let router = serve_router_with(tcp_specs(&nodes), config);
+
+    // Two small requests around a line that is not UTF-8, then an oversized
+    // line, pipelined in one write.
+    let mut client = Client::connect(router.addr());
+    let info = |id| {
+        let mut line = Request {
+            id: Json::u64(id),
+            body: RequestBody::Info { server: false },
+        }
+        .encode()
+        .into_bytes();
+        line.push(b'\n');
+        line
+    };
+    let mut burst = info(1);
+    burst.extend_from_slice(b"{\"v\": 1, \"op\": \"info\xff\"}\n");
+    burst.extend(info(2));
+    burst.extend(vec![b'x'; 2000]);
+    burst.push(b'\n');
+    client.writer.write_all(&burst).expect("send burst");
+
+    let response = Response::decode(&client.recv_raw()).expect("well-formed");
+    assert_eq!(response.id.as_u64(), Some(1));
+    assert!(response.result.is_ok());
+    let response = Response::decode(&client.recv_raw()).expect("well-formed");
+    let error = response.result.expect_err("non-UTF-8 line");
+    assert_eq!(error.code, ErrorCode::BadRequest);
+    assert!(error.message.contains("UTF-8"), "{error:?}");
+    let response = Response::decode(&client.recv_raw()).expect("well-formed");
+    assert_eq!(
+        response.id.as_u64(),
+        Some(2),
+        "answers come in request order"
+    );
+    assert!(response.result.is_ok());
+    let response = Response::decode(&client.recv_raw()).expect("well-formed");
+    assert_eq!(response.id, Json::Null);
+    assert_eq!(
+        response.result.expect_err("oversized line").code,
+        ErrorCode::TooLarge
+    );
+    let mut rest = String::new();
+    assert_eq!(
+        client.reader.read_line(&mut rest).expect("clean close"),
+        0,
+        "the connection closes after `too_large`"
+    );
+
+    router.shutdown();
+    cleanup(nodes);
 }
