@@ -187,12 +187,20 @@ fn put_f64_slice(buf: &mut BytesMut, values: &[f64]) {
     }
 }
 
+/// Whether `buf` holds `len` records of `width` bytes.  A hostile length whose
+/// byte count overflows `usize` holds nothing (an unchecked product could wrap
+/// small and send the caller into a huge allocation).
+fn holds(buf: &[u8], len: usize, width: usize) -> bool {
+    len.checked_mul(width)
+        .is_some_and(|bytes| buf.len() >= bytes)
+}
+
 fn get_f64_vec(buf: &mut &[u8]) -> Result<Vec<f64>, SketchError> {
     if buf.remaining() < 8 {
         return Err(corrupt("missing length prefix"));
     }
     let len = buf.get_u64_le() as usize;
-    if buf.remaining() < len * 8 {
+    if !holds(buf, len, 8) {
         return Err(corrupt("truncated f64 array"));
     }
     Ok((0..len).map(|_| buf.get_f64_le()).collect())
@@ -395,7 +403,7 @@ impl BinarySketch for KmvSketch {
         let seed = get_u64(buf)?;
         let capacity = get_u64(buf)? as usize;
         let len = get_u64(buf)? as usize;
-        if buf.remaining() < len * 16 {
+        if !holds(buf, len, 16) {
             return Err(corrupt("truncated KMV entries"));
         }
         let mut entries = Vec::with_capacity(len);
@@ -436,7 +444,7 @@ impl BinarySketch for SimHashSketch {
         let bits = get_u64(buf)? as usize;
         let norm = get_f64(buf)?;
         let len = get_u64(buf)? as usize;
-        if buf.remaining() < len * 8 {
+        if !holds(buf, len, 8) {
             return Err(corrupt("truncated SimHash words"));
         }
         let words: Vec<u64> = (0..len).map(|_| buf.get_u64_le()).collect();
@@ -516,7 +524,7 @@ impl BinarySketch for IcwsSketch {
         let seed = get_u64(buf)?;
         let norm = get_f64(buf)?;
         let len = get_u64(buf)? as usize;
-        if buf.remaining() < len * 24 {
+        if !holds(buf, len, 24) {
             return Err(corrupt("truncated ICWS samples"));
         }
         let mut samples = Vec::with_capacity(len);
@@ -723,6 +731,35 @@ mod tests {
                 "cut at {cut} should fail"
             );
         }
+    }
+
+    #[test]
+    fn decode_rejects_lengths_whose_byte_counts_overflow() {
+        // 2^61 records of 8, 16 or 24 bytes wrap to 0 bytes in 64 bits; the
+        // decoders must refuse such a length, not allocate for it.
+        let v = sample_vector();
+        let patched = |bytes: &[u8], at: usize, len: u64| {
+            assert_eq!(
+                bytes[at..at + 8],
+                len.to_le_bytes(),
+                "length prefix at {at}"
+            );
+            let mut bytes = bytes.to_vec();
+            bytes[at..at + 8].copy_from_slice(&(1u64 << 61).to_le_bytes());
+            bytes
+        };
+        let wmh = WeightedMinHasher::new(16, 7, 1 << 12).unwrap();
+        let bytes = wmh.sketch(&v).unwrap().to_bytes();
+        assert!(WeightedMinHashSketch::from_bytes(&patched(&bytes, 39, 16)).is_err());
+        let kmv = KmvSketcher::new(8, 7).unwrap();
+        let bytes = kmv.sketch(&v).unwrap().to_bytes();
+        assert!(KmvSketch::from_bytes(&patched(&bytes, 22, 8)).is_err());
+        let simhash = SimHashSketcher::new(64, 7).unwrap();
+        let bytes = simhash.sketch(&v).unwrap().to_bytes();
+        assert!(SimHashSketch::from_bytes(&patched(&bytes, 30, 1)).is_err());
+        let icws = IcwsSketcher::new(4, 7).unwrap();
+        let bytes = icws.sketch(&v).unwrap().to_bytes();
+        assert!(IcwsSketch::from_bytes(&patched(&bytes, 22, 4)).is_err());
     }
 
     #[test]

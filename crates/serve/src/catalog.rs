@@ -20,6 +20,7 @@
 
 use crate::error::{corrupt, io_error, CatalogError};
 use crate::manifest::{fnv64, CompanionRef, Manifest, ManifestEntry};
+use ipsketch_core::method::AnySketch;
 use ipsketch_core::{FormatVersion, SketcherKind, SketcherSpec};
 use ipsketch_join::SketchedColumn;
 use std::fs;
@@ -283,7 +284,7 @@ impl Catalog {
                     column: column.column.clone(),
                 });
             }
-            self.validate_column(column)?;
+            validate_column(&self.manifest.spec, column)?;
             if let Some(Some(companion)) = companions.map(|c| &c[i]) {
                 self.validate_companion(column, companion)?;
             }
@@ -400,7 +401,7 @@ impl Catalog {
                 entry.file, column.table, column.column, entry.table, entry.column
             )));
         }
-        self.validate_column(&column)?;
+        validate_column(&self.manifest.spec, &column)?;
         Ok(column)
     }
 
@@ -510,23 +511,6 @@ impl Catalog {
         let primary = self.load_entry(entry)?;
         self.validate_companion(&primary, &companion)?;
         Ok(Some(companion))
-    }
-
-    /// Validates all three sketches of a column against the catalog spec.
-    fn validate_column(&self, column: &SketchedColumn) -> Result<(), CatalogError> {
-        for sketch in [
-            column.key_indicator(),
-            column.values(),
-            column.squared_values(),
-        ] {
-            self.manifest
-                .spec
-                .validate_sketch(sketch)
-                .map_err(|e| CatalogError::Incompatible {
-                    detail: format!("column `{}.{}`: {e}", column.table, column.column),
-                })?;
-        }
-        Ok(())
     }
 
     /// Validates a companion sketch against the catalog's companion spec and its
@@ -729,6 +713,66 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CatalogError
         }
     }
     Ok(())
+}
+
+/// Validates all three sketches of a column against `spec`.
+fn validate_column(spec: &SketcherSpec, column: &SketchedColumn) -> Result<(), CatalogError> {
+    for sketch in column.sketches() {
+        spec.validate_sketch(sketch)
+            .map_err(|e| CatalogError::Incompatible {
+                detail: format!("column `{}.{}`: {e}", column.table, column.column),
+            })?;
+    }
+    Ok(())
+}
+
+/// Decodes a sketch blob that arrives from outside the catalog — an
+/// `import-column` payload or a `rank` query sketch — and checks it could have
+/// been built under `spec`: the blob's format is the spec's, each of its three
+/// sketches passes [`SketcherSpec::validate_sketch`], and a Weighted MinHash
+/// sketch carries only values a sampler can produce (hashes in `[0, 1]`,
+/// finite values, a finite positive norm).  Hostile bytes get a typed error,
+/// never a panic and never a sketch that would rank.
+///
+/// # Errors
+///
+/// [`CatalogError::Corrupt`] when the bytes do not decode;
+/// [`CatalogError::Incompatible`] for any other check.
+pub fn decode_column_blob(
+    spec: &SketcherSpec,
+    blob: &[u8],
+) -> Result<SketchedColumn, CatalogError> {
+    let (column, format) = SketchedColumn::from_bytes_versioned(blob).map_err(|e| match e {
+        ipsketch_join::JoinError::Sketch(s) => corrupt(format!("sketch blob: {s}")),
+        other => CatalogError::Join(other),
+    })?;
+    let incompatible = |detail: String| CatalogError::Incompatible {
+        detail: format!("column `{}.{}`: {detail}", column.table, column.column),
+    };
+    if format != spec.format {
+        return Err(incompatible(format!(
+            "sketch blob is format {}, catalog is format {}",
+            format.label(),
+            spec.format.label()
+        )));
+    }
+    validate_column(spec, &column)?;
+    for sketch in column.sketches() {
+        if let AnySketch::WeightedMinHash(wmh) = sketch {
+            if !wmh.hashes().iter().all(|h| (0.0..=1.0).contains(h)) {
+                return Err(incompatible("WMH hash outside [0, 1]".to_string()));
+            }
+            if !wmh.values().iter().all(|v| v.is_finite()) {
+                return Err(incompatible("non-finite WMH value".to_string()));
+            }
+            if !(wmh.norm().is_finite() && wmh.norm() > 0.0) {
+                return Err(incompatible(
+                    "WMH norm is not finite and positive".to_string(),
+                ));
+            }
+        }
+    }
+    Ok(column)
 }
 
 #[cfg(test)]

@@ -28,10 +28,11 @@ pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 
 /// Route table: URL path ↔ op token, one route per op.  `GET` is only valid on
 /// `/v1/info`; every route accepts `POST`.
-pub const ROUTES: [(&str, &str); 11] = [
+pub const ROUTES: [(&str, &str); 12] = [
     ("/v1/info", "info"),
     ("/v1/query", "query"),
     ("/v1/batch-query", "batch-query"),
+    ("/v1/rank", "rank"),
     ("/v1/ingest", "ingest"),
     ("/v1/ingest-begin", "ingest-begin"),
     ("/v1/ingest-announce", "ingest-announce"),

@@ -25,10 +25,11 @@ const BUCKETS: usize = 64;
 /// The op labels the server tracks, in the stable order they appear in wire
 /// snapshots.  The final `"invalid"` slot absorbs requests whose op could not be
 /// decoded (bad JSON, unknown op, oversized lines).
-pub const OP_LABELS: [&str; 12] = [
+pub const OP_LABELS: [&str; 13] = [
     "info",
     "query",
     "batch-query",
+    "rank",
     "ingest",
     "ingest-begin",
     "ingest-announce",
@@ -305,7 +306,17 @@ mod tests {
                 k: 1,
                 min_join_size: 0.0,
                 cascade: false,
-                queries: vec![q],
+                queries: vec![q.clone()],
+            },
+            RequestBody::Rank {
+                mode: Mode::Joinable,
+                k: 1,
+                min_join_size: 0.0,
+                cascade: false,
+                queries: vec![crate::protocol::WireRankQuery {
+                    query: q,
+                    sketch: vec![0],
+                }],
             },
             RequestBody::Ingest {
                 table: t.clone(),

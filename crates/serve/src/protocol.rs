@@ -15,10 +15,12 @@
 //! *fields* are ignored (forward-compatible additions); unknown *ops* are
 //! [`ErrorCode::UnknownOp`].
 
+use crate::catalog::decode_column_blob;
 use crate::error::CatalogError;
 use crate::wire::Json;
+use ipsketch_core::{FormatVersion, SketcherSpec};
 use ipsketch_data::{Column, Table};
-use ipsketch_join::{JoinError, RankedColumn};
+use ipsketch_join::{JoinError, JoinEstimator, RankedColumn, SketchedColumn};
 use std::fmt;
 
 /// The protocol major version this build speaks, sent and required as `"v"`.
@@ -349,8 +351,8 @@ impl WireQuery {
         .map_err(|e| WireError::bad_request(format!("invalid query column: {e}")))
     }
 
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
+    fn members(&self) -> Vec<(String, Json)> {
+        vec![
             ("table".to_string(), Json::str(&self.table)),
             ("column".to_string(), Json::str(&self.column)),
             (
@@ -361,7 +363,11 @@ impl WireQuery {
                 "values".to_string(),
                 Json::Arr(self.values.iter().map(|&v| Json::f64(v)).collect()),
             ),
-        ])
+        ]
+    }
+
+    fn to_json(&self) -> Json {
+        Json::Obj(self.members())
     }
 
     fn from_json(value: &Json) -> Result<Self, WireError> {
@@ -370,6 +376,117 @@ impl WireQuery {
             column: require_str(value, "column")?,
             keys: require_u64_array(value, "keys")?,
             values: require_f64_array(value, "values")?,
+        })
+    }
+}
+
+/// Refuses `cascade` outside `joinable` mode (the cascade's margin is sized for
+/// join sizes only).
+///
+/// # Errors
+///
+/// [`ErrorCode::BadRequest`] for a cascaded `related` request.
+pub fn check_cascade(mode: Mode, cascade: bool) -> Result<(), WireError> {
+    if cascade && mode == Mode::Related {
+        return Err(WireError::bad_request(
+            "`cascade` applies to `joinable` queries only",
+        ));
+    }
+    Ok(())
+}
+
+/// Checks a ranking request's preconditions and sketches its query columns with
+/// `estimator`, in request order.  This is the one query-sketching path: a node
+/// runs it for `query` and `batch-query`, and a router runs it once per client
+/// read before sending `rank`, so both answer the same errors in the same order.
+///
+/// # Errors
+///
+/// [`ErrorCode::BadRequest`] for a cascaded `related` request or an invalid
+/// query column (misaligned or repeated keys); [`ErrorCode::Join`] for a column
+/// the estimator cannot sketch (no value mass, non-finite values).
+pub fn sketch_queries(
+    estimator: &JoinEstimator,
+    queries: &[WireQuery],
+    mode: Mode,
+    cascade: bool,
+) -> Result<Vec<SketchedColumn>, WireError> {
+    check_cascade(mode, cascade)?;
+    queries
+        .iter()
+        .map(|query| {
+            estimator
+                .sketch_column(&query.to_table()?, &query.column)
+                .map_err(WireError::from)
+        })
+        .collect()
+}
+
+/// A query column shipped with its primary sketch already built — one entry of
+/// a `rank` request.  A router sketches each client query column once, under
+/// the cluster's spec, and sends the sketch to every node, which checks it
+/// ([`to_sketched`](Self::to_sketched)) instead of sketching the column again.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WireRankQuery {
+    /// The query column, as `query` carries it.  Its keys and values stay in
+    /// the request: a cascade builds the companion (cheap-tier) sketch from
+    /// them on the node.
+    pub query: WireQuery,
+    /// [`SketchedColumn::encode`] of the query column under the catalog's
+    /// primary spec and format — the blob layout `export-column` ships (hex on
+    /// the wire).
+    pub sketch: Vec<u8>,
+}
+
+impl WireRankQuery {
+    /// Pairs `query` with the blob of its primary sketch under `format`.
+    #[must_use]
+    pub fn new(query: WireQuery, sketched: &SketchedColumn, format: FormatVersion) -> Self {
+        WireRankQuery {
+            query,
+            sketch: sketched.encode(format),
+        }
+    }
+
+    /// Decodes the sketch and checks it against the catalog's `spec` and
+    /// against the query column it claims to summarize.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_column_blob`] (`corrupt` for bytes that do not decode,
+    /// `incompatible` for a sketch not built under `spec`), plus
+    /// [`ErrorCode::BadRequest`] when the blob names another column or row
+    /// count than the query.
+    pub fn to_sketched(&self, spec: &SketcherSpec) -> Result<SketchedColumn, WireError> {
+        let sketched = decode_column_blob(spec, &self.sketch)?;
+        let query = &self.query;
+        if sketched.table != query.table
+            || sketched.column != query.column
+            || sketched.rows != query.keys.len()
+        {
+            return Err(WireError::bad_request(format!(
+                "`sketch` summarizes `{}.{}` ({} rows) but the query is `{}.{}` ({} rows)",
+                sketched.table,
+                sketched.column,
+                sketched.rows,
+                query.table,
+                query.column,
+                query.keys.len()
+            )));
+        }
+        Ok(sketched)
+    }
+
+    fn to_json(&self) -> Json {
+        let mut members = self.query.members();
+        members.push(("sketch".to_string(), Json::str(encode_hex(&self.sketch))));
+        Json::Obj(members)
+    }
+
+    fn from_json(value: &Json) -> Result<Self, WireError> {
+        Ok(WireRankQuery {
+            query: WireQuery::from_json(value)?,
+            sketch: decode_hex(&require_str(value, "sketch")?, "sketch")?,
         })
     }
 }
@@ -406,35 +523,45 @@ impl WireSketch {
             table: require_str(value, "table")?,
             column: require_str(value, "column")?,
             rows: require_u64(value, "rows")?,
-            bytes: decode_hex(&require_str(value, "bytes")?)?,
+            bytes: decode_hex(&require_str(value, "bytes")?, "bytes")?,
         })
     }
 }
 
+/// Lowercase hex, two digits per byte, from a 16-entry table: sketch blobs run
+/// to tens of kilobytes, so no per-byte formatting.
 fn encode_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = Vec::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)]);
+        out.push(DIGITS[usize::from(b & 0x0f)]);
     }
-    out
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
-fn decode_hex(text: &str) -> Result<Vec<u8>, WireError> {
+/// Decodes the hex string of member `member` (either case); errors name that
+/// member.
+fn decode_hex(text: &str, member: &str) -> Result<Vec<u8>, WireError> {
     if text.len() % 2 != 0 {
-        return Err(WireError::bad_request(
-            "`bytes` must be an even-length hex string",
-        ));
+        return Err(WireError::bad_request(format!(
+            "`{member}` must be an even-length hex string"
+        )));
     }
-    let digits = text.as_bytes();
-    let mut out = Vec::with_capacity(digits.len() / 2);
-    for pair in digits.chunks_exact(2) {
-        let hi = (pair[0] as char)
-            .to_digit(16)
-            .ok_or_else(|| WireError::bad_request("`bytes` must hold only hex digits"))?;
-        let lo = (pair[1] as char)
-            .to_digit(16)
-            .ok_or_else(|| WireError::bad_request("`bytes` must hold only hex digits"))?;
-        out.push((hi * 16 + lo) as u8);
+    let nibble = |digit: u8| match digit {
+        b'0'..=b'9' => Some(digit - b'0'),
+        b'a'..=b'f' => Some(digit - b'a' + 10),
+        b'A'..=b'F' => Some(digit - b'A' + 10),
+        _ => None,
+    };
+    let mut out = Vec::with_capacity(text.len() / 2);
+    for pair in text.as_bytes().chunks_exact(2) {
+        let (Some(hi), Some(lo)) = (nibble(pair[0]), nibble(pair[1])) else {
+            return Err(WireError::bad_request(format!(
+                "`{member}` must hold only hex digits"
+            )));
+        };
+        out.push(hi << 4 | lo);
     }
     Ok(out)
 }
@@ -512,6 +639,22 @@ pub enum RequestBody {
         /// The query columns; response ranking `i` answers query `i`.
         queries: Vec<WireQuery>,
     },
+    /// Rank query columns whose primary sketches arrive already built, answered
+    /// like `batch-query`.  This is the read a router sends its nodes: it
+    /// sketches each client query column once and every node ranks the same
+    /// sketch, instead of every node sketching the column again.
+    Rank {
+        /// Ranking statistic.
+        mode: Mode,
+        /// How many results to return per query.
+        k: u64,
+        /// Minimum estimated join size (`related` mode only).
+        min_join_size: f64,
+        /// Answer through the tiered cascade; see [`RequestBody::Query`].
+        cascade: bool,
+        /// The sketched query columns; response ranking `i` answers query `i`.
+        queries: Vec<WireRankQuery>,
+    },
     /// Sketch and register a complete table (optionally via the chunk-and-merge
     /// partitioned path).
     Ingest {
@@ -582,6 +725,7 @@ impl RequestBody {
             RequestBody::Info { .. } => "info",
             RequestBody::Query { .. } => "query",
             RequestBody::BatchQuery { .. } => "batch-query",
+            RequestBody::Rank { .. } => "rank",
             RequestBody::Ingest { .. } => "ingest",
             RequestBody::IngestBegin { .. } => "ingest-begin",
             RequestBody::IngestAnnounce { .. } => "ingest-announce",
@@ -636,14 +780,7 @@ impl Request {
                 cascade,
                 query,
             } => {
-                members.push(("mode".to_string(), Json::str(mode.as_str())));
-                members.push(("k".to_string(), Json::u64(*k)));
-                if *mode == Mode::Related {
-                    members.push(("min_join_size".to_string(), Json::f64(*min_join_size)));
-                }
-                if *cascade {
-                    members.push(("cascade".to_string(), Json::Bool(true)));
-                }
+                push_ranking_knobs(&mut members, *mode, *k, *min_join_size, *cascade);
                 members.push(("query".to_string(), query.to_json()));
             }
             RequestBody::BatchQuery {
@@ -653,17 +790,23 @@ impl Request {
                 cascade,
                 queries,
             } => {
-                members.push(("mode".to_string(), Json::str(mode.as_str())));
-                members.push(("k".to_string(), Json::u64(*k)));
-                if *mode == Mode::Related {
-                    members.push(("min_join_size".to_string(), Json::f64(*min_join_size)));
-                }
-                if *cascade {
-                    members.push(("cascade".to_string(), Json::Bool(true)));
-                }
+                push_ranking_knobs(&mut members, *mode, *k, *min_join_size, *cascade);
                 members.push((
                     "queries".to_string(),
                     Json::Arr(queries.iter().map(WireQuery::to_json).collect()),
+                ));
+            }
+            RequestBody::Rank {
+                mode,
+                k,
+                min_join_size,
+                cascade,
+                queries,
+            } => {
+                push_ranking_knobs(&mut members, *mode, *k, *min_join_size, *cascade);
+                members.push((
+                    "queries".to_string(),
+                    Json::Arr(queries.iter().map(WireRankQuery::to_json).collect()),
                 ));
             }
             RequestBody::Ingest { table, partitions } => {
@@ -745,10 +888,7 @@ impl Request {
             },
             "query" => RequestBody::Query {
                 mode: decode_mode(doc).map_err(&fail)?,
-                k: doc.get("k").map_or(Ok(DEFAULT_TOP_K), |k| {
-                    k.as_u64()
-                        .ok_or_else(|| fail(WireError::bad_request("`k` must be an integer")))
-                })?,
+                k: decode_k(doc).map_err(&fail)?,
                 min_join_size: decode_min_join_size(doc).map_err(&fail)?,
                 cascade: decode_cascade(doc).map_err(&fail)?,
                 query: WireQuery::from_json(
@@ -757,26 +897,22 @@ impl Request {
                 )
                 .map_err(&fail)?,
             },
-            "batch-query" => {
-                let queries_json = doc
-                    .get("queries")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| fail(WireError::bad_request("missing `queries` array")))?;
-                let mut queries = Vec::with_capacity(queries_json.len());
-                for q in queries_json {
-                    queries.push(WireQuery::from_json(q).map_err(&fail)?);
-                }
-                RequestBody::BatchQuery {
-                    mode: decode_mode(doc).map_err(&fail)?,
-                    k: doc.get("k").map_or(Ok(DEFAULT_TOP_K), |k| {
-                        k.as_u64()
-                            .ok_or_else(|| fail(WireError::bad_request("`k` must be an integer")))
-                    })?,
-                    min_join_size: decode_min_join_size(doc).map_err(&fail)?,
-                    cascade: decode_cascade(doc).map_err(&fail)?,
-                    queries,
-                }
-            }
+            "batch-query" => RequestBody::BatchQuery {
+                // Fields evaluate in written order: `queries` is checked first.
+                queries: decode_queries(doc, WireQuery::from_json).map_err(&fail)?,
+                mode: decode_mode(doc).map_err(&fail)?,
+                k: decode_k(doc).map_err(&fail)?,
+                min_join_size: decode_min_join_size(doc).map_err(&fail)?,
+                cascade: decode_cascade(doc).map_err(&fail)?,
+            },
+            "rank" => RequestBody::Rank {
+                // Fields evaluate in written order: `queries` is checked first.
+                queries: decode_queries(doc, WireRankQuery::from_json).map_err(&fail)?,
+                mode: decode_mode(doc).map_err(&fail)?,
+                k: decode_k(doc).map_err(&fail)?,
+                min_join_size: decode_min_join_size(doc).map_err(&fail)?,
+                cascade: decode_cascade(doc).map_err(&fail)?,
+            },
             "ingest" => RequestBody::Ingest {
                 table: WireTable::from_json(
                     doc.get("table")
@@ -839,6 +975,43 @@ impl Request {
         };
         Ok(Request { id, body })
     }
+}
+
+/// The members `query`, `batch-query` and `rank` share, in wire order.
+fn push_ranking_knobs(
+    members: &mut Vec<(String, Json)>,
+    mode: Mode,
+    k: u64,
+    min_join_size: f64,
+    cascade: bool,
+) {
+    members.push(("mode".to_string(), Json::str(mode.as_str())));
+    members.push(("k".to_string(), Json::u64(k)));
+    if mode == Mode::Related {
+        members.push(("min_join_size".to_string(), Json::f64(min_join_size)));
+    }
+    if cascade {
+        members.push(("cascade".to_string(), Json::Bool(true)));
+    }
+}
+
+fn decode_k(doc: &Json) -> Result<u64, WireError> {
+    doc.get("k").map_or(Ok(DEFAULT_TOP_K), |k| {
+        k.as_u64()
+            .ok_or_else(|| WireError::bad_request("`k` must be an integer"))
+    })
+}
+
+fn decode_queries<T>(
+    doc: &Json,
+    decode: impl Fn(&Json) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    doc.get("queries")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| WireError::bad_request("missing `queries` array"))?
+        .iter()
+        .map(decode)
+        .collect()
 }
 
 fn decode_mode(doc: &Json) -> Result<Mode, WireError> {
@@ -1234,6 +1407,11 @@ pub enum ResponseBody {
         /// catalogs serve read-only until migrated.  Always sent by this server;
         /// optional on decode for compatibility with older transcripts.
         format: Option<String>,
+        /// `SketcherSpec::encode` of the catalog's primary spec (hex on the
+        /// wire): what a router needs to sketch query columns the way its nodes
+        /// would.  Always sent by this server; optional on decode for
+        /// compatibility with older transcripts.
+        spec: Option<Vec<u8>>,
         /// Every registered column.
         columns: Vec<InfoColumn>,
         /// Deterministic service statistics (always sent by this server; optional
@@ -1375,6 +1553,7 @@ impl ResponseBody {
                 fingerprint,
                 method,
                 format,
+                spec,
                 columns,
                 stats,
                 server,
@@ -1387,6 +1566,9 @@ impl ResponseBody {
                 ];
                 if let Some(format) = format {
                     info.push(("format".to_string(), Json::str(format)));
+                }
+                if let Some(spec) = spec {
+                    info.push(("spec".to_string(), Json::str(encode_hex(spec))));
                 }
                 info.push((
                     "columns".to_string(),
@@ -1503,6 +1685,10 @@ impl ResponseBody {
                     .get("format")
                     .and_then(Json::as_str)
                     .map(str::to_string),
+                spec: match info.get("spec") {
+                    None => None,
+                    Some(_) => Some(decode_hex(&require_str(info, "spec")?, "spec")?),
+                },
                 columns,
                 stats: match info.get("stats") {
                     None => None,
@@ -1644,6 +1830,8 @@ fn require_f64_array(value: &Json, key: &str) -> Result<Vec<f64>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipsketch_core::method::{AnySketch, AnySketcher, SketchMethod};
+    use proptest::prelude::*;
 
     fn sample_query() -> WireQuery {
         WireQuery {
@@ -1769,6 +1957,7 @@ mod tests {
                 fingerprint: "00ff00ff00ff00ff".to_string(),
                 method: "WMH".to_string(),
                 format: None,
+                spec: None,
                 columns: vec![InfoColumn {
                     table: "weather".to_string(),
                     column: "precip".to_string(),
@@ -1783,6 +1972,7 @@ mod tests {
                 fingerprint: "00ff00ff00ff00ff".to_string(),
                 method: "WMH".to_string(),
                 format: Some("v2".to_string()),
+                spec: Some(vec![0x02, 0x05, 0xff]),
                 columns: vec![],
                 stats: Some(WireServiceStats {
                     columns: 3,
@@ -2064,16 +2254,255 @@ mod tests {
     #[test]
     fn sketch_blobs_survive_hex_encoding_and_reject_bad_hex() {
         let blob: Vec<u8> = (0..=255).collect();
-        assert_eq!(decode_hex(&encode_hex(&blob)).expect("round trips"), blob);
+        assert_eq!(
+            decode_hex(&encode_hex(&blob), "bytes").expect("round trips"),
+            blob
+        );
         assert_eq!(encode_hex(&[0x00, 0xff, 0x0a]), "00ff0a");
+        for (text, member) in [("abc", "bytes"), ("zz", "bytes"), ("0g", "sketch")] {
+            let error = decode_hex(text, member).expect_err("not even-length hex");
+            assert_eq!(error.code, ErrorCode::BadRequest);
+            assert!(
+                error.message.contains(&format!("`{member}`")),
+                "the error names the decoded member: {}",
+                error.message
+            );
+        }
+    }
+
+    /// The hex encoder before the table encoder replaced it: one `format!`
+    /// per byte.  The table encoder must match it byte for byte.
+    fn encode_hex_reference(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn table_hex_encoder_matches_the_formatting_reference_for_every_byte() {
+        for b in 0..=u8::MAX {
+            assert_eq!(
+                encode_hex(&[b]),
+                encode_hex_reference(&[b]),
+                "byte {b:#04x}"
+            );
+        }
+        let blob: Vec<u8> = (0..=u8::MAX).rev().chain(0..=u8::MAX).collect();
+        assert_eq!(encode_hex(&blob), encode_hex_reference(&blob));
         assert_eq!(
-            decode_hex("abc").expect_err("odd length").code,
-            ErrorCode::BadRequest
+            decode_hex(&encode_hex(&blob), "bytes").expect("round trips"),
+            blob
         );
+    }
+
+    /// A WMH spec and `sample_query` shipped with its sketch under that spec.
+    fn rank_fixture() -> (SketcherSpec, WireRankQuery) {
+        let sketcher =
+            AnySketcher::for_budget(SketchMethod::WeightedMinHash, 64.0, 7).expect("budget fits");
+        let spec = sketcher.spec();
+        let query = sample_query();
+        let sketched = sketch_queries(
+            &JoinEstimator::new(sketcher),
+            std::slice::from_ref(&query),
+            Mode::Joinable,
+            false,
+        )
+        .expect("the sample query sketches")
+        .remove(0);
+        (spec, WireRankQuery::new(query, &sketched, spec.format))
+    }
+
+    /// Byte offsets of every `f64` in the hash and value arrays of the three
+    /// WMH sketches of `rank`'s blob, checked against the decoded sketches.
+    fn wmh_payload_offsets(spec: &SketcherSpec, rank: &WireRankQuery) -> (Vec<usize>, Vec<usize>) {
+        let blob = &rank.sketch;
+        let column = rank.to_sketched(spec).expect("the fixture ranks");
+        // magic, format byte, two length-prefixed names, the row count.
+        let mut at = 4 + 1 + 4 + column.table.len() + 4 + column.column.len() + 8;
+        let (mut hashes, mut values) = (Vec::new(), Vec::new());
+        for sketch in column.sketches() {
+            let len = u32::from_le_bytes(blob[at..at + 4].try_into().expect("4 bytes")) as usize;
+            let AnySketch::WeightedMinHash(wmh) = sketch else {
+                panic!("the fixture is WMH");
+            };
+            let m = wmh.hashes().len();
+            // Sketch header (6), samples, seed, L (8 each), variant (1), norm
+            // (8), then the length-prefixed hash and value arrays.
+            let first_hash = at + 4 + 6 + 24 + 1 + 8 + 8;
+            let first_value = first_hash + 8 * m + 8;
+            for i in 0..m {
+                let read = |offset: usize| {
+                    f64::from_le_bytes(blob[offset..offset + 8].try_into().expect("8 bytes"))
+                };
+                assert_eq!(
+                    read(first_hash + 8 * i).to_bits(),
+                    wmh.hashes()[i].to_bits()
+                );
+                assert_eq!(
+                    read(first_value + 8 * i).to_bits(),
+                    wmh.values()[i].to_bits()
+                );
+                hashes.push(first_hash + 8 * i);
+                values.push(first_value + 8 * i);
+            }
+            at += 4 + len;
+        }
+        assert_eq!(at, blob.len(), "three sketches fill the blob");
+        (hashes, values)
+    }
+
+    fn patched(rank: &WireRankQuery, offset: usize, value: f64) -> WireRankQuery {
+        let mut rank = rank.clone();
+        rank.sketch[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+        rank
+    }
+
+    #[test]
+    fn rank_requests_round_trip_and_rank_sketches_decode() {
+        let (spec, rank) = rank_fixture();
+        let request = Request {
+            id: Json::u64(5),
+            body: RequestBody::Rank {
+                mode: Mode::Joinable,
+                k: 4,
+                min_join_size: 0.0,
+                cascade: true,
+                queries: vec![rank.clone(), rank.clone()],
+            },
+        };
+        let line = request.encode();
+        assert!(line.contains(r#""op":"rank""#), "{line}");
+        assert_eq!(Request::decode(&line).expect("decodes"), request);
+        let sketched = rank.to_sketched(&spec).expect("an honest sketch ranks");
+        assert_eq!(sketched.encode(spec.format), rank.sketch);
+    }
+
+    #[test]
+    fn hostile_rank_sketches_get_typed_errors() {
+        let (spec, good) = rank_fixture();
+        // On the wire: the `sketch` member must be present and even-length hex.
+        for member in [
+            r#","sketch":"abc""#,
+            r#","sketch":"zz""#,
+            r#","sketch":7"#,
+            "",
+        ] {
+            let line = format!(
+                r#"{{"v":1,"op":"rank","queries":[{{"table":"t","column":"c","keys":[1],"values":[1.0]{member}}}]}}"#
+            );
+            let error = Request::decode(&line).expect_err(&line).error;
+            assert_eq!(error.code, ErrorCode::BadRequest, "{line}");
+            assert!(error.message.contains("`sketch`"), "{}", error.message);
+        }
+        let code = |rank: WireRankQuery| {
+            rank.to_sketched(&spec)
+                .expect_err("a hostile sketch must not rank")
+                .code
+        };
+        let with_blob = |sketch: Vec<u8>| WireRankQuery {
+            sketch,
+            ..good.clone()
+        };
+        let blob = &good.sketch;
+        // Bytes that do not decode.
+        assert_eq!(code(with_blob(Vec::new())), ErrorCode::Corrupt);
         assert_eq!(
-            decode_hex("zz").expect_err("not hex").code,
-            ErrorCode::BadRequest
+            code(with_blob(blob[..blob.len() / 2].to_vec())),
+            ErrorCode::Corrupt
         );
+        let mut bad_magic = blob.clone();
+        bad_magic[0] ^= 0xff;
+        assert_eq!(code(with_blob(bad_magic)), ErrorCode::Corrupt);
+        let (hashes, values) = wmh_payload_offsets(&spec, &good);
+        // The sample count field of the first sketch disagrees with its arrays.
+        let samples_at = hashes[0] - 8 - 8 - 1 - 24;
+        let mut miscounted = blob.clone();
+        miscounted[samples_at] ^= 1;
+        assert_eq!(code(with_blob(miscounted)), ErrorCode::Corrupt);
+        // Sketches of a foreign spec: another seed, budget or method.
+        let table = good.query.to_table().expect("valid query");
+        for (method, budget, seed) in [
+            (SketchMethod::WeightedMinHash, 64.0, 8),
+            (SketchMethod::WeightedMinHash, 128.0, 7),
+            (SketchMethod::Kmv, 64.0, 7),
+        ] {
+            let foreign = AnySketcher::for_budget(method, budget, seed).expect("budget fits");
+            let sketched = JoinEstimator::new(foreign)
+                .sketch_column(&table, &good.query.column)
+                .expect("sketches");
+            let rank = WireRankQuery::new(good.query.clone(), &sketched, spec.format);
+            assert_eq!(
+                code(rank),
+                ErrorCode::Incompatible,
+                "{method:?} {budget} {seed}"
+            );
+        }
+        // A format-v1 blob sent to a format-v2 catalog.
+        let column = good.to_sketched(&spec).expect("the fixture ranks");
+        assert_eq!(
+            code(with_blob(column.encode(FormatVersion::V1))),
+            ErrorCode::Incompatible
+        );
+        // Hashes no sampler produces, and non-finite values.
+        for hostile in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.25, 1.5] {
+            assert_eq!(
+                code(patched(&good, hashes[0], hostile)),
+                ErrorCode::Incompatible
+            );
+        }
+        for hostile in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                code(patched(&good, values[0], hostile)),
+                ErrorCode::Incompatible
+            );
+        }
+        // A sketch of another column, or of the query with another row count.
+        let mut renamed = good.clone();
+        renamed.query.table = "other".to_string();
+        assert_eq!(code(renamed), ErrorCode::BadRequest);
+        let mut recolumned = good.clone();
+        recolumned.query.column = "other".to_string();
+        assert_eq!(code(recolumned), ErrorCode::BadRequest);
+        let mut longer = good.clone();
+        longer.query.keys.push(99);
+        longer.query.values.push(1.0);
+        assert_eq!(code(longer), ErrorCode::BadRequest);
+    }
+
+    proptest! {
+        #[test]
+        fn rank_sketch_decoding_is_total(
+            flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+            cut in any::<usize>(),
+            target in 0usize..2,
+            slot in any::<usize>(),
+            kind in 0usize..5,
+            magnitude in 1e-6f64..1e6,
+        ) {
+            let (spec, good) = rank_fixture();
+            // Arbitrary damage: byte flips, then a truncation.  Any outcome is
+            // allowed except a panic; a sketch that still decodes passed every
+            // check `to_sketched` makes.
+            let mut damaged = good.clone();
+            for (at, mask) in flips {
+                let len = damaged.sketch.len();
+                damaged.sketch[at % len] ^= mask;
+            }
+            damaged.sketch.truncate(cut % (good.sketch.len() + 1));
+            if let Ok(column) = damaged.to_sketched(&spec) {
+                prop_assert_eq!(column.rows, good.query.keys.len());
+            }
+            // One hostile number in a hash or value array never ranks.
+            let (hashes, values) = wmh_payload_offsets(&spec, &good);
+            let (offsets, hostile) = if target == 0 {
+                let value = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -magnitude, 1.0 + magnitude][kind];
+                (&hashes, value)
+            } else {
+                let value = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, f64::INFINITY][kind];
+                (&values, value)
+            };
+            let rank = patched(&good, offsets[slot % offsets.len()], hostile);
+            let error = rank.to_sketched(&spec).expect_err("a hostile sketch must not rank");
+            prop_assert_eq!(error.code, ErrorCode::Incompatible);
+        }
     }
 
     #[test]

@@ -12,12 +12,14 @@
 //!   the router maps its client-facing session onto one lazily-opened session
 //!   per involved node and forwards announce/submit sub-shards in arrival
 //!   order, so every node seals exactly the norms its columns need.
-//! * **Reads** (`query`, `batch-query`, `info`) fan out to every node and the
-//!   per-node top-k lists are merged under the deterministic total order
-//!   (score descending via `total_cmp`, then `(table, column)` ascending),
-//!   deduplicated by key, and truncated to `k`.  Because replicas register
-//!   bit-identical blobs, a node loss changes nothing the merge can observe:
-//!   the surviving replica's entries are byte-identical.
+//! * **Reads** (`query`, `batch-query`, `rank`, `info`) fan out to every node
+//!   and the per-node top-k lists are merged under the deterministic total
+//!   order (score descending via `total_cmp`, then `(table, column)`
+//!   ascending), deduplicated by key, and truncated to `k`.  Because replicas
+//!   register bit-identical blobs, a node loss changes nothing the merge can
+//!   observe: the surviving replica's entries are byte-identical.  A query
+//!   column is sketched once, here, under the nodes' spec (fetched from
+//!   `info` once per topology), and nodes receive it as a `rank`.
 //! * **`drop-column`** fans to every node (placement-agnostic: operators may
 //!   have loaded nodes out-of-band) and succeeds when any node dropped the
 //!   key.
@@ -25,7 +27,7 @@
 //! Every node session runs under a [`RetryPolicy`]: per-attempt connect,
 //! read, and write deadlines plus capped exponential backoff with
 //! deterministic jitter.  Only idempotent reads (`info`, `query`,
-//! `batch-query`, `export-column`) retry — a timed-out write has an unknown
+//! `batch-query`, `rank`, `export-column`) retry — a timed-out write has an unknown
 //! outcome, so it fails fast with `deadline_exceeded` instead.  Nodes that
 //! fail `failure_threshold` consecutive attempts are demoted out of the read
 //! fan-out; the periodic maintenance pass re-checks demoted nodes with `info`
@@ -55,15 +57,18 @@ use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    ErrorCode, InfoColumn, Request, RequestBody, Response, ResponseBody, WireClusterStats,
-    WireError, WireNodeStats, WireRanked, WireServiceStats, WireSketch, WireTable,
+    sketch_queries, ErrorCode, InfoColumn, Request, RequestBody, Response, ResponseBody,
+    WireClusterStats, WireError, WireNodeStats, WireRankQuery, WireRanked, WireServiceStats,
+    WireSketch, WireTable,
 };
-use crate::server::{serve_backend, Backend, ServerConfig, ServerHandle};
+use crate::server::{serve_backend, Backend, ServerConfig, ServerHandle, DEFAULT_MAX_LINE_BYTES};
 use crate::wire::Json;
+use ipsketch_core::SketcherSpec;
+use ipsketch_join::JoinEstimator;
 
 /// Default replication factor: every key lives on two nodes, so the cluster
 /// keeps answering (bit-identically) with any single node down.
@@ -437,13 +442,28 @@ impl NodeState {
 struct Topology {
     nodes: Vec<NodeSpec>,
     states: Vec<NodeState>,
+    /// The nodes' primary sketcher, fetched by the first read that needs it
+    /// ([`Router::sketcher`]); a new topology fetches it again.
+    sketcher: OnceLock<QuerySketcher>,
 }
 
 impl Topology {
     fn new(nodes: Vec<NodeSpec>) -> Topology {
         let states = nodes.iter().map(|_| NodeState::new()).collect();
-        Topology { nodes, states }
+        Topology {
+            nodes,
+            states,
+            sketcher: OnceLock::new(),
+        }
     }
+}
+
+/// The cluster's primary spec and the estimator built from it: the router
+/// sketches each query column once with it, exactly as every node would.
+#[derive(Debug)]
+struct QuerySketcher {
+    spec: SketcherSpec,
+    estimator: JoinEstimator,
 }
 
 /// Cluster-wide router counters backing the `info` response's `cluster`
@@ -491,6 +511,7 @@ fn is_idempotent(body: &RequestBody) -> bool {
         RequestBody::Info { .. }
             | RequestBody::Query { .. }
             | RequestBody::BatchQuery { .. }
+            | RequestBody::Rank { .. }
             | RequestBody::ExportColumn { .. }
     )
 }
@@ -515,6 +536,10 @@ pub struct Router {
     failure_threshold: u64,
     probe_interval: Option<Duration>,
     session_ttl: Duration,
+    /// The longest request line a node accepts: the serving core's
+    /// [`ServerConfig::max_line_bytes`], which the router and its nodes share.
+    /// A `rank` whose line would be longer goes out in parts.
+    max_line_bytes: usize,
     stats: RouterStats,
     sessions: Mutex<HashMap<u64, Arc<Mutex<RouterSession>>>>,
     next_session: AtomicU64,
@@ -557,6 +582,7 @@ impl Router {
             failure_threshold: config.failure_threshold,
             probe_interval: config.probe_interval,
             session_ttl: config.session_ttl,
+            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             stats: RouterStats::default(),
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(0),
@@ -740,43 +766,59 @@ impl Router {
         Ok(ResponseBody::Session(session))
     }
 
+    /// `info {server: false}` fanned to every node, every answer checked to be
+    /// an `info` carrying the same sketcher fingerprint: the one fan-out behind
+    /// both the `info` op and the query sketcher fetch.
+    fn fan_info(
+        &self,
+        topo: &Arc<Topology>,
+        pool: &mut NodePool,
+    ) -> Result<Vec<(usize, ResponseBody)>, WireError> {
+        let answers = self.fan_read(
+            topo,
+            pool,
+            &NodeRequest::new(&RequestBody::Info { server: false }),
+        )?;
+        let mut first: Option<&str> = None;
+        for (_, response) in &answers {
+            let ResponseBody::Info { fingerprint, .. } = response else {
+                return Err(internal("node answered info with a non-info body"));
+            };
+            match first {
+                Some(first) if first != fingerprint => {
+                    return Err(incompatible(format!(
+                        "catalog nodes disagree on the sketcher fingerprint \
+                         ({first} vs {fingerprint})"
+                    )));
+                }
+                _ => first = Some(fingerprint),
+            }
+        }
+        Ok(answers)
+    }
+
     /// `info`: fan out, verify every node runs the same sketcher fingerprint,
     /// and merge columns/stats into one cluster-wide view (plus the `cluster`
     /// member only routers emit).
     fn info(&self, topo: &Arc<Topology>, pool: &mut NodePool) -> Result<ResponseBody, WireError> {
-        let probe = RequestBody::Info { server: false };
-        let responses = self.fan_read(topo, pool, &probe)?;
-        let mut head: Option<(String, String, String, Option<String>)> = None;
         let mut columns: BTreeMap<(String, String), u64> = BTreeMap::new();
         let mut hydrated = 0u64;
         let mut bytes_on_disk = 0u64;
-        for resp in responses {
+        let mut head = None;
+        for (_, response) in self.fan_info(topo, pool)? {
             let ResponseBody::Info {
                 sketcher,
                 fingerprint,
                 method,
                 format,
+                spec,
                 columns: node_columns,
                 stats,
                 ..
-            } = resp
+            } = response
             else {
                 return Err(internal("node answered info with a non-info body"));
             };
-            match &head {
-                None => head = Some((sketcher, fingerprint, method, format)),
-                Some((_, expected, _, _)) => {
-                    if *expected != fingerprint {
-                        return Err(WireError {
-                            code: ErrorCode::Incompatible,
-                            message: format!(
-                                "catalog nodes disagree on the sketcher fingerprint \
-                                 ({expected} vs {fingerprint})"
-                            ),
-                        });
-                    }
-                }
-            }
             for column in node_columns {
                 columns.insert((column.table, column.column), column.rows);
             }
@@ -784,8 +826,9 @@ impl Router {
                 hydrated += stats.hydrated;
                 bytes_on_disk += stats.bytes_on_disk;
             }
+            head.get_or_insert((sketcher, fingerprint, method, format, spec));
         }
-        let (sketcher, fingerprint, method, format) =
+        let (sketcher, fingerprint, method, format, spec) =
             head.ok_or_else(|| internal("info fan-out returned no responses"))?;
         let distinct = columns.len() as u64;
         Ok(ResponseBody::Info {
@@ -793,6 +836,7 @@ impl Router {
             fingerprint,
             method,
             format,
+            spec,
             columns: columns
                 .into_iter()
                 .map(|((table, column), rows)| InfoColumn {
@@ -815,13 +859,68 @@ impl Router {
         })
     }
 
+    /// The primary sketcher of `topo`'s nodes.  The first read on a topology
+    /// fetches it with one `info` fan-out (the nodes must agree on the
+    /// fingerprint and each must report its spec), counted like any other
+    /// node request; later reads reuse it.
+    fn sketcher<'t>(
+        &self,
+        topo: &'t Arc<Topology>,
+        pool: &mut NodePool,
+    ) -> Result<&'t QuerySketcher, WireError> {
+        if let Some(sketcher) = topo.sketcher.get() {
+            return Ok(sketcher);
+        }
+        let answers = self.fan_info(topo, pool)?;
+        let mut head = None;
+        for (node, response) in &answers {
+            let ResponseBody::Info {
+                fingerprint, spec, ..
+            } = response
+            else {
+                return Err(internal("node answered info with a non-info body"));
+            };
+            let Some(spec) = spec else {
+                return Err(incompatible(format!(
+                    "catalog node {} does not report its sketcher spec in `info`; \
+                     the router and its nodes must run the same build",
+                    topo.nodes[*node].addr
+                )));
+            };
+            head.get_or_insert((*node, fingerprint, spec));
+        }
+        let (node, fingerprint, spec) =
+            head.ok_or_else(|| internal("info fan-out returned no responses"))?;
+        let addr = &topo.nodes[node].addr;
+        let spec = SketcherSpec::decode(spec)
+            .ok()
+            .filter(|spec| format!("{:016x}", spec.fingerprint()) == *fingerprint)
+            .ok_or_else(|| {
+                incompatible(format!(
+                    "catalog node {addr} reports a sketcher spec that does not decode to \
+                     its fingerprint {fingerprint}"
+                ))
+            })?;
+        let sketcher = spec.build().map_err(|e| {
+            incompatible(format!(
+                "catalog node {addr} reports a sketcher spec this router cannot build: {e}"
+            ))
+        })?;
+        // Two workers may race here; both built the same sketcher.
+        let _ = topo.sketcher.set(QuerySketcher {
+            spec,
+            estimator: JoinEstimator::new(sketcher),
+        });
+        Ok(topo.sketcher.get().expect("set above"))
+    }
+
     /// `drop-column` fans to every node: placement-agnostic, so it works even
     /// for catalogs loaded into nodes out-of-band.
     fn drop_column(
         &self,
         topo: &Arc<Topology>,
         pool: &mut NodePool,
-        request: &NodeRequest<'_>,
+        request: &NodeRequest,
         table: &str,
         column: &str,
     ) -> Result<ResponseBody, WireError> {
@@ -875,7 +974,7 @@ impl Router {
         &self,
         topo: &Arc<Topology>,
         pool: &mut NodePool,
-        request: &NodeRequest<'_>,
+        request: &NodeRequest,
         table: &str,
         column: &str,
     ) -> Result<ResponseBody, WireError> {
@@ -937,52 +1036,162 @@ impl Router {
         merge_reports(writes, "import-column")
     }
 
-    /// `query` / `batch-query`: fan out, then merge each query's per-node
-    /// rankings and the nodes' advisory notes.
+    /// `query` / `batch-query` / `rank`: sketch each query column once (a
+    /// client `rank` arrives sketched), send every node the `rank`, then merge
+    /// each query's per-node rankings and the nodes' advisory notes.
     fn query(
         &self,
         topo: &Arc<Topology>,
         pool: &mut NodePool,
         body: &RequestBody,
-        k: u64,
     ) -> Result<ResponseBody, WireError> {
-        let batch = match body {
-            RequestBody::BatchQuery { queries, .. } => Some(queries.len()),
-            _ => None,
+        let (mode, k, min_join_size, cascade, queries) = match body {
+            RequestBody::Query {
+                mode,
+                k,
+                min_join_size,
+                cascade,
+                query,
+            } => (mode, k, min_join_size, cascade, std::slice::from_ref(query)),
+            RequestBody::BatchQuery {
+                mode,
+                k,
+                min_join_size,
+                cascade,
+                queries,
+            } => (mode, k, min_join_size, cascade, queries.as_slice()),
+            _ => return self.rank(topo, pool, body),
         };
-        let mut per_node = Vec::new();
-        let mut notes = Vec::new();
-        for response in self.fan_read(topo, pool, body)? {
-            let (rankings, note) = match (response, batch) {
-                (ResponseBody::Ranking { ranking, note }, None) => (vec![ranking], note),
-                (ResponseBody::Rankings { rankings, note }, Some(n)) if rankings.len() == n => {
-                    (rankings, note)
-                }
-                _ => {
-                    return Err(internal(&format!(
-                        "node answered {} with a mis-shaped body",
-                        body.op()
-                    )))
-                }
-            };
-            per_node.push(rankings);
-            notes.extend(note);
+        let sketcher = self.sketcher(topo, pool)?;
+        let sketched = sketch_queries(&sketcher.estimator, queries, *mode, *cascade)?;
+        let rank = RequestBody::Rank {
+            mode: *mode,
+            k: *k,
+            min_join_size: *min_join_size,
+            cascade: *cascade,
+            queries: queries
+                .iter()
+                .zip(&sketched)
+                .map(|(query, sketch)| {
+                    WireRankQuery::new(query.clone(), sketch, sketcher.spec.format)
+                })
+                .collect(),
+        };
+        let rankings = self.rank(topo, pool, &rank)?;
+        match (body, rankings) {
+            (RequestBody::Query { .. }, ResponseBody::Rankings { rankings, note }) => {
+                let [ranking] = <[Vec<WireRanked>; 1]>::try_from(rankings)
+                    .expect("one query yields one ranking");
+                Ok(ResponseBody::Ranking { ranking, note })
+            }
+            (_, rankings) => Ok(rankings),
         }
-        let note = merge_notes(notes);
-        let mut merged = (0..batch.unwrap_or(1)).map(|i| {
-            let column = per_node.iter_mut().map(|node| std::mem::take(&mut node[i]));
-            merge_rankings(column.collect(), k)
-        });
-        Ok(match batch {
-            None => ResponseBody::Ranking {
-                ranking: merged.next().expect("one query yields one ranking"),
-                note,
-            },
-            Some(_) => ResponseBody::Rankings {
-                rankings: merged.collect(),
-                note,
-            },
+    }
+
+    /// `rank`: fan out, then merge each query's per-node rankings and the
+    /// nodes' advisory notes.  A request too long for one node line goes out
+    /// in parts ([`rank_requests`](Self::rank_requests)), whose rankings are
+    /// concatenated in query order.
+    fn rank(
+        &self,
+        topo: &Arc<Topology>,
+        pool: &mut NodePool,
+        body: &RequestBody,
+    ) -> Result<ResponseBody, WireError> {
+        let RequestBody::Rank { k, .. } = body else {
+            return Err(internal("only a rank request is ranked"));
+        };
+        let mut rankings = Vec::new();
+        let mut notes = Vec::new();
+        for (request, count) in self.rank_requests(body)? {
+            let mut per_node = Vec::new();
+            for (_, response) in self.fan_read(topo, pool, &request)? {
+                match response {
+                    ResponseBody::Rankings { rankings, note } if rankings.len() == count => {
+                        per_node.push(rankings);
+                        notes.extend(note);
+                    }
+                    _ => return Err(internal("node answered rank with a mis-shaped body")),
+                }
+            }
+            rankings.extend((0..count).map(|i| {
+                let column = per_node.iter_mut().map(|node| std::mem::take(&mut node[i]));
+                merge_rankings(column.collect(), *k)
+            }));
+        }
+        Ok(ResponseBody::Rankings {
+            rankings,
+            note: merge_notes(notes),
         })
+    }
+
+    /// The node requests that carry the `rank` `body`, each with its query
+    /// count: the whole request when its line fits within
+    /// [`max_line_bytes`](Router::max_line_bytes), else consecutive runs of
+    /// its queries, each as long as still fits.  Sketches make a `rank` line
+    /// far longer than the client's `query` line, so without the split a
+    /// request the router accepted could exceed the bound on every node.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorCode::TooLarge`] when one query alone does not fit, before any
+    /// node is called.
+    fn rank_requests(&self, body: &RequestBody) -> Result<Vec<(NodeRequest, usize)>, WireError> {
+        let RequestBody::Rank {
+            mode,
+            k,
+            min_join_size,
+            cascade,
+            queries,
+        } = body
+        else {
+            return Err(internal("only a rank request is split"));
+        };
+        let whole = NodeRequest::new(body);
+        if whole.line.len() <= self.max_line_bytes {
+            return Ok(vec![(whole, queries.len())]);
+        }
+        let part = |queries: &[WireRankQuery]| {
+            NodeRequest::new(&RequestBody::Rank {
+                mode: *mode,
+                k: *k,
+                min_join_size: *min_join_size,
+                cascade: *cascade,
+                queries: queries.to_vec(),
+            })
+        };
+        // A line is the empty request's plus each query's JSON, with a comma
+        // between two queries.
+        let empty = part(&[]).line.len();
+        let sizes: Vec<usize> = (queries.iter())
+            .map(|query| part(std::slice::from_ref(query)).line.len() - empty)
+            .collect();
+        let mut requests = Vec::new();
+        let mut start = 0;
+        while start < queries.len() {
+            let mut len = empty + sizes[start];
+            if len > self.max_line_bytes {
+                let query = &queries[start].query;
+                return Err(WireError {
+                    code: ErrorCode::TooLarge,
+                    message: format!(
+                        "query column `{}.{}` with its sketch needs a {len}-byte node \
+                         request line, past the {}-byte bound",
+                        query.table, query.column, self.max_line_bytes
+                    ),
+                });
+            }
+            let mut end = start + 1;
+            while end < queries.len() && len + 1 + sizes[end] <= self.max_line_bytes {
+                len += 1 + sizes[end];
+                end += 1;
+            }
+            let request = part(&queries[start..end]);
+            debug_assert_eq!(request.line.len(), len, "rank line length is additive");
+            requests.push((request, end - start));
+            start = end;
+        }
+        Ok(requests)
     }
 
     /// Fans `body` to every node in `topo`.  Demoted nodes are skipped while
@@ -994,9 +1203,8 @@ impl Router {
         &self,
         topo: &Arc<Topology>,
         pool: &mut NodePool,
-        body: &RequestBody,
-    ) -> Result<Vec<ResponseBody>, WireError> {
-        let request = NodeRequest::new(body);
+        request: &NodeRequest,
+    ) -> Result<Vec<(usize, ResponseBody)>, WireError> {
         let any_healthy = topo
             .states
             .iter()
@@ -1011,8 +1219,8 @@ impl Router {
                 failed += 1;
                 continue;
             }
-            match pool.call(self, topo, idx, &request) {
-                Ok(resp) => answered.push(resp),
+            match pool.call(self, topo, idx, request) {
+                Ok(resp) => answered.push((idx, resp)),
                 Err(NodeError::Remote(error)) => return Err(error),
                 Err(NodeError::Unreachable { message, .. }) => {
                     failed += 1;
@@ -1022,9 +1230,9 @@ impl Router {
         }
         if answered.is_empty() {
             for idx in skipped {
-                match pool.call(self, topo, idx, &request) {
+                match pool.call(self, topo, idx, request) {
                     Ok(resp) => {
-                        answered.push(resp);
+                        answered.push((idx, resp));
                         failed = failed.saturating_sub(1);
                     }
                     Err(NodeError::Remote(error)) => return Err(error),
@@ -1129,9 +1337,9 @@ impl Backend for Router {
         let topo = self.topology();
         match body {
             RequestBody::Info { .. } => self.info(&topo, pool),
-            RequestBody::Query { k, .. } | RequestBody::BatchQuery { k, .. } => {
-                self.query(&topo, pool, body, *k)
-            }
+            RequestBody::Query { .. }
+            | RequestBody::BatchQuery { .. }
+            | RequestBody::Rank { .. } => self.query(&topo, pool, body),
             RequestBody::Ingest { table, partitions } => {
                 let per_node = self.partition_on(&topo, &table.name, &table.columns);
                 let writes = (per_node.iter().enumerate())
@@ -1195,23 +1403,33 @@ impl Backend for Router {
         self.probe_demoted();
         self.expire_sessions();
     }
+
+    /// Takes the server's line bound as the nodes': the router's nodes run
+    /// the same bound, so no `rank` line it sends passes it.
+    fn configure(&mut self, config: &ServerConfig) {
+        self.max_line_bytes = config.max_line_bytes();
+    }
 }
 
 /// A request as the router sends it to nodes: encoded once, however many
 /// nodes and attempts it goes to.
-struct NodeRequest<'a> {
-    body: &'a RequestBody,
+struct NodeRequest {
+    /// The op, for the HTTP route.
+    op: &'static str,
+    /// Whether the op may be retried ([`is_idempotent`]).
+    idempotent: bool,
     line: String,
 }
 
-impl<'a> NodeRequest<'a> {
-    fn new(body: &'a RequestBody) -> NodeRequest<'a> {
+impl NodeRequest {
+    fn new(body: &RequestBody) -> NodeRequest {
         let request = Request {
             id: Json::Null,
             body: body.clone(),
         };
         NodeRequest {
-            body,
+            op: body.op(),
+            idempotent: is_idempotent(body),
             line: request.encode(),
         }
     }
@@ -1247,7 +1465,7 @@ impl NodeConn {
     }
 
     /// One request/response round trip on this connection.
-    fn call(&mut self, request: &NodeRequest<'_>) -> io::Result<Response> {
+    fn call(&mut self, request: &NodeRequest) -> io::Result<Response> {
         let line = &request.line;
         match self.transport {
             NodeTransport::Tcp => {
@@ -1267,7 +1485,7 @@ impl NodeConn {
             NodeTransport::Http => {
                 let head = format!(
                     "POST /v1/{} HTTP/1.1\r\nHost: router\r\nContent-Length: {}\r\n\r\n",
-                    request.body.op(),
+                    request.op,
                     line.len()
                 );
                 self.writer.write_all(head.as_bytes())?;
@@ -1321,7 +1539,7 @@ impl NodeConn {
 /// only because [`Backend::Worker`] names it, and nothing outside this file
 /// can name it.
 mod pool {
-    use super::{is_idempotent, is_timeout, NodeConn, NodeError, NodeRequest, Router, Topology};
+    use super::{is_timeout, NodeConn, NodeError, NodeRequest, Router, Topology};
     use crate::protocol::ResponseBody;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
@@ -1360,13 +1578,13 @@ mod pool {
             router: &Router,
             topo: &Arc<Topology>,
             idx: usize,
-            request: &NodeRequest<'_>,
+            request: &NodeRequest,
         ) -> Result<ResponseBody, NodeError> {
             self.sync(topo);
             let spec = &topo.nodes[idx];
             let state = &topo.states[idx];
             let retry = &router.retry;
-            let idempotent = is_idempotent(request.body);
+            let idempotent = request.idempotent;
             let attempts = if idempotent { retry.read_attempts } else { 1 };
             let mut fresh_failures = 0u32;
             let mut backoff_attempt = 0u32;
@@ -1445,6 +1663,13 @@ fn internal(message: &str) -> WireError {
     WireError {
         code: ErrorCode::Internal,
         message: message.to_string(),
+    }
+}
+
+fn incompatible(message: String) -> WireError {
+    WireError {
+        code: ErrorCode::Incompatible,
+        message,
     }
 }
 
@@ -1681,7 +1906,7 @@ pub fn serve_router(router: Router, addr: SocketAddr) -> io::Result<RouterHandle
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::WireColumn;
+    use crate::protocol::{Mode, WireColumn, WireQuery};
 
     fn nodes(n: usize) -> Vec<NodeSpec> {
         (0..n)
@@ -1847,7 +2072,6 @@ mod tests {
 
     #[test]
     fn only_reads_are_idempotent() {
-        use crate::protocol::{Mode, WireQuery};
         let q = WireQuery {
             table: "t".into(),
             column: "c".into(),
@@ -1867,7 +2091,17 @@ mod tests {
             k: 1,
             min_join_size: 0.0,
             cascade: true,
-            queries: vec![q],
+            queries: vec![q.clone()],
+        }));
+        assert!(is_idempotent(&RequestBody::Rank {
+            mode: Mode::Joinable,
+            k: 1,
+            min_join_size: 0.0,
+            cascade: false,
+            queries: vec![crate::protocol::WireRankQuery {
+                query: q,
+                sketch: vec![0],
+            }],
         }));
         assert!(is_idempotent(&RequestBody::ExportColumn {
             table: "t".into(),
@@ -1889,6 +2123,59 @@ mod tests {
                 bytes: vec![0],
             },
         }));
+    }
+
+    #[test]
+    fn rank_requests_pack_queries_into_lines_within_the_bound() {
+        let queries: Vec<WireRankQuery> = (0..9u8)
+            .map(|i| WireRankQuery {
+                query: WireQuery {
+                    table: format!("t{i}"),
+                    column: "c".to_string(),
+                    keys: (0..u64::from(i) * 3).collect(),
+                    values: (0..u32::from(i) * 3).map(f64::from).collect(),
+                },
+                sketch: vec![i; 200 + 150 * usize::from(i % 4)],
+            })
+            .collect();
+        let rank = |queries: &[WireRankQuery]| RequestBody::Rank {
+            mode: Mode::Joinable,
+            k: 3,
+            min_join_size: 0.0,
+            cascade: true,
+            queries: queries.to_vec(),
+        };
+        let whole = rank(&queries);
+        let mut router = Router::new(nodes(1), 1).expect("config");
+        let parts = router.rank_requests(&whole).expect("fits");
+        assert_eq!(parts.len(), 1, "the default bound holds the whole request");
+        assert_eq!(parts[0].0.line, NodeRequest::new(&whole).line);
+
+        router.max_line_bytes = 2_500;
+        let parts = router.rank_requests(&whole).expect("splits");
+        assert!(parts.len() > 2, "{} parts", parts.len());
+        let mut start = 0;
+        for (request, count) in &parts {
+            let end = start + count;
+            assert_eq!(
+                request.line,
+                NodeRequest::new(&rank(&queries[start..end])).line
+            );
+            assert!(request.line.len() <= router.max_line_bytes);
+            if end < queries.len() {
+                let grown = NodeRequest::new(&rank(&queries[start..=end]));
+                assert!(
+                    grown.line.len() > router.max_line_bytes,
+                    "parts are as long as fit"
+                );
+            }
+            start = end;
+        }
+        assert_eq!(start, queries.len(), "the parts cover every query in order");
+
+        router.max_line_bytes = 1_000;
+        let error = router.rank_requests(&whole).map(|_| ()).unwrap_err();
+        assert_eq!(error.code, ErrorCode::TooLarge, "{}", error.message);
     }
 
     #[test]

@@ -50,12 +50,14 @@
 use crate::http::{self, HttpRequest};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
-    ErrorCode, InfoColumn, Mode, Request, RequestBody, RequestDecodeError, Response, ResponseBody,
-    WireCompaction, WireError, WireNote, WireQuery, WireRanked, WireServiceStats, WireSketch,
+    check_cascade, sketch_queries, ErrorCode, InfoColumn, Mode, Request, RequestBody,
+    RequestDecodeError, Response, ResponseBody, WireCompaction, WireError, WireNote, WireQuery,
+    WireRanked, WireServiceStats, WireSketch,
 };
 use crate::service::{CascadeNote, QueryService, ShardedIngestState};
 use crate::wire::Json;
 use ipsketch_core::runner::{self, ThreadReservation};
+use ipsketch_core::SketcherSpec;
 use ipsketch_join::{JoinEstimator, SketchedColumn};
 use parking_lot::{Mutex, RwLock};
 use polling::{Event, Poller};
@@ -77,6 +79,9 @@ const FIRST_CONN_KEY: usize = 2;
 /// Smallest accepted `max_line_bytes`: below this even an empty batch-query
 /// cannot be expressed, so the bound would only manufacture `too_large` errors.
 const MIN_LINE_BYTES: usize = 1024;
+
+/// Default `max_line_bytes`: 64 MiB.
+pub(crate) const DEFAULT_MAX_LINE_BYTES: usize = 64 << 20;
 
 /// Validated tuning knobs for [`serve`]; built through [`ServerConfig::builder`].
 ///
@@ -107,7 +112,7 @@ impl ServerConfig {
             tcp: None,
             http: None,
             workers: 2,
-            max_line_bytes: 64 << 20,
+            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             max_connections: 1024,
             max_queue_depth: 1024,
             maintenance_interval: Some(Duration::from_secs(30)),
@@ -357,6 +362,13 @@ pub trait Backend: Send + Sync + 'static {
     /// One upkeep pass, run on the core's background thread every
     /// [`ServerConfig::maintenance_interval`] and on request.
     fn maintain(&self);
+
+    /// Adopts the server's `config` before the first request: the router keeps
+    /// every line it sends a node within [`ServerConfig::max_line_bytes`].  The
+    /// node needs nothing from it.
+    fn configure(&mut self, config: &ServerConfig) {
+        let _ = config;
+    }
 }
 
 /// Handle to a running server: address introspection, observability, shutdown.
@@ -468,10 +480,11 @@ pub fn serve_backend<B: Backend>(backend: B, config: ServerConfig) -> io::Result
 }
 
 fn start<B: Backend>(
-    backend: B,
+    mut backend: B,
     config: ServerConfig,
     wakeup: Arc<Wakeup>,
 ) -> io::Result<ServerHandle<B>> {
+    backend.configure(&config);
     let poller = Poller::new()?;
     let bind = |addr: &str, key: usize| -> io::Result<(TcpListener, SocketAddr)> {
         let listener = TcpListener::bind(addr)?;
@@ -1193,6 +1206,8 @@ fn handle_http(
 pub struct Node {
     service: RwLock<QueryService>,
     estimator: JoinEstimator,
+    /// The catalog's primary spec, which `rank` checks query sketches against.
+    spec: SketcherSpec,
     /// Clone of the catalog's companion (cheap-tier) estimator, when it stores
     /// one: cascade queries sketch their cheap-tier query outside any lock,
     /// exactly like the primary tier.
@@ -1238,6 +1253,7 @@ impl Node {
         let estimator = service.estimator().clone();
         let companion_estimator = service.companion_estimator().cloned();
         Node {
+            spec: service.catalog().spec(),
             service: RwLock::new(service),
             estimator,
             companion_estimator,
@@ -1267,22 +1283,21 @@ impl Node {
         f(state)
     }
 
-    /// Sketches the query columns and ranks them as one runner-backed batch, under a
-    /// shared read lock — the same code path as `QueryService::query_*_batch`, so wire
-    /// answers are bit-identical to in-process answers.
-    fn run_batch(
+    /// Ranks already-sketched query columns as one runner-backed batch, under a
+    /// shared read lock — the same code path as `QueryService::query_*_batch`, so
+    /// wire answers are bit-identical to in-process answers.  `query`,
+    /// `batch-query` and `rank` all end here; `queries[i]` is the column
+    /// `sketched[i]` summarizes, and only a cascade reads it (to build the
+    /// companion sketch).
+    fn rank<'q>(
         &self,
-        queries: &[WireQuery],
+        queries: impl IntoIterator<Item = &'q WireQuery>,
+        sketched: Vec<SketchedColumn>,
         mode: Mode,
         k: u64,
         min_join_size: f64,
         cascade: bool,
     ) -> Result<(Vec<Vec<WireRanked>>, Option<WireNote>), WireError> {
-        if cascade && mode == Mode::Related {
-            return Err(WireError::bad_request(
-                "`cascade` applies to `joinable` queries only",
-            ));
-        }
         let k = usize::try_from(k).unwrap_or(usize::MAX);
         // A cascade request against a catalog with no companion tier is answered by
         // the flat scan with an advisory note — never an error (the answer is the
@@ -1301,27 +1316,24 @@ impl Node {
         } else {
             None
         };
-        // Sketch the query columns *outside* any lock, with the immutable estimator
+        // Sketch the companions *outside* any lock, with the immutable estimator
         // clone (identical configuration → bit-identical sketches): the CPU-heavy
         // phase of a large batch must never hold the read lock, or it would stall
         // ingest commits and compaction behind it (and, on writer-preferring lock
         // implementations, every later query behind those).
-        let mut sketched: Vec<SketchedColumn> = Vec::with_capacity(queries.len());
         let mut cascade_pairs: Vec<(SketchedColumn, SketchedColumn)> = Vec::new();
-        for query in queries {
-            let table = query.to_table()?;
-            let primary = self
-                .estimator
-                .sketch_column(&table, &query.column)
-                .map_err(WireError::from)?;
-            if let Some(est) = companion_est {
-                let companion = est
-                    .sketch_column(&table, &query.column)
-                    .map_err(WireError::from)?;
-                cascade_pairs.push((primary.clone(), companion));
+        let sketched = match companion_est {
+            Some(est) => {
+                for (query, primary) in queries.into_iter().zip(sketched) {
+                    let companion = est
+                        .sketch_column(&query.to_table()?, &query.column)
+                        .map_err(WireError::from)?;
+                    cascade_pairs.push((primary, companion));
+                }
+                Vec::new()
             }
-            sketched.push(primary);
-        }
+            None => sketched,
+        };
         loop {
             {
                 let service = self.service.read();
@@ -1394,6 +1406,7 @@ impl Backend for Node {
                     fingerprint: stats.fingerprint,
                     method: stats.method,
                     format: Some(stats.format),
+                    spec: Some(self.spec.encode()),
                     server: None,
                     // Single catalog nodes never report cluster state; only the
                     // router synthesizes info responses with a `cluster` member.
@@ -1407,13 +1420,10 @@ impl Backend for Node {
                 cascade,
                 query,
             } => {
-                let (rankings, note) = self.run_batch(
-                    std::slice::from_ref(query),
-                    *mode,
-                    *k,
-                    *min_join_size,
-                    *cascade,
-                )?;
+                let query = std::slice::from_ref(query);
+                let sketched = sketch_queries(&self.estimator, query, *mode, *cascade)?;
+                let (rankings, note) =
+                    self.rank(query, sketched, *mode, *k, *min_join_size, *cascade)?;
                 let [ranking] = <[Vec<WireRanked>; 1]>::try_from(rankings)
                     .expect("one query yields one ranking");
                 Ok(ResponseBody::Ranking { ranking, note })
@@ -1425,8 +1435,26 @@ impl Backend for Node {
                 cascade,
                 queries,
             } => {
+                let sketched = sketch_queries(&self.estimator, queries, *mode, *cascade)?;
                 let (rankings, note) =
-                    self.run_batch(queries, *mode, *k, *min_join_size, *cascade)?;
+                    self.rank(queries, sketched, *mode, *k, *min_join_size, *cascade)?;
+                Ok(ResponseBody::Rankings { rankings, note })
+            }
+            RequestBody::Rank {
+                mode,
+                k,
+                min_join_size,
+                cascade,
+                queries,
+            } => {
+                check_cascade(*mode, *cascade)?;
+                let sketched = queries
+                    .iter()
+                    .map(|query| query.to_sketched(&self.spec))
+                    .collect::<Result<_, _>>()?;
+                let queries = queries.iter().map(|query| &query.query);
+                let (rankings, note) =
+                    self.rank(queries, sketched, *mode, *k, *min_join_size, *cascade)?;
                 Ok(ResponseBody::Rankings { rankings, note })
             }
             RequestBody::Ingest { table, partitions } => {

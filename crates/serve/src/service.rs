@@ -8,7 +8,7 @@
 //! becomes visible — so opening a service over a large catalog costs only the manifest
 //! read.
 
-use crate::catalog::{Catalog, CompactionReport};
+use crate::catalog::{decode_column_blob, Catalog, CompactionReport};
 use crate::error::CatalogError;
 use ipsketch_core::SketcherSpec;
 use ipsketch_data::{Column, Table};
@@ -478,23 +478,18 @@ impl QueryService {
     ///
     /// # Errors
     ///
-    /// Returns [`CatalogError::Corrupt`] for undecodable bytes,
-    /// [`CatalogError::Incompatible`] when the blob names a different column than
-    /// the request or was sketched under a different configuration, plus
-    /// filesystem failures.
+    /// As [`decode_column_blob`] (undecodable bytes are
+    /// [`CatalogError::Corrupt`], a blob of another format or configuration
+    /// [`CatalogError::Incompatible`]), plus [`CatalogError::Incompatible`] when
+    /// the blob names a different column than the request, and filesystem
+    /// failures.
     pub fn import_sketched_blob(
         &mut self,
         table: &str,
         column: &str,
         blob: &[u8],
     ) -> Result<bool, CatalogError> {
-        let (sketched, _format) =
-            SketchedColumn::from_bytes_versioned(blob).map_err(|e| match e {
-                JoinError::Sketch(s) => CatalogError::Corrupt {
-                    detail: format!("imported blob: {s}"),
-                },
-                other => CatalogError::Join(other),
-            })?;
+        let sketched = decode_column_blob(&self.catalog.spec(), blob)?;
         if sketched.table != table || sketched.column != column {
             return Err(CatalogError::Incompatible {
                 detail: format!(
@@ -1551,6 +1546,26 @@ mod tests {
         assert!(matches!(
             service.finish_sharded_ingest(ingest),
             Err(CatalogError::Incompatible { .. })
+        ));
+        fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    #[test]
+    fn imports_refuse_blobs_of_another_format() {
+        let root = temp_root("import-format");
+        let (_, good, _) = lake();
+        let mut service = QueryService::create(&root, spec_for(SketchMethod::WeightedMinHash, 5))
+            .expect("create");
+        let sketched = service.sketch_query(&good, "precip").expect("sketch");
+        let v1 = sketched.encode(ipsketch_core::FormatVersion::V1);
+        assert!(matches!(
+            service.import_sketched_blob("good", "precip", &v1),
+            Err(CatalogError::Incompatible { .. })
+        ));
+        let v2 = sketched.encode(service.catalog().format());
+        assert!(matches!(
+            service.import_sketched_blob("good", "precip", &v2),
+            Ok(true)
         ));
         fs::remove_dir_all(&root).expect("cleanup");
     }

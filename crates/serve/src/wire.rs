@@ -212,22 +212,33 @@ impl fmt::Display for Json {
     }
 }
 
-/// Writes `s` as a JSON string literal.
+/// Writes `s` as a JSON string literal.  Runs of bytes that need no escape go
+/// out as one slice (a sketch blob's hex is tens of kilobytes of them); every
+/// escaped byte is ASCII, so run boundaries are always char boundaries.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{08}' => f.write_str("\\b")?,
-            '\u{0C}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_str(c.encode_utf8(&mut [0; 4]))?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(f, "\\u{b:04x}")?;
+        } else {
+            f.write_str(escape)?;
         }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -498,6 +509,66 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The escaper before runs replaced it: one write per character.  The run
+    /// escaper must match it byte for byte.
+    struct ReferenceEscaped<'a>(&'a str);
+
+    impl fmt::Display for ReferenceEscaped<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str("\"")?;
+            for c in self.0.chars() {
+                match c {
+                    '"' => f.write_str("\\\"")?,
+                    '\\' => f.write_str("\\\\")?,
+                    '\n' => f.write_str("\\n")?,
+                    '\r' => f.write_str("\\r")?,
+                    '\t' => f.write_str("\\t")?,
+                    '\u{08}' => f.write_str("\\b")?,
+                    '\u{0C}' => f.write_str("\\f")?,
+                    c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                    c => f.write_str(c.encode_utf8(&mut [0; 4]))?,
+                }
+            }
+            f.write_str("\"")
+        }
+    }
+
+    /// One character of a generated string: every class the escaper treats
+    /// differently — control characters, quote and backslash, plain ASCII,
+    /// and any scalar value (non-ASCII, astral).
+    fn generated_char((class, bits): (usize, u32)) -> char {
+        match class {
+            0 => char::from_u32(bits % 0x20).expect("control characters are chars"),
+            1 => ['"', '\\', '/', '\u{7f}'][(bits % 4) as usize],
+            2 => char::from_u32(0x20 + bits % 0x5f).expect("printable ASCII"),
+            _ => char::from_u32(bits % 0x11_0000).unwrap_or('\u{fffd}'),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn run_escaper_matches_the_reference_and_round_trips(
+            chars in proptest::collection::vec((0usize..4, any::<u32>()), 0..48),
+        ) {
+            let text: String = chars.into_iter().map(generated_char).collect();
+            let encoded = Json::str(&text).to_string();
+            prop_assert_eq!(&encoded, &ReferenceEscaped(&text).to_string());
+            prop_assert_eq!(Json::parse(&encoded).expect("parses").as_str(), Some(text.as_str()));
+        }
+    }
+
+    #[test]
+    fn run_escaper_matches_the_reference_on_every_control_character() {
+        let text: String = (0u32..0x80).filter_map(char::from_u32).collect();
+        let encoded = Json::str(&text).to_string();
+        assert_eq!(encoded, ReferenceEscaped(&text).to_string());
+        assert_eq!(
+            Json::parse(&encoded).expect("parses").as_str(),
+            Some(text.as_str())
+        );
+    }
 
     fn round_trip(text: &str) -> Json {
         let parsed = Json::parse(text).expect("parses");

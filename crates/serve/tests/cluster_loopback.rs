@@ -8,9 +8,10 @@
 use ipsketch_core::method::{AnySketcher, SketchMethod};
 use ipsketch_core::SketcherSpec;
 use ipsketch_data::{Column, Table};
-use ipsketch_join::{RankedColumn, DEFAULT_CASCADE_CONFIDENCE};
+use ipsketch_join::{JoinEstimator, RankedColumn, DEFAULT_CASCADE_CONFIDENCE};
 use ipsketch_serve::protocol::{
-    ErrorCode, Mode, Request, RequestBody, Response, ResponseBody, WireQuery, WireRanked, WireTable,
+    sketch_queries, ErrorCode, Mode, Request, RequestBody, Response, ResponseBody, WireQuery,
+    WireRankQuery, WireRanked, WireTable,
 };
 use ipsketch_serve::router::{serve_router, NodeSpec, Router, RouterHandle};
 use ipsketch_serve::server::{serve, serve_backend, ServerConfig, ServerHandle};
@@ -539,6 +540,10 @@ fn fanouts_count_one_per_node_request() {
     let mut client = Client::connect(router.addr());
     client.ingest(&good);
     client.ingest(&bad);
+    // The first read on a node list also fetches the nodes' spec with one
+    // `info` per node; warm that up so the baseline sees only the query.
+    let response = client.call(&query_request(1, &query, "rides", 5));
+    assert!(response.result.is_ok(), "warm-up query succeeds");
 
     let before = router.stats();
     let response = client.call(&query_request(1, &query, "rides", 5));
@@ -1155,4 +1160,434 @@ fn a_router_frames_lines_like_a_node() {
 
     router.shutdown();
     cleanup(nodes);
+}
+
+/// Boots one catalog node of `seed` holding `tables`, ingested over the wire
+/// exactly as the router would ingest them.
+fn boot_single(tag: &str, seed: u64, tables: &[&Table]) -> Node {
+    let node = boot_nodes(tag, seed, 1).remove(0);
+    let mut client = Client::connect(node.handle.tcp_addr().expect("tcp bound"));
+    for table in tables {
+        client.ingest(table);
+    }
+    node
+}
+
+/// One request line's raw reply from `addr`.
+fn raw_reply(addr: std::net::SocketAddr, line: &str) -> String {
+    let mut client = Client::connect(addr);
+    client.send_raw(line);
+    client.recv_raw()
+}
+
+/// The per-op request counts of a node, from its `info {server: true}`.
+fn node_op_counts(node: &Node) -> std::collections::BTreeMap<String, u64> {
+    let mut client = Client::connect(node.handle.tcp_addr().expect("tcp bound"));
+    let response = client.call(&Request {
+        id: Json::Null,
+        body: RequestBody::Info { server: true },
+    });
+    match response.result.expect("info succeeds") {
+        ResponseBody::Info { server, .. } => server
+            .expect("server member requested")
+            .ops
+            .into_iter()
+            .map(|op| (op.op, op.count))
+            .collect(),
+        other => panic!("expected info, got {other:?}"),
+    }
+}
+
+#[test]
+fn routed_reads_reach_nodes_as_one_rank_per_node_request() {
+    let (query, good, bad) = lake();
+    let nodes = boot_nodes("rankonly", 61, 3);
+    let router = boot_router(tcp_specs(&nodes), 2);
+    let mut client = Client::connect(router.addr());
+    client.ingest(&good);
+    client.ingest(&bad);
+    // Warm up the spec fetch (one `info` per node), which counts in `fanouts`.
+    let warm_up = client.call(&query_request(0, &query, "rides", 5));
+    assert!(warm_up.result.is_ok(), "warm-up query succeeds");
+    let before = router.stats();
+    let ranks_before: u64 = nodes
+        .iter()
+        .map(|n| node_op_counts(n).get("rank").copied().unwrap_or(0))
+        .sum();
+
+    for request in [
+        query_request(1, &query, "rides", 5),
+        cascade_request(2, &query, "rides", 5),
+        Request {
+            id: Json::u64(3),
+            body: RequestBody::BatchQuery {
+                mode: Mode::Related,
+                k: 3,
+                min_join_size: 10.0,
+                cascade: false,
+                queries: vec![wire_query(&query, "rides"), wire_query(&good, "noise")],
+            },
+        },
+    ] {
+        assert!(client.call(&request).result.is_ok(), "routed read succeeds");
+    }
+
+    let after = router.stats();
+    let counts: Vec<_> = nodes.iter().map(node_op_counts).collect();
+    let ranks: u64 = counts
+        .iter()
+        .map(|c| c.get("rank").copied().unwrap_or(0))
+        .sum();
+    assert_eq!(
+        ranks - ranks_before,
+        after.fanouts - before.fanouts,
+        "every node request of a routed read is a `rank`"
+    );
+    assert_eq!(ranks - ranks_before, 9, "three reads, three nodes each");
+    for count in &counts {
+        assert_eq!(
+            count.get("query"),
+            None,
+            "no node sketched a query: {count:?}"
+        );
+        assert_eq!(count.get("batch-query"), None, "{count:?}");
+    }
+
+    router.shutdown();
+    cleanup(nodes);
+}
+
+#[test]
+fn routed_error_replies_are_byte_identical_to_a_single_node() {
+    let (_, good, bad) = lake();
+    let seed = 67;
+    let single = boot_single("errors-single", seed, &[&good, &bad]);
+    let nodes = boot_nodes("errors", seed, 3);
+    let router = boot_router(tcp_specs(&nodes), 2);
+    let mut client = Client::connect(router.addr());
+    client.ingest(&good);
+    client.ingest(&bad);
+
+    let column = |keys: &str, values: &str| {
+        format!(r#"{{"table":"q","column":"c","keys":[{keys}],"values":[{values}]}}"#)
+    };
+    let fine = column("1,2,3", "1.0,2.0,3.0");
+    let bad_columns = [
+        column("1,2,3", "1.0,2.0"),
+        column("1,1,2", "1.0,2.0,3.0"),
+        column("", ""),
+        column("1,2", "1.0,1e999"),
+    ];
+    let mut lines = Vec::new();
+    for (i, bad_column) in bad_columns.iter().enumerate() {
+        lines.push(format!(
+            r#"{{"v":1,"id":{i},"op":"query","k":5,"query":{bad_column}}}"#
+        ));
+        lines.push(format!(
+            r#"{{"v":1,"id":{i},"op":"batch-query","k":5,"queries":[{fine},{bad_column}]}}"#
+        ));
+    }
+    lines.push(format!(
+        r#"{{"v":1,"id":9,"op":"query","mode":"related","cascade":true,"query":{fine}}}"#
+    ));
+    lines.push(format!(
+        r#"{{"v":1,"id":9,"op":"batch-query","mode":"related","cascade":true,"queries":[{fine}]}}"#
+    ));
+    let single_addr = single.handle.tcp_addr().expect("tcp bound");
+    for line in &lines {
+        let expected = raw_reply(single_addr, line);
+        assert!(expected.contains(r#""ok":false"#), "{line} → {expected}");
+        assert_eq!(raw_reply(router.addr(), line), expected, "{line}");
+    }
+
+    router.shutdown();
+    cleanup(nodes);
+    cleanup(vec![single]);
+}
+
+#[test]
+fn a_router_over_nodes_of_different_seeds_refuses_queries() {
+    let (query, good, _) = lake();
+    let mut nodes = boot_nodes("seeds-a", 71, 2);
+    nodes.extend(boot_nodes("seeds-b", 72, 1));
+    let router = boot_router(tcp_specs(&nodes), 2);
+    let mut client = Client::connect(router.addr());
+    for request in [
+        query_request(1, &query, "rides", 5),
+        Request {
+            id: Json::u64(2),
+            body: RequestBody::BatchQuery {
+                mode: Mode::Joinable,
+                k: 5,
+                min_join_size: 0.0,
+                cascade: false,
+                queries: vec![wire_query(&good, "precip")],
+            },
+        },
+    ] {
+        let error = client
+            .call(&request)
+            .result
+            .expect_err("incomparable sketches must not be merged");
+        assert_eq!(error.code, ErrorCode::Incompatible, "{}", error.message);
+    }
+
+    router.shutdown();
+    cleanup(nodes);
+}
+
+#[test]
+fn a_router_moved_onto_another_seed_answers_like_a_node_of_the_new_spec() {
+    let (query, good, bad) = lake();
+    let old_nodes = boot_nodes("moved-old", 73, 3);
+    let new_nodes = boot_nodes("moved-new", 74, 3);
+    let router = boot_router(tcp_specs(&old_nodes), 2);
+    let mut client = Client::connect(router.addr());
+    client.ingest(&good);
+    client.ingest(&bad);
+    let line = query_request(1, &query, "rides", 5).encode();
+    let old_single = boot_single("moved-old-single", 73, &[&good, &bad]);
+    assert_eq!(
+        raw_reply(router.addr(), &line),
+        raw_reply(old_single.handle.tcp_addr().expect("tcp bound"), &line),
+        "the first read fetches the old nodes' spec"
+    );
+
+    router
+        .set_nodes(tcp_specs(&new_nodes))
+        .expect("new node list");
+    client.ingest(&good);
+    client.ingest(&bad);
+    let new_single = boot_single("moved-new-single", 74, &[&good, &bad]);
+    let routed = raw_reply(router.addr(), &line);
+    assert_eq!(
+        routed,
+        raw_reply(new_single.handle.tcp_addr().expect("tcp bound"), &line),
+        "a new node list brings its own spec"
+    );
+    assert!(routed.contains(r#""ok":true"#), "{routed}");
+
+    router.shutdown();
+    cleanup(old_nodes);
+    cleanup(new_nodes);
+    cleanup(vec![old_single, new_single]);
+}
+
+#[test]
+fn a_node_ranks_sketches_like_the_queries_they_came_from() {
+    let (query, good, bad) = lake();
+    let seed = 79;
+    let node = boot_single("rank-node", seed, &[&good, &bad]);
+    let addr = node.handle.tcp_addr().expect("tcp bound");
+    let spec = spec_for(seed);
+    let queries = vec![wire_query(&query, "rides"), wire_query(&good, "noise")];
+    let sketched = sketch_queries(
+        &JoinEstimator::new(spec.build().expect("builds")),
+        &queries,
+        Mode::Joinable,
+        true,
+    )
+    .expect("sketches");
+    let ranked: Vec<_> = queries
+        .iter()
+        .zip(&sketched)
+        .map(|(q, s)| WireRankQuery::new(q.clone(), s, spec.format))
+        .collect();
+    let request = |queries: Vec<WireRankQuery>| {
+        Request {
+            id: Json::u64(4),
+            body: RequestBody::Rank {
+                mode: Mode::Joinable,
+                k: 5,
+                min_join_size: 0.0,
+                cascade: true,
+                queries,
+            },
+        }
+        .encode()
+    };
+    let batch = Request {
+        id: Json::u64(4),
+        body: RequestBody::BatchQuery {
+            mode: Mode::Joinable,
+            k: 5,
+            min_join_size: 0.0,
+            cascade: true,
+            queries: queries.clone(),
+        },
+    }
+    .encode();
+    let expected = raw_reply(addr, &batch);
+    assert!(expected.contains(r#""ok":true"#), "{expected}");
+    assert_eq!(raw_reply(addr, &request(ranked.clone())), expected);
+
+    // One hostile sketch fails the whole request, as in `batch-query`.
+    let mut truncated = ranked.clone();
+    truncated[1].sketch.truncate(10);
+    let reply = raw_reply(addr, &request(truncated));
+    assert!(reply.contains(r#""code":"corrupt""#), "{reply}");
+    let mut foreign = ranked;
+    let other_spec = spec_for(seed + 1);
+    foreign[0] = WireRankQuery::new(
+        queries[0].clone(),
+        &JoinEstimator::new(other_spec.build().expect("builds"))
+            .sketch_column(&query, "rides")
+            .expect("sketches"),
+        other_spec.format,
+    );
+    let reply = raw_reply(addr, &request(foreign));
+    assert!(reply.contains(r#""code":"incompatible""#), "{reply}");
+
+    cleanup(vec![node]);
+}
+
+/// Boots `n` empty catalog nodes of `seed` whose request bound is `max_line_bytes`.
+fn boot_bounded_nodes(tag: &str, seed: u64, n: usize, max_line_bytes: usize) -> Vec<Node> {
+    (0..n)
+        .map(|i| {
+            let root = temp_root(&format!("{tag}-node{i}"));
+            let service = QueryService::create(&root, spec_for(seed)).expect("create node");
+            let config = ServerConfig::builder()
+                .tcp("127.0.0.1:0")
+                .max_line_bytes(max_line_bytes)
+                .build()
+                .expect("valid config");
+            let handle = serve(service, config).expect("serve node");
+            Node { handle, root }
+        })
+        .collect()
+}
+
+/// A `rows`-row column `t{i}.c` whose keys overlap the lake's `good` table.
+fn small_query(i: u32, rows: u32) -> WireQuery {
+    WireQuery {
+        table: format!("t{i}"),
+        column: "c".to_string(),
+        keys: (0..rows).map(|r| u64::from(100 + 7 * i + 3 * r)).collect(),
+        values: (0..rows).map(|r| f64::from(r + i) + 0.5).collect(),
+    }
+}
+
+#[test]
+fn routed_reads_whose_sketches_pass_the_line_bound_split_and_demote_no_node() {
+    // A `rank` line carries each query's sketch, so it is far longer than the
+    // client's line.  Router and nodes share a small bound here: a batch the
+    // router accepts must reach the nodes as several `rank`s, each within the
+    // bound, answer exactly as one node does, and leave every node healthy.
+    let (_, good, bad) = lake();
+    let seed = 83;
+    let bound = 64 << 10;
+    let nodes = boot_bounded_nodes("bounded", seed, 3, bound);
+    let config = ServerConfig::builder()
+        .tcp("127.0.0.1:0")
+        .max_line_bytes(bound)
+        .build()
+        .expect("valid config");
+    let router = serve_router_with(tcp_specs(&nodes), config);
+    let mut client = Client::connect(router.addr());
+    client.ingest(&good);
+    client.ingest(&bad);
+    let single = boot_single("bounded-single", seed, &[&good, &bad]);
+    let single_addr = single.handle.tcp_addr().expect("tcp bound");
+
+    // KMV keeps up to 256 entries per sketch, so 300-row columns carry full ones.
+    let queries: Vec<WireQuery> = (0..8).map(|i| small_query(i, 300)).collect();
+    let batch = |cascade: bool| Request {
+        id: Json::u64(5),
+        body: RequestBody::BatchQuery {
+            mode: Mode::Joinable,
+            k: 5,
+            min_join_size: 0.0,
+            cascade,
+            queries: queries.clone(),
+        },
+    };
+    // The premise: the client's line fits, its `rank` would not.
+    let spec = spec_for(seed);
+    let estimator = JoinEstimator::new(spec.build().expect("builds"));
+    let sketched = sketch_queries(&estimator, &queries, Mode::Joinable, false).expect("sketches");
+    let rank_line = Request {
+        id: Json::Null,
+        body: RequestBody::Rank {
+            mode: Mode::Joinable,
+            k: 5,
+            min_join_size: 0.0,
+            cascade: false,
+            queries: (queries.iter().zip(&sketched))
+                .map(|(q, s)| WireRankQuery::new(q.clone(), s, spec.format))
+                .collect(),
+        },
+    }
+    .encode();
+    assert!(
+        batch(true).encode().len() < bound / 2,
+        "{} bytes",
+        batch(true).encode().len()
+    );
+    assert!(rank_line.len() > 2 * bound, "{} bytes", rank_line.len());
+
+    // Warm up the spec fetch so the counts below see only the batches.
+    let warm_up = client.call(&query_request(0, &good, "noise", 5));
+    assert!(warm_up.result.is_ok(), "warm-up query succeeds");
+    let before = router.stats();
+    let ranks_before: u64 = nodes
+        .iter()
+        .map(|n| node_op_counts(n).get("rank").copied().unwrap_or(0))
+        .sum();
+    for cascade in [false, true] {
+        let line = batch(cascade).encode();
+        let expected = raw_reply(single_addr, &line);
+        assert!(expected.contains(r#""ok":true"#), "{expected}");
+        assert_eq!(
+            raw_reply(router.addr(), &line),
+            expected,
+            "cascade {cascade}"
+        );
+    }
+
+    let after = router.stats();
+    let ranks: u64 = nodes
+        .iter()
+        .map(|n| node_op_counts(n).get("rank").copied().unwrap_or(0))
+        .sum();
+    assert_eq!(ranks - ranks_before, after.fanouts - before.fanouts);
+    assert!(
+        ranks - ranks_before >= 2 * 3 * 3,
+        "each batch went to every node in at least three parts"
+    );
+    assert_eq!(after.failovers, before.failovers);
+    for node in &after.nodes {
+        assert!(node.healthy, "{node:?}");
+        assert_eq!((node.errors, node.demotions), (0, 0), "{node:?}");
+    }
+
+    // A query whose own `rank` line cannot fit is refused before any node
+    // hears of it.
+    let wide = small_query(9, 5_000);
+    let line = Request {
+        id: Json::u64(6),
+        body: RequestBody::Query {
+            mode: Mode::Joinable,
+            k: 5,
+            min_join_size: 0.0,
+            cascade: false,
+            query: wide,
+        },
+    }
+    .encode();
+    assert!(
+        line.len() < bound,
+        "the client's line fits: {} bytes",
+        line.len()
+    );
+    let before = router.stats();
+    let reply = raw_reply(router.addr(), &line);
+    assert!(reply.contains(r#""code":"too_large""#), "{reply}");
+    let after = router.stats();
+    assert_eq!(after.fanouts, before.fanouts, "no node was called");
+    assert!(after.nodes.iter().all(|node| node.healthy));
+
+    router.shutdown();
+    cleanup(nodes);
+    cleanup(vec![single]);
 }

@@ -11,6 +11,14 @@
 //!   the same round trip.
 //! * `<!-- conformance: request-error <code> -->` — must be *rejected* by
 //!   [`Request::decode`] with exactly that error code.
+//! * `<!-- conformance: request-fails <code> -->` — must decode and round-trip
+//!   like a request, and a server must answer it with exactly that error code
+//!   (the HTTP conformance suite replays it; for a `rank` request this suite
+//!   checks the sketch check fails so).
+//!
+//! A `rank` example carries query sketches built under the doc fixture spec
+//! (the catalog the HTTP conformance suite replays the doc against); this
+//! suite rebuilds every such sketch and holds the doc to it byte for byte.
 //!
 //! The error-code table is also harvested: its backticked first-column tokens must
 //! match [`ErrorCode::ALL`] exactly, in order.
@@ -18,8 +26,11 @@
 //! This runs in the tier-1 suite (no `server` feature): the protocol model is pure
 //! data.
 
+use ipsketch_core::method::{AnySketcher, SketchMethod};
+use ipsketch_core::SketcherSpec;
+use ipsketch_join::JoinEstimator;
 use ipsketch_serve::http;
-use ipsketch_serve::protocol::{ErrorCode, Request, Response};
+use ipsketch_serve::protocol::{sketch_queries, ErrorCode, Request, RequestBody, Response};
 
 const PROTOCOL_DOC: &str = include_str!("../../../docs/PROTOCOL.md");
 
@@ -91,7 +102,7 @@ fn every_annotated_example_conforms_to_the_implementation() {
             .collect::<Vec<_>>()
             .as_slice()
         {
-            ["request"] => {
+            ["request"] | ["request-fails", _] => {
                 requests += 1;
                 let decoded = Request::decode(&example.json)
                     .unwrap_or_else(|e| panic!("{at}: does not decode: {}", e.error));
@@ -128,6 +139,89 @@ fn every_annotated_example_conforms_to_the_implementation() {
         requests >= 10 && responses >= 9 && request_errors >= 4,
         "suspiciously few examples harvested: {requests} requests, {responses} responses, \
          {request_errors} request-errors"
+    );
+}
+
+/// The spec of the catalog `tests/http_conformance.rs` replays the doc
+/// against: the doc's `rank` sketches are built under it.
+fn doc_fixture_spec() -> SketcherSpec {
+    AnySketcher::for_budget(SketchMethod::WeightedMinHash, 256.0, 7)
+        .expect("budget fits")
+        .spec()
+}
+
+#[test]
+fn rank_examples_carry_the_fixture_sketches_of_their_queries() {
+    let spec = doc_fixture_spec();
+    let estimator = JoinEstimator::new(spec.build().expect("the fixture spec builds"));
+    let mut honest = 0;
+    let mut failing = 0;
+    for example in harvest() {
+        let at = format!("docs/PROTOCOL.md line {} ({})", example.line, example.kind);
+        let Ok(Request {
+            id,
+            body:
+                RequestBody::Rank {
+                    mode,
+                    k,
+                    min_join_size,
+                    cascade,
+                    queries,
+                },
+        }) = Request::decode(&example.json)
+        else {
+            continue;
+        };
+        match example
+            .kind
+            .split_whitespace()
+            .collect::<Vec<_>>()
+            .as_slice()
+        {
+            ["request"] => {
+                honest += 1;
+                let plain: Vec<_> = queries.iter().map(|q| q.query.clone()).collect();
+                let sketched = sketch_queries(&estimator, &plain, mode, cascade)
+                    .unwrap_or_else(|e| panic!("{at}: the query does not sketch: {e}"));
+                let rebuilt: Vec<_> = plain
+                    .into_iter()
+                    .zip(&sketched)
+                    .map(|(query, sketch)| {
+                        ipsketch_serve::protocol::WireRankQuery::new(query, sketch, spec.format)
+                    })
+                    .collect();
+                let expected = Request {
+                    id,
+                    body: RequestBody::Rank {
+                        mode,
+                        k,
+                        min_join_size,
+                        cascade,
+                        queries: rebuilt.clone(),
+                    },
+                };
+                assert!(
+                    queries == rebuilt,
+                    "{at}: the sketch is not the fixture's; the request should read\n{}",
+                    expected.encode()
+                );
+            }
+            ["request-fails", code] => {
+                failing += 1;
+                let expected = ErrorCode::parse(code)
+                    .unwrap_or_else(|| panic!("{at}: `{code}` is not a documented error code"));
+                let error = queries
+                    .iter()
+                    .find_map(|q| q.to_sketched(&spec).err())
+                    .unwrap_or_else(|| panic!("{at}: every sketch passes the fixture's check"));
+                assert_eq!(error.code, expected, "{at}: {}", error.message);
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        honest >= 1 && failing >= 1,
+        "the doc shows a `rank` and a refused `rank`"
     );
 }
 
