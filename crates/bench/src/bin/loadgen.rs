@@ -10,7 +10,7 @@
 //! * `query` — single joinability queries against a warm catalog;
 //! * `batch_query` — batched queries (the high-throughput shape);
 //! * `query_under_ingest` — queries while a background client keeps
-//!   registering fresh tables, exercising the read/write lock split.
+//!   registering fresh tables, exercising reads beside catalog writes.
 //!
 //! A fourth, `routed_query` (TCP only — `ipsketch route` binds the line
 //! framing), sends the same single queries through an `ipsketch route`-style

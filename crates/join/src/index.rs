@@ -12,6 +12,7 @@ use crate::estimate::{JoinEstimator, SketchedColumn};
 use crate::exact::JoinStatistics;
 use ipsketch_core::runner::{default_threads, parallel_map};
 use ipsketch_data::Table;
+use std::sync::Arc;
 
 /// Identifies one column of one table in the lake.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -65,13 +66,18 @@ pub struct CascadeStats {
 }
 
 /// A pre-sketched data lake supporting joinability and relatedness queries.
+///
+/// Entries are shared, never copied: cloning an index copies one pointer per
+/// column, and the clone and the original hold the same sketch allocations.  A
+/// server publishes a clone as an immutable snapshot and keeps mutating its own
+/// copy; neither sees the other's later inserts or removals.
 #[derive(Debug, Clone)]
 pub struct SketchIndex {
     estimator: JoinEstimator,
     /// The cheap-tier (companion) estimator, when the index carries one; required by
     /// the cascade query path and used to sketch companion queries.
     companion: Option<JoinEstimator>,
-    entries: Vec<IndexEntry>,
+    entries: Vec<Arc<IndexEntry>>,
 }
 
 /// One indexed column: its identity, primary sketch, and (optionally) the cheap
@@ -178,14 +184,14 @@ impl SketchIndex {
                 },
             ));
         }
-        self.entries.push(IndexEntry {
+        self.entries.push(Arc::new(IndexEntry {
             id: ColumnId {
                 table: sketched.table.clone(),
                 column: sketched.column.clone(),
             },
             sketch: sketched,
             companion,
-        });
+        }));
         Ok(())
     }
 
@@ -207,14 +213,14 @@ impl SketchIndex {
                         Some(est) => Some(est.sketch_column(table, &column.name)?),
                         None => None,
                     };
-                    self.entries.push(IndexEntry {
+                    self.entries.push(Arc::new(IndexEntry {
                         id: ColumnId {
                             table: table.name().to_string(),
                             column: column.name.clone(),
                         },
                         sketch: sketched,
                         companion,
-                    });
+                    }));
                 }
                 Err(JoinError::EmptyColumn { .. }) => skipped.push(column.name.clone()),
                 Err(other) => return Err(other),
@@ -253,14 +259,14 @@ impl SketchIndex {
                         }
                         None => None,
                     };
-                    self.entries.push(IndexEntry {
+                    self.entries.push(Arc::new(IndexEntry {
                         id: ColumnId {
                             table: table.name().to_string(),
                             column: column.name.clone(),
                         },
                         sketch: sketched,
                         companion,
-                    });
+                    }));
                 }
                 Err(JoinError::EmptyColumn { .. }) => skipped.push(column.name.clone()),
                 Err(other) => return Err(other),
@@ -310,7 +316,11 @@ impl SketchIndex {
                 table: table.to_string(),
                 column: column.to_string(),
             })?;
-        Ok(self.entries.remove(position).sketch)
+        // A snapshot may still share the entry; it keeps its copy.
+        Ok(match Arc::try_unwrap(self.entries.remove(position)) {
+            Ok(entry) => entry.sketch,
+            Err(shared) => shared.sketch.clone(),
+        })
     }
 
     /// Looks up the stored sketch of an indexed column.
@@ -421,6 +431,7 @@ impl SketchIndex {
         let candidates: Vec<&IndexEntry> = self
             .entries
             .iter()
+            .map(Arc::as_ref)
             .filter(|entry| entry.id.table != query.table)
             .collect();
         let mut intervals: Vec<Option<(f64, f64)>> = Vec::with_capacity(candidates.len());
@@ -786,6 +797,31 @@ mod tests {
             .top_k_joinable(&q, 10)?
             .iter()
             .any(|r| r.id.column == "precip"));
+        Ok(())
+    }
+
+    #[test]
+    fn clones_share_entries_and_diverge_only_in_membership() -> Result<(), JoinError> {
+        let (query, good, bad) = scenario();
+        let mut index = SketchIndex::new(JoinEstimator::weighted_minhash(300.0, 7)?);
+        index.insert_table(&good)?;
+        let snapshot = index.clone();
+        assert!(index
+            .entries
+            .iter()
+            .zip(&snapshot.entries)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+        let q = index.sketch_query(&query, "rides")?;
+        let before = snapshot.top_k_joinable(&q, 10)?;
+
+        index.insert_table(&bad)?;
+        let removed = index.remove("good", "precip")?;
+        assert_eq!(&removed, snapshot.get("good", "precip")?);
+        // The snapshot still holds exactly what it held, and still answers the same.
+        assert_eq!(snapshot.len(), 2);
+        assert_eq!(snapshot.top_k_joinable(&q, 10)?, before);
+        let shared = index.get("good", "noise")?;
+        assert!(std::ptr::eq(shared, snapshot.get("good", "noise")?));
         Ok(())
     }
 

@@ -32,7 +32,8 @@
 //! * [`server`] (feature `server`) — the serving core: a `poll(2)` reactor driving
 //!   both framers (line-delimited TCP and HTTP/1.1), a worker pool, configured
 //!   overload shedding, metrics and one background thread, in front of a
-//!   `Backend` — the catalog node (a read-write-locked [`QueryService`],
+//!   `Backend` — the catalog node (a [`QueryService`] whose writes publish
+//!   immutable index snapshots that reads rank against without waiting,
 //!   concurrent shard-partial ingest sessions, background catalog compaction)
 //!   or the router.
 //! * [`router`] (feature `server`) — the multi-node backend: rendezvous-hashed

@@ -148,6 +148,8 @@ pub struct ServerMetrics {
     pub queue_depth: AtomicU64,
     /// Requests answered `overloaded` at the configured queue-depth cap.
     pub queue_rejected: AtomicU64,
+    /// Requests whose execution panicked and was answered `internal`.
+    pub panics: AtomicU64,
 }
 
 impl ServerMetrics {
@@ -195,6 +197,7 @@ impl ServerMetrics {
             connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             queue_rejected: self.queue_rejected.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
             ops,
         }
     }

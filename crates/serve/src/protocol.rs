@@ -1168,6 +1168,9 @@ pub struct WireServerStats {
     pub queue_depth: u64,
     /// Requests answered `overloaded` because the queue depth cap was reached.
     pub queue_rejected: u64,
+    /// Requests whose execution panicked and was answered `internal`; absent
+    /// (read as 0) in transcripts of older servers.
+    pub panics: u64,
     /// Per-op counters and latency quantiles, in the server's stable op order;
     /// ops that have never been called are omitted.
     pub ops: Vec<WireOpStats>,
@@ -1341,6 +1344,7 @@ impl WireServerStats {
                     ("rejected".to_string(), Json::u64(self.queue_rejected)),
                 ]),
             ),
+            ("panics".to_string(), Json::u64(self.panics)),
             (
                 "ops".to_string(),
                 Json::Arr(
@@ -1387,6 +1391,7 @@ impl WireServerStats {
             connections_rejected: require_u64(connections, "rejected")?,
             queue_depth: require_u64(queue, "depth")?,
             queue_rejected: require_u64(queue, "rejected")?,
+            panics: value.get("panics").and_then(Json::as_u64).unwrap_or(0),
             ops,
         })
     }
@@ -1988,6 +1993,7 @@ mod tests {
                     connections_rejected: 1,
                     queue_depth: 0,
                     queue_rejected: 7,
+                    panics: 1,
                     ops: vec![WireOpStats {
                         op: "query".to_string(),
                         count: 100,

@@ -34,19 +34,30 @@
 //! same metrics, and the core fills the `server` member of an `info {server:
 //! true}` answer from them, whichever backend answered.
 //!
-//! In the [`Node`], the service sits behind a read-write lock: queries take
-//! shared read access and fan each batch out on the work-claiming runner
-//! (`top_k_*_batch`), so a single wire batch saturates cores; ingests and
-//! compaction take the write lock.  The server holds a [`runner`] thread
-//! reservation for its own threads, so those runner fan-outs automatically leave
-//! headroom for the reactor instead of oversubscribing the machine.
+//! A panic while executing a request costs that request a typed `internal`
+//! error and nothing else: the worker lives on with fresh [`Backend::Worker`]
+//! state, the connection's later requests are answered, and the `server` member
+//! counts it under `panics`.
 //!
-//! Shard-partial ingest sessions ([`ShardedIngestState`]) live *outside* the service
+//! In the [`Node`], readers never wait on writers.  Writes (ingest,
+//! ingest-finish, drop, import, compaction, cold hydration and export) run one at
+//! a time under a writer lock, and each publishes an immutable snapshot of the
+//! index and of the catalog facts `info` reports before it replies.  A read
+//! clones the published snapshot's pointer and ranks against it, so it sees the
+//! catalog as of one committed write, and a batch fans out against one snapshot
+//! on the work-claiming runner (`top_k_*_batch`), so a single wire batch
+//! saturates cores.  Snapshots share their sketches: publishing copies one
+//! pointer per column.  The server holds a [`runner`] thread reservation for its
+//! own threads, so those runner fan-outs automatically leave headroom for the
+//! reactor instead of oversubscribing the machine.
+//!
+//! Shard-partial ingest sessions ([`ShardedIngestState`]) live *outside* the writer
 //! lock in a session map: `announce`/`submit` sketch with a clone of the catalog's
 //! estimator and take no service lock at all, so any number of registration sessions
 //! make progress while queries are served; only `ingest-finish` (the catalog commit)
-//! briefly takes the write lock.
+//! takes the writer lock.
 
+use crate::error::CatalogError;
 use crate::http::{self, HttpRequest};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
@@ -58,12 +69,13 @@ use crate::service::{CascadeNote, QueryService, ShardedIngestState};
 use crate::wire::Json;
 use ipsketch_core::runner::{self, ThreadReservation};
 use ipsketch_core::SketcherSpec;
-use ipsketch_join::{JoinEstimator, SketchedColumn};
-use parking_lot::{Mutex, RwLock};
+use ipsketch_join::{JoinEstimator, SketchIndex, SketchedColumn};
+use parking_lot::Mutex;
 use polling::{Event, Poller};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -1091,13 +1103,28 @@ fn worker_loop<B: Backend>(shared: &Shared<B>) {
 }
 
 /// Executes one decoded request on the backend; an `info {server: true}` answer
-/// gets the core's metrics as its `server` member.
+/// gets the core's metrics as its `server` member.  A panic in the backend
+/// becomes a typed `internal` error, counted in the metrics, and the worker
+/// starts over with fresh state, which may have been left mid-update.
 fn execute<B: Backend>(
     shared: &Shared<B>,
     worker: &mut B::Worker,
     body: &RequestBody,
 ) -> Result<ResponseBody, WireError> {
-    let mut result = shared.backend.execute(worker, body);
+    let executed = panic::catch_unwind(AssertUnwindSafe(|| shared.backend.execute(worker, body)));
+    let mut result = executed.unwrap_or_else(|payload| {
+        shared.core.metrics.panics.fetch_add(1, Ordering::Relaxed);
+        *worker = B::Worker::default();
+        let reason = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("no message");
+        Err(WireError {
+            code: ErrorCode::Internal,
+            message: format!("`{}` panicked on the server: {reason}", body.op()),
+        })
+    });
     if let (RequestBody::Info { server: true }, Ok(ResponseBody::Info { server, .. })) =
         (body, &mut result)
     {
@@ -1200,11 +1227,17 @@ fn handle_http(
     )
 }
 
-/// The single-catalog backend that [`serve`] runs: a [`QueryService`] behind a
-/// read-write lock, its shard-partial ingest sessions, and the totals of its
-/// maintenance passes (expire idle sessions, then compact the catalog).
+/// The single-catalog backend that [`serve`] runs: a [`QueryService`] that one
+/// writer at a time changes, the published snapshot of it that reads rank
+/// against, its shard-partial ingest sessions, and the totals of its maintenance
+/// passes (expire idle sessions, then compact the catalog).
 pub struct Node {
-    service: RwLock<QueryService>,
+    /// The service, locked by each writer for the whole of its write: ingest,
+    /// ingest-finish, drop, import, compaction, cold hydration and export.
+    writer: Mutex<QueryService>,
+    /// The snapshot reads rank against, replaced by every write before it
+    /// replies; locked only long enough to clone or swap the pointer.
+    published: Mutex<Arc<Snapshot>>,
     estimator: JoinEstimator,
     /// The catalog's primary spec, which `rank` checks query sketches against.
     spec: SketcherSpec,
@@ -1218,6 +1251,56 @@ pub struct Node {
     /// Asks the core's background thread for a pass after a write leaves
     /// garbage behind.
     wakeup: Arc<Wakeup>,
+}
+
+/// What a read sees: the catalog as of one committed write.
+struct Snapshot {
+    index: Arc<SketchIndex>,
+    /// Whether every cataloged column is in `index`; a cold catalog hydrates on
+    /// its first ranking read.
+    hydrated: bool,
+    /// The `info` answer, captured with the index so the two agree.
+    info: ResponseBody,
+}
+
+impl Snapshot {
+    fn of(service: &QueryService, spec: &SketcherSpec) -> Snapshot {
+        let stats = service.stats();
+        let info = ResponseBody::Info {
+            columns: service
+                .catalog()
+                .live_entries()
+                .map(|e| InfoColumn {
+                    table: e.table.clone(),
+                    column: e.column.clone(),
+                    rows: e.rows,
+                })
+                .collect(),
+            stats: Some(WireServiceStats {
+                columns: stats.columns as u64,
+                hydrated: stats.hydrated as u64,
+                bytes_on_disk: stats.bytes_on_disk,
+                last_compaction: stats.last_compaction.as_ref().map(|report| WireCompaction {
+                    removed_files: report.removed_files.len() as u64,
+                    live_columns: report.live_columns as u64,
+                }),
+            }),
+            sketcher: stats.sketcher,
+            fingerprint: stats.fingerprint,
+            method: stats.method,
+            format: Some(stats.format),
+            spec: Some(spec.encode()),
+            server: None,
+            // Single catalog nodes never report cluster state; only the router
+            // synthesizes info responses with a `cluster` member.
+            cluster: None,
+        };
+        Snapshot {
+            index: service.snapshot(),
+            hydrated: service.is_fully_hydrated(),
+            info,
+        }
+    }
 }
 
 /// One live shard-partial ingest session.  The state slot holds `None` while
@@ -1252,9 +1335,11 @@ impl Node {
         // for the catalog's lifetime, so the clone can never go stale.
         let estimator = service.estimator().clone();
         let companion_estimator = service.companion_estimator().cloned();
+        let spec = service.catalog().spec();
         Node {
-            spec: service.catalog().spec(),
-            service: RwLock::new(service),
+            published: Mutex::new(Arc::new(Snapshot::of(&service, &spec))),
+            writer: Mutex::new(service),
+            spec,
             estimator,
             companion_estimator,
             sessions: Mutex::new(SessionMap {
@@ -1265,6 +1350,39 @@ impl Node {
             maintenance_stats: Mutex::new(MaintenanceStats::default()),
             wakeup: Arc::default(),
         }
+    }
+
+    /// The published snapshot, as of the last committed write.
+    fn snapshot(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.published.lock())
+    }
+
+    /// The published snapshot with every cataloged column in its index: a cold
+    /// catalog hydrates first, as a write.
+    fn hydrated_snapshot(&self) -> Result<Arc<Snapshot>, WireError> {
+        let snapshot = self.snapshot();
+        if snapshot.hydrated {
+            return Ok(snapshot);
+        }
+        self.write(QueryService::ensure_hydrated)?;
+        Ok(self.snapshot())
+    }
+
+    /// Runs one write on the service under the writer lock and publishes the
+    /// resulting snapshot before returning — also after a failed write, which
+    /// may have changed some state before it failed.
+    fn write<T>(
+        &self,
+        f: impl FnOnce(&mut QueryService) -> Result<T, CatalogError>,
+    ) -> Result<T, WireError> {
+        let mut service = self.writer.lock();
+        let result = f(&mut service);
+        let fresh = Arc::new(Snapshot::of(&service, &self.spec));
+        // Freeing the replaced snapshot, when no reader holds it any more,
+        // happens after the slot is unlocked.
+        let replaced = std::mem::replace(&mut *self.published.lock(), fresh);
+        drop(replaced);
+        result.map_err(WireError::from)
     }
 
     /// Runs `f` on the live state of `session`, refreshing its idle clock.
@@ -1283,12 +1401,12 @@ impl Node {
         f(state)
     }
 
-    /// Ranks already-sketched query columns as one runner-backed batch, under a
-    /// shared read lock — the same code path as `QueryService::query_*_batch`, so
-    /// wire answers are bit-identical to in-process answers.  `query`,
-    /// `batch-query` and `rank` all end here; `queries[i]` is the column
-    /// `sketched[i]` summarizes, and only a cascade reads it (to build the
-    /// companion sketch).
+    /// Ranks already-sketched query columns as one runner-backed batch against
+    /// one published snapshot — the same code path as
+    /// `QueryService::query_*_batch`, so wire answers are bit-identical to
+    /// in-process answers.  `query`, `batch-query` and `rank` all end here;
+    /// `queries[i]` is the column `sketched[i]` summarizes, and only a cascade
+    /// reads it (to build the companion sketch).
     fn rank<'q>(
         &self,
         queries: impl IntoIterator<Item = &'q WireQuery>,
@@ -1316,11 +1434,8 @@ impl Node {
         } else {
             None
         };
-        // Sketch the companions *outside* any lock, with the immutable estimator
-        // clone (identical configuration → bit-identical sketches): the CPU-heavy
-        // phase of a large batch must never hold the read lock, or it would stall
-        // ingest commits and compaction behind it (and, on writer-preferring lock
-        // implementations, every later query behind those).
+        // Sketch the companions with the immutable estimator clone (identical
+        // configuration → bit-identical sketches); no lock is held here or below.
         let mut cascade_pairs: Vec<(SketchedColumn, SketchedColumn)> = Vec::new();
         let sketched = match companion_est {
             Some(est) => {
@@ -1334,42 +1449,27 @@ impl Node {
             }
             None => sketched,
         };
-        loop {
-            {
-                let service = self.service.read();
-                if service.is_fully_hydrated() {
-                    let rankings = match mode {
-                        Mode::Joinable if companion_est.is_some() => {
-                            service.index().top_k_joinable_cascade_batch(
-                                &cascade_pairs,
-                                k,
-                                ipsketch_join::DEFAULT_CASCADE_CONFIDENCE,
-                            )
-                        }
-                        Mode::Joinable => service.index().top_k_joinable_batch(&sketched, k),
-                        Mode::Related => {
-                            service
-                                .index()
-                                .top_k_correlated_batch(&sketched, k, min_join_size)
-                        }
-                    }
-                    .map_err(WireError::from)?;
-                    return Ok((
-                        rankings
-                            .iter()
-                            .map(|ranking| ranking.iter().map(WireRanked::from).collect())
-                            .collect(),
-                        note,
-                    ));
-                }
-            }
-            // Columns exist that are not in the index yet (catalog opened cold):
-            // hydrate under the write lock, then retry the read-locked fast path.
-            self.service
-                .write()
-                .ensure_hydrated()
-                .map_err(WireError::from)?;
+        // The whole batch ranks against one snapshot, so it sees one catalog
+        // state however many writes commit meanwhile.
+        let snapshot = self.hydrated_snapshot()?;
+        let index = &snapshot.index;
+        let rankings = match mode {
+            Mode::Joinable if companion_est.is_some() => index.top_k_joinable_cascade_batch(
+                &cascade_pairs,
+                k,
+                ipsketch_join::DEFAULT_CASCADE_CONFIDENCE,
+            ),
+            Mode::Joinable => index.top_k_joinable_batch(&sketched, k),
+            Mode::Related => index.top_k_correlated_batch(&sketched, k, min_join_size),
         }
+        .map_err(WireError::from)?;
+        Ok((
+            rankings
+                .iter()
+                .map(|ranking| ranking.iter().map(WireRanked::from).collect())
+                .collect(),
+            note,
+        ))
     }
 }
 
@@ -1378,41 +1478,7 @@ impl Backend for Node {
 
     fn execute(&self, (): &mut (), body: &RequestBody) -> Result<ResponseBody, WireError> {
         match body {
-            RequestBody::Info { .. } => {
-                let service = self.service.read();
-                let stats = service.stats();
-                Ok(ResponseBody::Info {
-                    columns: service
-                        .catalog()
-                        .live_entries()
-                        .map(|e| InfoColumn {
-                            table: e.table.clone(),
-                            column: e.column.clone(),
-                            rows: e.rows,
-                        })
-                        .collect(),
-                    stats: Some(WireServiceStats {
-                        columns: stats.columns as u64,
-                        hydrated: stats.hydrated as u64,
-                        bytes_on_disk: stats.bytes_on_disk,
-                        last_compaction: stats.last_compaction.as_ref().map(|report| {
-                            WireCompaction {
-                                removed_files: report.removed_files.len() as u64,
-                                live_columns: report.live_columns as u64,
-                            }
-                        }),
-                    }),
-                    sketcher: stats.sketcher,
-                    fingerprint: stats.fingerprint,
-                    method: stats.method,
-                    format: Some(stats.format),
-                    spec: Some(self.spec.encode()),
-                    server: None,
-                    // Single catalog nodes never report cluster state; only the
-                    // router synthesizes info responses with a `cluster` member.
-                    cluster: None,
-                })
-            }
+            RequestBody::Info { .. } => Ok(self.snapshot().info.clone()),
             RequestBody::Query {
                 mode,
                 k,
@@ -1495,11 +1561,9 @@ impl Backend for Node {
                         Err(other) => return Err(other.into()),
                     }
                 }
-                let report = self
-                    .service
-                    .write()
-                    .register_sketched_with_companions(sketched, companions)
-                    .map_err(WireError::from)?;
+                let report = self.write(|service| {
+                    service.register_sketched_with_companions(sketched, companions)
+                })?;
                 self.wakeup.request();
                 Ok(ResponseBody::Report {
                     registered: report.registered,
@@ -1544,7 +1608,7 @@ impl Backend for Node {
                     .ok_or_else(|| unknown_session(*session))?;
                 // Take the state out of its slot first, so a racing second finish (or
                 // announce/submit) observes an empty slot — not a deadlock on the
-                // service write lock below.
+                // writer lock below.
                 let state = slot
                     .lock()
                     .take()
@@ -1552,8 +1616,7 @@ impl Backend for Node {
                 // The session is consumed whether the commit succeeds or fails (its
                 // partial sketches are moved into the registration); drop the map entry.
                 self.sessions.lock().slots.remove(session);
-                let result = self.service.write().finish_sharded_ingest(state);
-                let report = result.map_err(WireError::from)?;
+                let report = self.write(|service| service.finish_sharded_ingest(state))?;
                 self.wakeup.request();
                 Ok(ResponseBody::Report {
                     registered: report.registered,
@@ -1561,10 +1624,7 @@ impl Backend for Node {
                 })
             }
             RequestBody::DropColumn { table, column } => {
-                self.service
-                    .write()
-                    .drop_column(table, column)
-                    .map_err(WireError::from)?;
+                self.write(|service| service.drop_column(table, column))?;
                 // The tombstoned blob is garbage now; let the next maintenance
                 // pass reclaim it.
                 self.wakeup.request();
@@ -1574,8 +1634,10 @@ impl Backend for Node {
                 })
             }
             RequestBody::ExportColumn { table, column } => {
-                let service = self.service.read();
-                let (rows, bytes) = service
+                // It reads a blob file, which compaction must not remove meanwhile.
+                let (rows, bytes) = self
+                    .writer
+                    .lock()
                     .catalog()
                     .export_blob(table, column)
                     .map_err(WireError::from)?;
@@ -1587,11 +1649,9 @@ impl Backend for Node {
                 }))
             }
             RequestBody::ImportColumn { sketch } => {
-                let registered = self
-                    .service
-                    .write()
-                    .import_sketched_blob(&sketch.table, &sketch.column, &sketch.bytes)
-                    .map_err(WireError::from)?;
+                let registered = self.write(|service| {
+                    service.import_sketched_blob(&sketch.table, &sketch.column, &sketch.bytes)
+                })?;
                 self.wakeup.request();
                 Ok(ResponseBody::Report {
                     registered: if registered {
@@ -1621,7 +1681,7 @@ impl Backend for Node {
                 .retain(|_, slot| slot.touched.elapsed() <= self.session_ttl);
             (before - sessions.slots.len()) as u64
         };
-        let result = self.service.write().compact();
+        let result = self.write(QueryService::compact);
         let mut stats = self.maintenance_stats.lock();
         stats.sessions_expired += expired;
         match result {
@@ -1825,6 +1885,176 @@ mod tests {
         ] {
             assert!(!err.to_string().is_empty());
         }
+    }
+
+    fn temp_root(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("ipsketch-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn reads_finish_while_a_writer_holds_the_writer_lock() {
+        use crate::protocol::WireRankQuery;
+        use ipsketch_core::method::{AnySketcher, SketchMethod};
+        use ipsketch_data::{Column, Table};
+
+        let root = temp_root("snapshot-reads");
+        let spec = AnySketcher::for_budget(SketchMethod::Kmv, 128.0, 7)
+            .expect("budget fits")
+            .spec();
+        let mut service = QueryService::create(&root, spec).expect("create");
+        let lake = Table::new(
+            "lake",
+            (0..200).collect(),
+            vec![Column::new("v", (0..200).map(f64::from).collect())],
+        )
+        .expect("table");
+        service.ingest_table(&lake).expect("ingest");
+        let config = ServerConfig::builder()
+            .tcp("127.0.0.1:0")
+            .build()
+            .expect("valid");
+        let node = Node::new(service, &config);
+        let query = WireQuery {
+            table: "q".to_string(),
+            column: "c".to_string(),
+            keys: (100..300).collect(),
+            values: (100..300).map(|i| f64::from(i) + 1.0).collect(),
+        };
+        let sketched = sketch_queries(
+            &node.estimator,
+            std::slice::from_ref(&query),
+            Mode::Joinable,
+            false,
+        )
+        .expect("sketch");
+        let format = node.writer.lock().catalog().format();
+        let reads = [
+            RequestBody::Query {
+                mode: Mode::Joinable,
+                k: 3,
+                min_join_size: 0.0,
+                cascade: true,
+                query: query.clone(),
+            },
+            RequestBody::Rank {
+                mode: Mode::Joinable,
+                k: 3,
+                min_join_size: 0.0,
+                cascade: true,
+                queries: vec![WireRankQuery::new(query, &sketched[0], format)],
+            },
+            RequestBody::Info { server: false },
+        ];
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let answers = std::thread::scope(|scope| {
+            // Held inside the scope, so a failing wait below unwinds through its
+            // drop and the reader thread can finish before the scope joins it.
+            let writer = node.writer.lock();
+            let (node, reads) = (&node, &reads);
+            scope.spawn(move || {
+                for body in reads {
+                    tx.send(node.execute(&mut (), body))
+                        .expect("receiver lives");
+                }
+            });
+            let answers: Vec<ResponseBody> = reads
+                .iter()
+                .map(|body| {
+                    rx.recv_timeout(Duration::from_secs(30))
+                        .unwrap_or_else(|_| panic!("`{}` waited on the writer", body.op()))
+                        .unwrap_or_else(|e| panic!("`{}` failed: {e:?}", body.op()))
+                })
+                .collect();
+            drop(writer);
+            answers
+        });
+        let (
+            ResponseBody::Ranking { ranking, .. },
+            ResponseBody::Rankings { rankings, .. },
+            ResponseBody::Info { columns, .. },
+        ) = (&answers[0], &answers[1], &answers[2])
+        else {
+            panic!("unexpected answers: {answers:?}");
+        };
+        assert_eq!(ranking[0].table, "lake");
+        assert_eq!(rankings, &vec![ranking.clone()]);
+        assert_eq!(columns.len(), 1);
+        std::fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    /// Panics on `drop-column` of table `boom`; answers anything else with an
+    /// empty `info`.
+    struct PanicsOnBoom;
+
+    impl Backend for PanicsOnBoom {
+        type Worker = ();
+
+        fn execute(&self, (): &mut (), body: &RequestBody) -> Result<ResponseBody, WireError> {
+            if let RequestBody::DropColumn { table, .. } = body {
+                assert_ne!(table, "boom", "the marker request");
+            }
+            Ok(ResponseBody::Info {
+                sketcher: String::new(),
+                fingerprint: String::new(),
+                method: String::new(),
+                format: None,
+                spec: None,
+                columns: Vec::new(),
+                stats: None,
+                server: None,
+                cluster: None,
+            })
+        }
+
+        fn maintain(&self) {}
+    }
+
+    #[test]
+    fn a_panicking_request_costs_one_internal_error_not_the_worker() {
+        use std::io::BufRead;
+
+        let config = ServerConfig::builder()
+            .tcp("127.0.0.1:0")
+            .workers(1)
+            .maintenance_interval(None)
+            .build()
+            .expect("valid");
+        let handle = serve_backend(PanicsOnBoom, config).expect("serve");
+        let mut stream = TcpStream::connect(handle.tcp_addr().expect("tcp")).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        // Pipelined: the second request rides the same connection and the only
+        // worker, so it is answered only if that worker survived the first.
+        stream
+            .write_all(
+                b"{\"v\": 1, \"id\": 1, \"op\": \"drop-column\", \"table\": \"boom\", \"column\": \"c\"}\n\
+                  {\"v\": 1, \"id\": 2, \"op\": \"info\", \"server\": true}\n",
+            )
+            .expect("send");
+        let mut lines = io::BufReader::new(stream).lines();
+        let mut next = || {
+            let line = lines.next().expect("a response").expect("read");
+            Response::decode(&line).expect("decodes")
+        };
+        let failed = next();
+        assert_eq!(failed.id.as_u64(), Some(1));
+        let error = failed.result.expect_err("the marker request fails");
+        assert_eq!(error.code, ErrorCode::Internal, "{}", error.message);
+        let answered = next();
+        assert_eq!(answered.id.as_u64(), Some(2));
+        match answered.result.expect("the next request is answered") {
+            ResponseBody::Info {
+                server: Some(server),
+                ..
+            } => assert_eq!(server.panics, 1),
+            other => panic!("expected info with a server member, got {other:?}"),
+        }
+        handle.shutdown();
     }
 
     #[test]

@@ -17,6 +17,7 @@ use ipsketch_join::{
 };
 use std::collections::HashSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Stable machine-readable code of the [`CascadeNote`] a cascade query answers
 /// with when it fell back to the flat scan (the catalog stores no companion
@@ -162,7 +163,9 @@ pub struct ServiceStats {
 #[derive(Debug)]
 pub struct QueryService {
     catalog: Catalog,
-    index: SketchIndex,
+    /// Copy-on-write: every change goes through [`Arc::make_mut`], so a
+    /// [`snapshot`](Self::snapshot) taken earlier never sees it.
+    index: Arc<SketchIndex>,
     hydrated: HashSet<(String, String)>,
     last_compaction: Option<CompactionReport>,
 }
@@ -216,7 +219,7 @@ impl QueryService {
         }
         Ok(Self {
             catalog,
-            index,
+            index: Arc::new(index),
             hydrated: HashSet::new(),
             last_compaction: None,
         })
@@ -228,14 +231,22 @@ impl QueryService {
         &self.catalog
     }
 
-    /// The in-memory index the service ranks with.  Combined with
-    /// [`is_fully_hydrated`](Self::is_fully_hydrated), this is the shared-read path a
-    /// concurrent front end takes: hydrate once under an exclusive lock, then answer
-    /// any number of queries through `&self` under a shared lock (the batch methods
-    /// of [`SketchIndex`] are exactly the ones the `query_*` methods here call).
+    /// The in-memory index the service ranks with (the batch methods of
+    /// [`SketchIndex`] are exactly the ones the `query_*` methods here call).
     #[must_use]
     pub fn index(&self) -> &SketchIndex {
         &self.index
+    }
+
+    /// The index as of now, as an immutable snapshot: later ingests, drops and
+    /// hydration change the service's own copy, never this one.  Taking it
+    /// copies no sketch; the first change after it copies one pointer per
+    /// column, and entries the two copies share stay one allocation.  A
+    /// concurrent front end ranks against a published snapshot, so readers
+    /// never wait on a writer.
+    #[must_use]
+    pub fn snapshot(&self) -> Arc<SketchIndex> {
+        Arc::clone(&self.index)
     }
 
     /// Whether every cataloged column is already hydrated into the index — i.e.
@@ -249,7 +260,7 @@ impl QueryService {
     /// Compacts the underlying catalog (see [`Catalog::compact`]): removes
     /// unreferenced blob and temp files and rewrites the manifest.  Takes `&mut self`
     /// so a front end schedules it on its maintenance thread behind the same
-    /// exclusive lock as ingests — never concurrent with a registration writing new
+    /// writer lock as ingests — never concurrent with a registration writing new
     /// blobs.
     ///
     /// # Errors
@@ -280,7 +291,7 @@ impl QueryService {
         {
             // The catalog committed the tombstone and the index held the column, so
             // this remove cannot miss.
-            self.index
+            Arc::make_mut(&mut self.index)
                 .remove(table, column)
                 .map_err(CatalogError::Join)?;
         }
@@ -351,11 +362,11 @@ impl QueryService {
             .filter(|e| !self.hydrated.contains(&(e.table.clone(), e.column.clone())))
             .cloned()
             .collect();
+        let index = Arc::make_mut(&mut self.index);
         for entry in &missing {
             let column = self.catalog.load_entry(entry)?;
             let companion = self.catalog.load_companion_entry(entry)?;
-            self.index
-                .insert_sketched_with_companion(column, companion)?;
+            index.insert_sketched_with_companion(column, companion)?;
             self.hydrated
                 .insert((entry.table.clone(), entry.column.clone()));
         }
@@ -424,7 +435,7 @@ impl QueryService {
 
     /// Registers already-sketched columns into the catalog (one manifest commit) and
     /// the in-memory index, returning what was registered.  This is the
-    /// write-lock-minimizing path a concurrent front end takes: the expensive
+    /// writer-lock-minimizing path a concurrent front end takes: the expensive
     /// sketching runs outside any service lock (with a clone of
     /// [`estimator`](Self::estimator) — the configuration is immutable for the
     /// catalog's lifetime), and only this commit needs exclusive access.
@@ -521,10 +532,10 @@ impl QueryService {
     ) -> Result<(), CatalogError> {
         self.catalog
             .register_all_with_companions(&sketched, &companions)?;
+        let index = Arc::make_mut(&mut self.index);
         for (column, companion) in sketched.into_iter().zip(companions) {
             let key = (column.table.clone(), column.column.clone());
-            self.index
-                .insert_sketched_with_companion(column, companion)?;
+            index.insert_sketched_with_companion(column, companion)?;
             self.hydrated.insert(key);
         }
         Ok(())
@@ -1376,6 +1387,63 @@ mod tests {
         assert_eq!(report.removed_files.len(), 2);
         assert_eq!(report.live_columns, 2);
         assert_eq!(reopened.stats().bytes_on_disk, before);
+        fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    #[test]
+    fn snapshots_keep_their_answers_across_ingest_drop_and_compact() {
+        let root = temp_root("snapshot");
+        let (query, good, bad) = lake();
+        let mut service = QueryService::create(&root, spec_for(SketchMethod::WeightedMinHash, 13))
+            .expect("create");
+        service.ingest_table(&good).expect("good");
+        let q = service.sketch_query(&query, "rides").expect("sketch");
+        let answers = |index: &SketchIndex| {
+            (
+                index.top_k_joinable(&q, 10).expect("joinable"),
+                index.top_k_correlated(&q, 10, 1.0).expect("related"),
+            )
+        };
+        let old = service.snapshot();
+        let before = answers(&old);
+
+        service.ingest_table(&bad).expect("bad");
+        service.drop_column("good", "noise").expect("drop");
+        service.compact().expect("compact");
+        let new = service.snapshot();
+
+        // The old snapshot still holds what it held and answers bit for bit as
+        // before; the new one answers differently.
+        assert_eq!(old.len(), 2);
+        assert_eq!(answers(&old), before);
+        assert_ne!(answers(&new), before);
+
+        // The new snapshot is what a fresh process serving the catalog holds.
+        let mut fresh = QueryService::open(&root).expect("open");
+        fresh.ensure_hydrated().expect("hydrate");
+        let fresh = fresh.snapshot();
+        assert_eq!(new.len(), fresh.len());
+        for id in fresh.columns() {
+            assert_eq!(
+                new.get(&id.table, &id.column).expect("indexed"),
+                fresh.get(&id.table, &id.column).expect("indexed")
+            );
+            assert_eq!(
+                new.get_companion(&id.table, &id.column),
+                fresh.get_companion(&id.table, &id.column)
+            );
+        }
+        assert_eq!(answers(&new), answers(&fresh));
+
+        // The column both snapshots hold is one allocation, not a copy.
+        assert!(std::ptr::eq(
+            old.get("good", "precip").expect("old"),
+            new.get("good", "precip").expect("new")
+        ));
+        assert!(!std::ptr::eq(
+            new.get("good", "precip").expect("new"),
+            fresh.get("good", "precip").expect("fresh")
+        ));
         fs::remove_dir_all(&root).expect("cleanup");
     }
 
