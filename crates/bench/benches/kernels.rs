@@ -1,10 +1,11 @@
 //! The kernel baseline suite: scalar-reference vs. vectorized throughput for the
 //! sketching hot loops, plus dispatched per-method baselines for sketch-build, merge,
-//! estimate, and batch-query — the trajectory future PRs regress against.
+//! and estimate — the trajectory future PRs regress against.
 //!
 //! Beyond the criterion console lines, the suite exports every measurement to
-//! `BENCH_kernels.json` at the repository root (override the path with
-//! `IPSKETCH_BENCH_OUT`):
+//! `target/bench-reports/BENCH_kernels.json` (override the path with
+//! `IPSKETCH_BENCH_OUT`; the committed `BENCH_kernels.json` at the repository
+//! root is refreshed only by naming it there, at paper scale):
 //!
 //! * `results` — one `{group, method, variant, ns_per_iter}` row per benchmark;
 //! * `kernel_speedups` — scalar-twin time over vectorized-twin time per kernel
@@ -18,9 +19,8 @@
 //!   interleaved best-of-reps so both arms see the same machine conditions, and gated
 //!   ≥1.5× under `IPSKETCH_BENCH_ENFORCE=1`;
 //! * `end_to_end_speedups` — table-scale sketch-build, sequential scalar kernels
-//!   (the PR-3 shape) vs. the work-claiming runner driving vectorized kernels, and
-//!   sequential vs. parallel batch query — the speedups a user of the build/serve
-//!   paths actually observes.
+//!   vs. the work-claiming runner driving vectorized kernels — the speedup a user
+//!   of the build path actually observes.
 //!
 //! Environment knobs:
 //!
@@ -29,6 +29,7 @@
 //!   10% slower than its scalar reference (the CI `bench-baseline` gate).
 
 use criterion::Criterion;
+use ipsketch_bench::report::BenchFiles;
 use ipsketch_core::countsketch::{CountSketch, CountSketcher};
 use ipsketch_core::icws::IcwsSketcher;
 use ipsketch_core::jl::JlSketcher;
@@ -43,8 +44,7 @@ use ipsketch_core::storage::{
 };
 use ipsketch_core::traits::Sketcher;
 use ipsketch_core::wmh::{WeightedMinHasher, WmhStream};
-use ipsketch_data::{DataLakeConfig, SyntheticPairConfig};
-use ipsketch_join::{JoinEstimator, SketchIndex, SketchedColumn};
+use ipsketch_data::SyntheticPairConfig;
 use ipsketch_vector::SparseVector;
 use std::time::Duration;
 
@@ -56,7 +56,6 @@ struct Config {
     nonzeros: usize,
     budget_doubles: f64,
     table_vectors: usize,
-    batch_queries: usize,
     sample_size: usize,
     measurement: Duration,
 }
@@ -71,7 +70,6 @@ impl Config {
                 nonzeros: 200,
                 budget_doubles: 200.0,
                 table_vectors: 4,
-                batch_queries: 64,
                 sample_size: 3,
                 measurement: Duration::from_millis(250),
             }
@@ -84,7 +82,6 @@ impl Config {
                 nonzeros: 2_000,
                 budget_doubles: 400.0,
                 table_vectors: 8,
-                batch_queries: 64,
                 sample_size: 5,
                 measurement: Duration::from_secs(1),
             }
@@ -149,14 +146,6 @@ fn write_json(
     format_speedups: &[(String, f64)],
     end_to_end: &[(String, f64)],
 ) -> std::io::Result<std::path::PathBuf> {
-    let path = std::env::var("IPSKETCH_BENCH_OUT").map_or_else(
-        |_| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_kernels.json")
-        },
-        std::path::PathBuf::from,
-    );
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"version\": 1,\n");
@@ -164,8 +153,8 @@ fn write_json(
     out.push_str(&format!("  \"quick\": {},\n", cfg.quick));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!(
-        "  \"parameters\": {{\"dimension\": {}, \"nonzeros\": {}, \"budget_doubles\": {}, \"seed\": {}, \"table_vectors\": {}, \"batch_queries\": {}}},\n",
-        cfg.dimension, cfg.nonzeros, cfg.budget_doubles, SEED, cfg.table_vectors, cfg.batch_queries
+        "  \"parameters\": {{\"dimension\": {}, \"nonzeros\": {}, \"budget_doubles\": {}, \"seed\": {}, \"table_vectors\": {}}},\n",
+        cfg.dimension, cfg.nonzeros, cfg.budget_doubles, SEED, cfg.table_vectors
     ));
     out.push_str("  \"results\": [\n");
     for (i, m) in results.iter().enumerate() {
@@ -196,8 +185,7 @@ fn write_json(
         out.push_str(&format!("  }}{trailing}\n"));
     }
     out.push_str("}\n");
-    std::fs::write(&path, out)?;
-    Ok(path)
+    BenchFiles::new("BENCH_kernels.json").write(&out)
 }
 
 /// A CountSketch estimate as one dot product per repetition, collected and sorted
@@ -475,51 +463,6 @@ fn main() {
         }));
     });
     end_to_end.push(("table_build/WMH".to_string(), s / v));
-
-    // ---- End-to-end: batched index queries, sequential vs. the parallel runner. ----
-    // Large enough that queries × candidates clears the index's sequential-fallback
-    // threshold, so the parallel arm actually schedules on the runner.
-    let lake = DataLakeConfig {
-        tables: 50,
-        columns_per_table: 2,
-        min_rows: 100,
-        max_rows: 300,
-        key_universe: 1_000,
-    }
-    .generate(SEED)
-    .expect("valid configuration");
-    for method in methods() {
-        let label = method.label();
-        let budget = if cfg.quick { 100.0 } else { 200.0 };
-        let estimator =
-            JoinEstimator::new(AnySketcher::for_budget(method, budget, SEED).expect("budget fits"));
-        let mut index = SketchIndex::new(estimator);
-        for table in lake.tables() {
-            index.insert_table(table).expect("indexable lake");
-        }
-        let queries: Vec<SketchedColumn> = lake.tables()[0]
-            .columns()
-            .iter()
-            .cycle()
-            .take(cfg.batch_queries)
-            .map(|c| {
-                index
-                    .sketch_query(&lake.tables()[0], &c.name)
-                    .expect("sketchable query")
-            })
-            .collect();
-        // SAFETY of the env round trip: the suite is single-threaded.
-        std::env::set_var("IPSKETCH_THREADS", "1");
-        let s = suite.bench("batch_query", label, "sequential", || {
-            std::hint::black_box(index.top_k_joinable_batch(&queries, 5).expect("ranks"));
-        });
-        std::env::set_var("IPSKETCH_THREADS", threads.to_string());
-        let v = suite.bench("batch_query", label, "parallel", || {
-            std::hint::black_box(index.top_k_joinable_batch(&queries, 5).expect("ranks"));
-        });
-        std::env::remove_var("IPSKETCH_THREADS");
-        end_to_end.push((format!("batch_query/{label}"), s / v));
-    }
 
     // ---- Export + gate. ----
     let path = write_json(

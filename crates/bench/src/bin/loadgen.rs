@@ -26,15 +26,18 @@
 //! server-side stalls surface as tail latency instead of being absorbed by a
 //! slowing client (no coordinated omission).
 //!
-//! Results merge into `BENCH_serve.json` at the repository root under a
-//! `quick` or `full` profile (the other profile's committed numbers are
-//! preserved). Environment knobs mirror the kernel suite:
+//! Results merge into the committed `BENCH_serve.json` at the repository root
+//! under a `quick` or `full` profile (the other profile's committed numbers
+//! are preserved), and the merged report is written to
+//! `target/bench-reports/BENCH_serve.json`. Environment knobs mirror the
+//! kernel suite:
 //!
 //! * `IPSKETCH_BENCH_QUICK=1` — CI-sized runs under the `quick` profile;
 //! * `IPSKETCH_BENCH_ENFORCE=1` — exit non-zero if any scenario's sustained
 //!   qps falls below 75% of the committed same-profile baseline;
-//! * `IPSKETCH_BENCH_OUT` — write the merged report elsewhere (the committed
-//!   file stays the enforcement baseline).
+//! * `IPSKETCH_BENCH_OUT` — write the merged report to this path instead.
+//!   The committed file stays the enforcement baseline; a refresh of it names
+//!   it here explicitly (`IPSKETCH_BENCH_OUT=$PWD/BENCH_serve.json`).
 //!
 //! Committed-baseline convention: single runs on shared machines jitter by
 //! ±15%, so the committed `quick` numbers are a conservative floor (the
@@ -42,6 +45,7 @@
 //! one lucky run. Refresh them the same way: run quick a few times and keep
 //! the minima.
 
+use ipsketch_bench::report::BenchFiles;
 use ipsketch_core::method::{AnySketcher, SketchMethod};
 use ipsketch_data::DataLakeConfig;
 use ipsketch_serve::faults::{FaultMode, FaultProxy};
@@ -229,11 +233,8 @@ fn build_workload(tag: &str, profile: &Profile) -> Workload {
     for table in lake.tables() {
         service.ingest_table(table).expect("lake ingests");
     }
-    // Warm the hydration path so the measured window serves, not loads.
-    let warm = service
-        .sketch_query(&lake.tables()[0], &lake.tables()[0].columns()[0].name)
-        .expect("sketchable");
-    service.query_joinable(&warm, 1).expect("warm query");
+    // Hydrate up front so the measured window serves, not loads.
+    service.ensure_hydrated().expect("catalog hydrates");
 
     let first = &lake.tables()[0];
     let wire_query = |column: &str| WireQuery {
@@ -567,16 +568,6 @@ fn run_scenario(
 
 // ---- Report I/O: merge the measured profile into the committed baseline. ----
 
-fn committed_path() -> PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_serve.json")
-}
-
-fn out_path() -> PathBuf {
-    std::env::var("IPSKETCH_BENCH_OUT").map_or_else(|_| committed_path(), PathBuf::from)
-}
-
 /// Parses one profile's results back out of a previously written report.
 fn parse_profile(doc: &Json, profile: &str) -> Option<(Json, Vec<ScenarioResult>)> {
     let section = doc.get("profiles")?.get(profile)?;
@@ -613,6 +604,7 @@ fn render_profile(out: &mut String, parameters: &Json, results: &[ScenarioResult
 }
 
 fn write_report(
+    files: &BenchFiles,
     profile: &Profile,
     parameters: &Json,
     results: &[ScenarioResult],
@@ -641,9 +633,7 @@ fn write_report(
     }
     out.push_str("  }\n");
     out.push_str("}\n");
-    let path = out_path();
-    std::fs::write(&path, out)?;
-    Ok(path)
+    files.write(&out)
 }
 
 fn main() {
@@ -722,11 +712,12 @@ fn main() {
             Json::f64(OPEN_LOOP_FRACTION),
         ),
     ]);
-    let baseline = std::fs::read_to_string(committed_path())
+    let files = BenchFiles::new("BENCH_serve.json");
+    let baseline = std::fs::read_to_string(&files.committed)
         .ok()
         .and_then(|text| Json::parse(&text).ok());
-    let path =
-        write_report(&profile, &parameters, &results, baseline.as_ref()).expect("report writes");
+    let path = write_report(&files, &profile, &parameters, &results, baseline.as_ref())
+        .expect("report writes");
     println!("\nwrote {}", path.display());
 
     if std::env::var("IPSKETCH_BENCH_ENFORCE").is_ok_and(|v| v.trim() == "1") {

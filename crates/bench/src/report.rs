@@ -2,11 +2,63 @@
 //!
 //! The experiment binaries print the same rows/series the paper's plots show; this
 //! module provides a minimal aligned-table formatter and a CSV writer (under
-//! `target/experiments/` by default) so results can be diffed and re-plotted.
+//! `target/experiments/` by default) so results can be diffed and re-plotted, and
+//! [`BenchFiles`], where the JSON-reporting benches read and write.
 
+use std::ffi::OsString;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+
+/// The two files of a bench that reports JSON against a committed baseline
+/// (`BENCH_kernels.json`, `BENCH_cascade.json`, `BENCH_serve.json`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BenchFiles {
+    /// The committed file at the repository root: the baseline a gated run
+    /// enforces against, and the report a run merges its own profile into.
+    pub committed: PathBuf,
+    /// Where the run writes its report: the path in `IPSKETCH_BENCH_OUT` when
+    /// that is set, else `target/bench-reports/<file>`.  A run never rewrites
+    /// the committed baseline unless `IPSKETCH_BENCH_OUT` names it.
+    pub out: PathBuf,
+}
+
+impl BenchFiles {
+    /// The files of the committed baseline named `file`, e.g. `BENCH_serve.json`.
+    #[must_use]
+    pub fn new(file: &str) -> BenchFiles {
+        BenchFiles::resolve(file, std::env::var_os("IPSKETCH_BENCH_OUT"))
+    }
+
+    fn resolve(file: &str, out: Option<OsString>) -> BenchFiles {
+        // The bench crate lives at `crates/bench` under the repository root.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("the bench crate sits two levels below the repository root");
+        BenchFiles {
+            committed: root.join(file),
+            out: out.map_or_else(
+                || root.join("target").join("bench-reports").join(file),
+                PathBuf::from,
+            ),
+        }
+    }
+
+    /// Writes `report` to [`out`](Self::out), creating its directory if
+    /// needed, and returns the path written.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error from creating the directory or writing the file.
+    pub fn write(&self, report: &str) -> std::io::Result<PathBuf> {
+        if let Some(dir) = self.out.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        std::fs::write(&self.out, report)?;
+        Ok(self.out.clone())
+    }
+}
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -141,6 +193,20 @@ pub fn fmt_f64(value: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_reports_default_away_from_the_committed_baseline() {
+        let files = BenchFiles::resolve("BENCH_serve.json", None);
+        assert_ne!(files.out, files.committed);
+        assert!(files.committed.ends_with("BENCH_serve.json"));
+        assert!(files.out.ends_with("target/bench-reports/BENCH_serve.json"));
+        // Refreshing a baseline names it explicitly.
+        let refresh = BenchFiles::resolve(
+            "BENCH_serve.json",
+            Some(files.committed.clone().into_os_string()),
+        );
+        assert_eq!(refresh.out, refresh.committed);
+    }
 
     #[test]
     fn render_aligns_columns() {

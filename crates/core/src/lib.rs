@@ -23,7 +23,7 @@
 //! budget-driven front end used by the experiment harness and examples), [`spec`]
 //! (catalog-stable sketcher-configuration descriptors for persistent sketch stores),
 //! [`kernel`] (the scalar-reference vs. vectorized hot-loop dispatch), and [`runner`]
-//! (the work-claiming parallel map the batched query and experiment paths schedule on).
+//! (the work-claiming parallel map the experiment harness schedules on).
 //!
 //! # Quick example
 //!

@@ -14,9 +14,7 @@
 //! exactly, regardless of thread count or timing.  Everything runs on scoped threads:
 //! the closure may borrow from the caller and no work outlives the call.
 //!
-//! The experiment harness (`ipsketch-bench`), the batched query paths of
-//! `ipsketch-join`'s `SketchIndex`, and (through them) `ipsketch-serve`'s
-//! `QueryService` all schedule on this runner.
+//! The experiment harness (`ipsketch-bench`) schedules on this runner.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -78,10 +76,6 @@ where
         .collect()
 }
 
-/// Process-wide count of threads reserved away from the runner by long-lived
-/// service threads (see [`reserve_threads`]).
-static RESERVED_THREADS: AtomicUsize = AtomicUsize::new(0);
-
 /// The number of worker threads to use by default.
 ///
 /// Honors the `IPSKETCH_THREADS` environment variable when set: a positive integer
@@ -89,63 +83,14 @@ static RESERVED_THREADS: AtomicUsize = AtomicUsize::new(0);
 /// `0` selects automatic sizing.  Unset, empty, or unparsable values also select
 /// automatic sizing: the available parallelism capped at 8, so default experiment runs
 /// stay polite on shared machines.
-///
-/// Either way, threads currently held by a [`reserve_threads`] reservation are
-/// subtracted (never below 1): a front end whose accept loop and I/O workers occupy
-/// cores declares them once, and every batch fanned out on the runner automatically
-/// leaves that headroom instead of oversubscribing the machine.
 #[must_use]
 pub fn default_threads() -> usize {
-    let configured = match std::env::var("IPSKETCH_THREADS") {
+    match std::env::var("IPSKETCH_THREADS") {
         Ok(value) => match value.trim().parse::<usize>() {
             Ok(n) if n > 0 => n,
             _ => auto_threads(),
         },
         Err(_) => auto_threads(),
-    };
-    configured
-        .saturating_sub(RESERVED_THREADS.load(Ordering::Relaxed))
-        .max(1)
-}
-
-/// Reserves `threads` out of the runner's default pool for the lifetime of the
-/// returned guard, typically the lifetime of a server: [`default_threads`] (and so
-/// every batch path that sizes itself with it) subtracts all active reservations,
-/// keeping at least one runner thread.  Reservations from multiple callers stack, and
-/// dropping the guard releases its share.
-///
-/// This only shapes the *default*; explicit `threads` arguments to [`parallel_map`]
-/// are never overridden.
-#[must_use]
-pub fn reserve_threads(threads: usize) -> ThreadReservation {
-    RESERVED_THREADS.fetch_add(threads, Ordering::Relaxed);
-    ThreadReservation { threads }
-}
-
-/// The currently reserved thread count (the sum over live [`ThreadReservation`]s).
-#[must_use]
-pub fn reserved_threads() -> usize {
-    RESERVED_THREADS.load(Ordering::Relaxed)
-}
-
-/// RAII guard for a [`reserve_threads`] reservation; dropping it returns the threads
-/// to the runner's default pool.
-#[derive(Debug)]
-pub struct ThreadReservation {
-    threads: usize,
-}
-
-impl ThreadReservation {
-    /// How many threads this reservation holds.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl Drop for ThreadReservation {
-    fn drop(&mut self) {
-        RESERVED_THREADS.fetch_sub(self.threads, Ordering::Relaxed);
     }
 }
 
@@ -213,26 +158,5 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn reservations_carve_headroom_out_of_the_default_pool() {
-        // Relative assertions only: other tests in this binary may hold their own
-        // reservations concurrently, so compare against a baseline read while no
-        // reservation of *ours* is live.
-        let baseline = default_threads();
-        {
-            let guard = reserve_threads(1);
-            assert_eq!(guard.threads(), 1);
-            assert!(reserved_threads() >= 1);
-            assert!(default_threads() >= 1);
-            assert!(default_threads() <= baseline);
-            // A huge reservation can never drive the pool below one thread.
-            let flood = reserve_threads(usize::MAX / 2);
-            assert_eq!(default_threads(), 1);
-            drop(flood);
-        }
-        // Dropped guards return their share.
-        assert!(default_threads() >= baseline.saturating_sub(reserved_threads()).max(1));
     }
 }

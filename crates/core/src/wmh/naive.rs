@@ -3,11 +3,9 @@
 //! This implementation follows Algorithm 3 literally: it materializes (index by index)
 //! the expanded vector `ā` of length `n·L` and hashes every non-zero position with a
 //! hash function from a [`UnitHashFamily`].  Its cost is `O(nnz · m · L)`, which is
-//! prohibitive for realistic `L`; it exists to
-//!
-//! 1. cross-validate the fast active-index sketcher of [`super::fast`] (both must
-//!    produce statistically indistinguishable estimates), and
-//! 2. serve as the baseline in the sketching-cost ablation (`wmh_ablation` bench).
+//! prohibitive for realistic `L`; it exists to cross-validate the fast
+//! active-index sketcher of [`super::fast`] (both must produce statistically
+//! indistinguishable estimates).
 
 use super::{validate_params, WeightedMinHashSketch, WmhParams, WmhStream, WmhVariant};
 use crate::error::SketchError;

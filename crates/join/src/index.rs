@@ -10,7 +10,6 @@
 use crate::error::JoinError;
 use crate::estimate::{JoinEstimator, SketchedColumn};
 use crate::exact::JoinStatistics;
-use ipsketch_core::runner::{default_threads, parallel_map};
 use ipsketch_data::Table;
 use std::sync::Arc;
 
@@ -36,14 +35,6 @@ pub struct RankedColumn {
     /// The estimated post-join correlation with the query column.
     pub estimated_correlation: f64,
 }
-
-/// Below this many (query, candidate) pairs a batch is ranked sequentially.  Spinning
-/// up scoped worker threads costs on the order of a millisecond, and a single pair
-/// estimate ranges from ~0.1µs (JL dot product) to a few µs (sampler collision
-/// scans), so the threshold is calibrated to the cheap end: a batch below it could
-/// only lose by parallelizing, and one well above it carries enough work for every
-/// method.
-const PARALLEL_BATCH_MIN_PAIRS: usize = 4096;
 
 /// The default confidence multiplier applied to the companion's Table-1 error bound
 /// `ε·√(rows_q·rows_c)` when sizing the cascade pruning margin.  At 10× the bound the
@@ -490,8 +481,7 @@ impl SketchIndex {
     }
 
     /// Answers a batch of cascade joinability queries (each a primary + companion
-    /// query-sketch pair) with the same parallel scheduling as
-    /// [`top_k_joinable_batch`](Self::top_k_joinable_batch); result `i` is exactly
+    /// query-sketch pair) in input order; result `i` is exactly
     /// [`top_k_joinable_cascade`](Self::top_k_joinable_cascade) for query `i`.
     ///
     /// # Errors
@@ -504,12 +494,13 @@ impl SketchIndex {
         k: usize,
         confidence: f64,
     ) -> Result<Vec<Vec<RankedColumn>>, JoinError> {
-        parallel_map(queries, self.batch_threads(queries.len()), |(q, cq)| {
-            self.top_k_joinable_cascade(q, cq, k, confidence)
-                .map(|(results, _)| results)
-        })
-        .into_iter()
-        .collect()
+        queries
+            .iter()
+            .map(|(q, cq)| {
+                self.top_k_joinable_cascade(q, cq, k, confidence)
+                    .map(|(results, _)| results)
+            })
+            .collect()
     }
 
     /// Ranks all indexed columns (excluding those from the query's own table) by the
@@ -536,13 +527,6 @@ impl SketchIndex {
     /// receives over the wire.  Result `i` is the ranking for query `i`, exactly as if
     /// [`top_k_joinable`](Self::top_k_joinable) had been called per query.
     ///
-    /// Large batches are ranked in parallel on the work-claiming runner
-    /// ([`ipsketch_core::runner::parallel_map`]), so batched serving scales across
-    /// cores; small batches (fewer than ~4k query–candidate pairs) stay sequential,
-    /// where thread startup would cost more than the ranking itself.  Results are
-    /// reassembled in input order either way, making the output independent of thread
-    /// count and timing.
-    ///
     /// # Errors
     ///
     /// Returns the first (by input order) per-query error; a batch is all-or-nothing
@@ -552,29 +536,12 @@ impl SketchIndex {
         queries: &[SketchedColumn],
         k: usize,
     ) -> Result<Vec<Vec<RankedColumn>>, JoinError> {
-        parallel_map(queries, self.batch_threads(queries.len()), |q| {
-            self.top_k_joinable(q, k)
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// How many runner threads a batch of `queries` deserves: the full default pool
-    /// once the batch carries enough estimation work to amortize thread startup,
-    /// sequential otherwise.
-    fn batch_threads(&self, queries: usize) -> usize {
-        if queries.saturating_mul(self.entries.len()) >= PARALLEL_BATCH_MIN_PAIRS {
-            default_threads()
-        } else {
-            1
-        }
+        queries.iter().map(|q| self.top_k_joinable(q, k)).collect()
     }
 
     /// Answers a batch of relatedness (correlation) queries in one call; result `i` is
     /// the ranking for query `i`, as from
-    /// [`top_k_correlated`](Self::top_k_correlated).  Like
-    /// [`top_k_joinable_batch`](Self::top_k_joinable_batch), large batches are ranked
-    /// in parallel with input-order results.
+    /// [`top_k_correlated`](Self::top_k_correlated).
     ///
     /// # Errors
     ///
@@ -586,11 +553,10 @@ impl SketchIndex {
         k: usize,
         min_join_size: f64,
     ) -> Result<Vec<Vec<RankedColumn>>, JoinError> {
-        parallel_map(queries, self.batch_threads(queries.len()), |q| {
-            self.top_k_correlated(q, k, min_join_size)
-        })
-        .into_iter()
-        .collect()
+        queries
+            .iter()
+            .map(|q| self.top_k_correlated(q, k, min_join_size))
+            .collect()
     }
 
     /// Scores every indexed column outside the query's own table, in index order.

@@ -22,7 +22,7 @@
 use crate::catalog::Catalog;
 use crate::csv::{load_table, CsvError};
 use crate::error::CatalogError;
-use crate::service::{shard_rows, IngestReport, QueryService};
+use crate::service::{rank, shard_rows, IngestReport, Mode, QueryService, RankRequest};
 use ipsketch_core::method::{AnySketcher, SketchMethod};
 use ipsketch_join::JoinError;
 use std::fmt;
@@ -103,8 +103,7 @@ USAGE:
                        [--session-ttl-secs <s>] [--maintenance-secs <s>]
                        (requires the `server` feature; at least one bind address)
   ipsketch route --addr <host:port> --node <host:port> [--node <host:port> …]
-                       [--http-node <host:port> …] [--replicas <n>]
-                       [--read-timeout-ms <ms>] [--probe-ms <ms>]
+                       [--replicas <n>] [--read-timeout-ms <ms>] [--probe-ms <ms>]
                        [--failure-threshold <n>]
                        (requires the `server` feature)
   ipsketch rebalance --from <host:port> [--from …] --to <host:port> [--to …]
@@ -127,8 +126,8 @@ catalog behind the concurrent network front end — line-delimited JSON over TCP
 protocol spec in docs/PROTOCOL.md.  `route` fronts several `serve` nodes as one
 cluster: `(table, column)` keys are placed on --replicas nodes by rendezvous
 hashing, queries fan out and merge deterministically, and a lost node fails over
-to its replicas (docs/PROTOCOL.md § Cluster routing; --node speaks line-TCP,
---http-node the HTTP/1.1 binding).  Routed requests run under per-attempt
+to its replicas (docs/PROTOCOL.md § Cluster routing; --node speaks line-TCP).
+Routed requests run under per-attempt
 deadlines (--read-timeout-ms, default 10000): idempotent reads retry and fail
 over, writes fail fast with `deadline_exceeded`; a node that fails
 --failure-threshold reads in a row (default 1) is demoted and re-probed every
@@ -478,36 +477,37 @@ fn query(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "--cascade and --no-cascade are mutually exclusive".to_string(),
         ));
     }
-    if cascade && parsed.switch("relatedness") {
+    let related = parsed.switch("relatedness");
+    if cascade && related {
         return Err(CliError::Usage(
             "--cascade applies to joinability queries only (drop --relatedness)".to_string(),
         ));
     }
     let table = load_table(Path::new(csv), parsed.flag("table"))?;
     let mut service = QueryService::open(dir)?;
-    let query_sketch = service.sketch_query(&table, column)?;
-    let ranked = if parsed.switch("relatedness") {
-        service.query_related(&query_sketch, top, min_join_size)?
-    } else if cascade {
-        let companion_sketch = service.sketch_query_companion(&table, column)?;
-        let (ranked, note) = service.query_joinable_cascade(
-            &query_sketch,
-            companion_sketch.as_ref(),
-            top,
-            ipsketch_join::DEFAULT_CASCADE_CONFIDENCE,
-        )?;
-        if let Some(note) = note {
-            writeln!(out, "note ({}): {}", note.code, note.message)?;
-        }
-        ranked
-    } else {
-        service.query_joinable(&query_sketch, top)?
+    let query_sketch = service.estimator().sketch_column(&table, column)?;
+    service.ensure_hydrated()?;
+    let request = RankRequest {
+        mode: if related {
+            Mode::Related
+        } else {
+            Mode::Joinable
+        },
+        k: top,
+        min_join_size,
+        cascade,
     };
-    let metric = if parsed.switch("relatedness") {
-        "|corr|"
-    } else {
-        "join"
-    };
+    let (rankings, note) = rank(
+        service.index(),
+        &[(&table, column)],
+        vec![query_sketch],
+        request,
+    )?;
+    if let Some(note) = note {
+        writeln!(out, "note ({}): {}", note.code, note.message)?;
+    }
+    let ranked = &rankings[0];
+    let metric = if related { "|corr|" } else { "join" };
     writeln!(
         out,
         "top {} columns by estimated {metric} for {}.{column} over {} cataloged columns:",
@@ -520,11 +520,11 @@ fn query(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "{:<4} {:<28} {:>12} {:>10}",
         "rank", "column", "join_size", "corr"
     )?;
-    for (rank, result) in ranked.iter().enumerate() {
+    for (position, result) in ranked.iter().enumerate() {
         writeln!(
             out,
             "{:<4} {:<28} {:>12.2} {:>10.4}",
-            rank + 1,
+            position + 1,
             format!("{}.{}", result.id.table, result.id.column),
             result.estimated_join_size,
             result.estimated_correlation,
@@ -660,16 +660,14 @@ fn serve_impl(_dir: &str, _options: &ServeOptions, _out: &mut dyn Write) -> Resu
 #[cfg_attr(not(feature = "server"), allow(dead_code))]
 struct RouteOptions {
     addr: String,
-    tcp_nodes: Vec<String>,
-    http_nodes: Vec<String>,
+    nodes: Vec<String>,
     replicas: usize,
     read_timeout_ms: Option<u64>,
     probe_ms: Option<u64>,
     failure_threshold: Option<u64>,
 }
 
-/// `route --addr host:port --node host:port [--node …] [--http-node …]
-/// [--replicas n] [--read-timeout-ms ms] [--probe-ms ms]
+/// `route --addr host:port --node host:port [--node …] [--replicas n] [--read-timeout-ms ms] [--probe-ms ms]
 /// [--failure-threshold n]`: front several catalog nodes as one cluster,
 /// running until the process is killed.
 fn route(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -678,7 +676,6 @@ fn route(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         &[
             "addr",
             "node",
-            "http-node",
             "replicas",
             "read-timeout-ms",
             "probe-ms",
@@ -696,13 +693,8 @@ fn route(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             .flag("addr")
             .ok_or_else(|| CliError::Usage("`route` requires --addr host:port".to_string()))?
             .to_string(),
-        tcp_nodes: parsed
+        nodes: parsed
             .flag_values("node")
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        http_nodes: parsed
-            .flag_values("http-node")
             .iter()
             .map(|s| s.to_string())
             .collect(),
@@ -718,11 +710,9 @@ fn route(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 .to_string(),
         ));
     }
-    if options.tcp_nodes.is_empty() && options.http_nodes.is_empty() {
+    if options.nodes.is_empty() {
         return Err(CliError::Usage(
-            "`route` requires at least one catalog node: --node host:port (line-TCP) \
-             and/or --http-node host:port (HTTP/1.1)"
-                .to_string(),
+            "`route` requires at least one catalog node: --node host:port (line-TCP)".to_string(),
         ));
     }
     route_impl(&options, out)
@@ -744,12 +734,7 @@ fn route_impl(options: &RouteOptions, out: &mut dyn Write) -> Result<(), CliErro
                 options.addr
             ))
         })?;
-    let nodes: Vec<NodeSpec> = options
-        .tcp_nodes
-        .iter()
-        .map(NodeSpec::tcp)
-        .chain(options.http_nodes.iter().map(NodeSpec::http))
-        .collect();
+    let nodes: Vec<NodeSpec> = options.nodes.iter().map(NodeSpec::tcp).collect();
     let mut config = RouterConfig::new(nodes).replicas(options.replicas);
     if let Some(ms) = options.read_timeout_ms {
         config = config.retry(RetryPolicy::with_timeout(Duration::from_millis(ms)));
@@ -1134,8 +1119,14 @@ mod tests {
         );
         let err = run_err(&["route", "--addr", "127.0.0.1:0"]);
         assert!(
-            matches!(&err, CliError::Usage(detail) if detail.contains("--node") && detail.contains("--http-node")),
-            "no nodes must name both node flags: {err}"
+            matches!(&err, CliError::Usage(detail) if detail.contains("--node")),
+            "no nodes must name the node flag: {err}"
+        );
+        // Routers reach nodes over line-TCP only; `--http-node` is no flag.
+        let err = run_err(&["route", "--addr", "127.0.0.1:0", "--http-node", "h:1"]);
+        assert!(
+            matches!(&err, CliError::Usage(detail) if detail.contains("http-node")),
+            "{err}"
         );
         let err = run_err(&["route", "stray", "--addr", "127.0.0.1:0", "--node", "h:1"]);
         assert!(

@@ -12,7 +12,8 @@
 //!   catalog sketches into an in-memory
 //!   [`SketchIndex`](ipsketch_join::SketchIndex), ingests new tables (one-shot,
 //!   chunk-partitioned, or shard-partial via the two-pass announced-norm protocol),
-//!   and answers single and batched queries.
+//!   plus [`service::rank`], the one ranking path the node and the CLI both
+//!   answer queries through.
 //! * [`cli`] + the `ipsketch` binary — `catalog init` / `ingest` / `ingest-partial` /
 //!   `query` / `info` / `serve`, driving the whole flow from CSV files with no code.
 //! * [`csv`] — the tiny dependency-free CSV-to-[`Table`](ipsketch_data::Table) reader

@@ -17,6 +17,8 @@
 
 use crate::catalog::decode_column_blob;
 use crate::error::CatalogError;
+pub use crate::service::Mode;
+use crate::service::QueryColumn;
 use crate::wire::Json;
 use ipsketch_core::{FormatVersion, SketcherSpec};
 use ipsketch_data::{Column, Table};
@@ -321,7 +323,8 @@ impl WireTable {
 
 /// A query column shipped over the wire: one named column of keyed values.  The
 /// server sketches it with the catalog's configuration (queries are sketched fresh,
-/// never registered), exactly as `QueryService::sketch_query` does in-process.
+/// never registered), exactly as an in-process caller sketches one for
+/// [`rank`](crate::service::rank).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireQuery {
     /// Name of the (virtual) table the query column belongs to.  Candidates from a
@@ -337,7 +340,7 @@ pub struct WireQuery {
 }
 
 impl WireQuery {
-    /// Converts into a single-column [`Table`] ready for `sketch_query`.
+    /// Converts into a single-column [`Table`] ready for sketching.
     ///
     /// # Errors
     ///
@@ -380,6 +383,14 @@ impl WireQuery {
     }
 }
 
+impl QueryColumn for WireQuery {
+    type Error = WireError;
+
+    fn sketch_with(&self, estimator: &JoinEstimator) -> Result<SketchedColumn, WireError> {
+        Ok(estimator.sketch_column(&self.to_table()?, &self.column)?)
+    }
+}
+
 /// Refuses `cascade` outside `joinable` mode (the cascade's margin is sized for
 /// join sizes only).
 ///
@@ -414,11 +425,7 @@ pub fn sketch_queries(
     check_cascade(mode, cascade)?;
     queries
         .iter()
-        .map(|query| {
-            estimator
-                .sketch_column(&query.to_table()?, &query.column)
-                .map_err(WireError::from)
-        })
+        .map(|query| query.sketch_with(estimator))
         .collect()
 }
 
@@ -488,6 +495,14 @@ impl WireRankQuery {
             query: WireQuery::from_json(value)?,
             sketch: decode_hex(&require_str(value, "sketch")?, "sketch")?,
         })
+    }
+}
+
+impl QueryColumn for WireRankQuery {
+    type Error = WireError;
+
+    fn sketch_with(&self, estimator: &JoinEstimator) -> Result<SketchedColumn, WireError> {
+        self.query.sketch_with(estimator)
     }
 }
 
@@ -566,38 +581,6 @@ fn decode_hex(text: &str, member: &str) -> Result<Vec<u8>, WireError> {
     Ok(out)
 }
 
-/// Which statistic a query ranks by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Mode {
-    /// Rank by estimated join size (the default).
-    #[default]
-    Joinable,
-    /// Rank by |estimated post-join correlation|, excluding candidates whose
-    /// estimated join size falls below the request's `min_join_size`.
-    Related,
-}
-
-impl Mode {
-    /// The wire token.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Mode::Joinable => "joinable",
-            Mode::Related => "related",
-        }
-    }
-
-    /// Parses a wire token.
-    #[must_use]
-    pub fn parse(token: &str) -> Option<Mode> {
-        match token {
-            "joinable" => Some(Mode::Joinable),
-            "related" => Some(Mode::Related),
-            _ => None,
-        }
-    }
-}
-
 /// The operation a request asks for.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestBody {
@@ -625,8 +608,8 @@ pub enum RequestBody {
         /// The query column.
         query: WireQuery,
     },
-    /// Rank many query columns in one round trip (the preferred shape: the server
-    /// fans a batch out on the runner, so one wire request saturates cores).
+    /// Rank many query columns in one round trip, in order, against one
+    /// snapshot of the catalog.
     BatchQuery {
         /// Ranking statistic.
         mode: Mode,
@@ -1215,7 +1198,9 @@ pub struct WireClusterStats {
 pub struct WireNodeStats {
     /// The node's address, as configured on the router.
     pub addr: String,
-    /// The transport the router speaks to this node (`"tcp"` or `"http"`).
+    /// The transport the router speaks to this node: always `"tcp"` (the
+    /// line-delimited framing).  The member stays so `info` answers keep
+    /// their shape.
     pub transport: String,
     /// Whether the node answered the router's most recent exchange with it.
     pub healthy: bool,
@@ -2019,7 +2004,7 @@ mod tests {
                         },
                         WireNodeStats {
                             addr: "127.0.0.1:7002".to_string(),
-                            transport: "http".to_string(),
+                            transport: "tcp".to_string(),
                             healthy: false,
                             errors: 3,
                             demotions: 2,

@@ -54,7 +54,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -74,52 +74,19 @@ use ipsketch_join::JoinEstimator;
 /// keeps answering (bit-identically) with any single node down.
 pub const DEFAULT_REPLICAS: usize = 2;
 
-/// How a node is spoken to on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeTransport {
-    /// Newline-delimited JSON over a raw TCP connection.
-    Tcp,
-    /// The HTTP/1.1 binding (`POST /v1/<op>`, identical JSON bodies).
-    Http,
-}
-
-impl NodeTransport {
-    /// The stable label reported in [`WireNodeStats::transport`].
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            NodeTransport::Tcp => "tcp",
-            NodeTransport::Http => "http",
-        }
-    }
-}
-
-/// One catalog node the router fronts.
+/// One catalog node the router fronts, spoken to in the line-delimited JSON
+/// framing over TCP.
 #[derive(Debug, Clone)]
 pub struct NodeSpec {
-    /// `host:port` of the node's listener for the chosen transport.
+    /// `host:port` of the node's line-TCP listener.
     pub addr: String,
-    /// Which listener `addr` points at.
-    pub transport: NodeTransport,
 }
 
 impl NodeSpec {
     /// A line-TCP node.
     #[must_use]
     pub fn tcp(addr: impl Into<String>) -> NodeSpec {
-        NodeSpec {
-            addr: addr.into(),
-            transport: NodeTransport::Tcp,
-        }
-    }
-
-    /// An HTTP/1.1 node.
-    #[must_use]
-    pub fn http(addr: impl Into<String>) -> NodeSpec {
-        NodeSpec {
-            addr: addr.into(),
-            transport: NodeTransport::Http,
-        }
+        NodeSpec { addr: addr.into() }
     }
 }
 
@@ -645,7 +612,7 @@ impl Router {
                 .zip(&topo.states)
                 .map(|(spec, state)| WireNodeStats {
                     addr: spec.addr.clone(),
-                    transport: spec.transport.label().to_string(),
+                    transport: "tcp".to_string(),
                     healthy: state.healthy.load(Ordering::Relaxed),
                     errors: state.errors.load(Ordering::Relaxed),
                     demotions: state.demotions.load(Ordering::Relaxed),
@@ -1414,8 +1381,6 @@ impl Backend for Router {
 /// A request as the router sends it to nodes: encoded once, however many
 /// nodes and attempts it goes to.
 struct NodeRequest {
-    /// The op, for the HTTP route.
-    op: &'static str,
     /// Whether the op may be retried ([`is_idempotent`]).
     idempotent: bool,
     line: String,
@@ -1428,7 +1393,6 @@ impl NodeRequest {
             body: body.clone(),
         };
         NodeRequest {
-            op: body.op(),
             idempotent: is_idempotent(body),
             line: request.encode(),
         }
@@ -1437,7 +1401,6 @@ impl NodeRequest {
 
 /// One pooled connection to a node.
 struct NodeConn {
-    transport: NodeTransport,
     writer: TcpStream,
     reader: BufReader<TcpStream>,
 }
@@ -1458,7 +1421,6 @@ impl NodeConn {
         stream.set_read_timeout(Some(retry.read_timeout))?;
         stream.set_write_timeout(Some(retry.write_timeout))?;
         Ok(NodeConn {
-            transport: spec.transport,
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
         })
@@ -1466,72 +1428,18 @@ impl NodeConn {
 
     /// One request/response round trip on this connection.
     fn call(&mut self, request: &NodeRequest) -> io::Result<Response> {
-        let line = &request.line;
-        match self.transport {
-            NodeTransport::Tcp => {
-                self.writer.write_all(line.as_bytes())?;
-                self.writer.write_all(b"\n")?;
-                let mut reply = String::new();
-                let n = self.reader.read_line(&mut reply)?;
-                if n == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "node closed the connection",
-                    ));
-                }
-                Response::decode(reply.trim_end_matches(['\r', '\n']))
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-            }
-            NodeTransport::Http => {
-                let head = format!(
-                    "POST /v1/{} HTTP/1.1\r\nHost: router\r\nContent-Length: {}\r\n\r\n",
-                    request.op,
-                    line.len()
-                );
-                self.writer.write_all(head.as_bytes())?;
-                self.writer.write_all(line.as_bytes())?;
-                let mut status = String::new();
-                if self.reader.read_line(&mut status)? == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "node closed the connection",
-                    ));
-                }
-                let mut content_length: Option<usize> = None;
-                loop {
-                    let mut header = String::new();
-                    if self.reader.read_line(&mut header)? == 0 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "node closed mid-headers",
-                        ));
-                    }
-                    let header = header.trim_end_matches(['\r', '\n']);
-                    if header.is_empty() {
-                        break;
-                    }
-                    if let Some(value) = header.to_ascii_lowercase().strip_prefix("content-length:")
-                    {
-                        content_length = Some(value.trim().parse().map_err(|_| {
-                            io::Error::new(io::ErrorKind::InvalidData, "bad Content-Length")
-                        })?);
-                    }
-                }
-                let length = content_length.ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "node response had no length")
-                })?;
-                let mut body = vec![0u8; length];
-                self.reader.read_exact(&mut body)?;
-                let body = std::str::from_utf8(&body).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "node body is not UTF-8")
-                })?;
-                // Status is ignored on purpose: the JSON envelope carries the
-                // same success/error information with more detail.
-                let _ = status;
-                Response::decode(body)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-            }
+        self.writer.write_all(request.line.as_bytes())?;
+        self.writer.write_all(b"\n")?;
+        let mut reply = String::new();
+        let n = self.reader.read_line(&mut reply)?;
+        if n == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "node closed the connection",
+            ));
         }
+        Response::decode(reply.trim_end_matches(['\r', '\n']))
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 }
 
@@ -2029,7 +1937,7 @@ mod tests {
         let router = Router::new(
             vec![
                 NodeSpec::tcp("127.0.0.1:7001"),
-                NodeSpec::http("127.0.0.1:7002"),
+                NodeSpec::tcp("127.0.0.1:7002"),
             ],
             2,
         )
@@ -2040,7 +1948,7 @@ mod tests {
         assert_eq!(stats.nodes.len(), 2);
         assert_eq!(stats.nodes[0].transport, "tcp");
         assert!(stats.nodes[0].healthy);
-        assert_eq!(stats.nodes[1].transport, "http");
+        assert_eq!(stats.nodes[1].transport, "tcp");
         assert!(!stats.nodes[1].healthy);
         assert_eq!(stats.nodes[1].errors, 1);
         assert_eq!(stats.nodes[1].demotions, 1);

@@ -7,8 +7,7 @@
 //! `docs/PROTOCOL.md`) and the HTTP/1.1 binding of the same protocol
 //! ([`crate::http`]; `POST /v1/<op>`, `GET /v1/info`, curl-able).  A server binds
 //! either or both through [`ServerConfig::builder`].  The core owns everything
-//! but execution; the work splits across three kinds of threads, sized so the
-//! sketch runner keeps headroom:
+//! but execution; the work splits across three kinds of threads:
 //!
 //! * **Reactor (1 thread).**  A `poll(2)` readiness loop (the vendored [`polling`]
 //!   shim — the offline image has no tokio) owns the listeners and every
@@ -44,12 +43,9 @@
 //! a time under a writer lock, and each publishes an immutable snapshot of the
 //! index and of the catalog facts `info` reports before it replies.  A read
 //! clones the published snapshot's pointer and ranks against it, so it sees the
-//! catalog as of one committed write, and a batch fans out against one snapshot
-//! on the work-claiming runner (`top_k_*_batch`), so a single wire batch
-//! saturates cores.  Snapshots share their sketches: publishing copies one
-//! pointer per column.  The server holds a [`runner`] thread reservation for its
-//! own threads, so those runner fan-outs automatically leave headroom for the
-//! reactor instead of oversubscribing the machine.
+//! catalog as of one committed write; a batch ranks its queries in order
+//! against one snapshot.  Snapshots share their sketches: publishing copies one
+//! pointer per column.
 //!
 //! Shard-partial ingest sessions ([`ShardedIngestState`]) live *outside* the writer
 //! lock in a session map: `announce`/`submit` sketch with a clone of the catalog's
@@ -62,12 +58,11 @@ use crate::http::{self, HttpRequest};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
     check_cascade, sketch_queries, ErrorCode, InfoColumn, Mode, Request, RequestBody,
-    RequestDecodeError, Response, ResponseBody, WireCompaction, WireError, WireNote, WireQuery,
-    WireRanked, WireServiceStats, WireSketch,
+    RequestDecodeError, Response, ResponseBody, WireCompaction, WireError, WireNote, WireRanked,
+    WireServiceStats, WireSketch,
 };
-use crate::service::{CascadeNote, QueryService, ShardedIngestState};
+use crate::service::{self, QueryColumn, QueryService, RankRequest, ShardedIngestState};
 use crate::wire::Json;
-use ipsketch_core::runner::{self, ThreadReservation};
 use ipsketch_core::SketcherSpec;
 use ipsketch_join::{JoinEstimator, SketchIndex, SketchedColumn};
 use parking_lot::Mutex;
@@ -207,8 +202,7 @@ impl ServerConfigBuilder {
     }
 
     /// Sets the worker-thread count.  Two by default: enough that a slow ingest
-    /// does not block queries, while leaving the runner (which parallelizes each
-    /// batch internally) most of the machine.
+    /// does not block queries.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.0.workers = workers;
@@ -391,8 +385,6 @@ pub struct ServerHandle<B: Backend = Node> {
     tcp_addr: Option<SocketAddr>,
     http_addr: Option<SocketAddr>,
     threads: Vec<JoinHandle<()>>,
-    /// Keeps runner headroom for the reactor + workers while the server lives.
-    _reservation: ThreadReservation,
 }
 
 impl<B: Backend> ServerHandle<B> {
@@ -532,8 +524,6 @@ fn start<B: Backend>(
         },
         backend,
     });
-    // Reactor + workers occupy cores for as long as the server runs; reserving them
-    // makes every runner-backed batch fan-out leave that headroom automatically.
     // The handle exists before any thread does, so a failed spawn drops it and
     // stops whatever already started.
     let mut handle = ServerHandle {
@@ -541,7 +531,6 @@ fn start<B: Backend>(
         tcp_addr,
         http_addr,
         threads: Vec::with_capacity(workers + 2),
-        _reservation: runner::reserve_threads(1 + workers),
     };
     let thread = |name: String| std::thread::Builder::new().name(name);
     let reactor_shared = Arc::clone(&shared);
@@ -1241,10 +1230,6 @@ pub struct Node {
     estimator: JoinEstimator,
     /// The catalog's primary spec, which `rank` checks query sketches against.
     spec: SketcherSpec,
-    /// Clone of the catalog's companion (cheap-tier) estimator, when it stores
-    /// one: cascade queries sketch their cheap-tier query outside any lock,
-    /// exactly like the primary tier.
-    companion_estimator: Option<JoinEstimator>,
     sessions: Mutex<SessionMap>,
     session_ttl: Duration,
     maintenance_stats: Mutex<MaintenanceStats>,
@@ -1334,14 +1319,12 @@ impl Node {
         // sketching must not need any service lock.  The configuration is immutable
         // for the catalog's lifetime, so the clone can never go stale.
         let estimator = service.estimator().clone();
-        let companion_estimator = service.companion_estimator().cloned();
         let spec = service.catalog().spec();
         Node {
             published: Mutex::new(Arc::new(Snapshot::of(&service, &spec))),
             writer: Mutex::new(service),
             spec,
             estimator,
-            companion_estimator,
             sessions: Mutex::new(SessionMap {
                 next_id: 1,
                 slots: HashMap::new(),
@@ -1401,74 +1384,39 @@ impl Node {
         f(state)
     }
 
-    /// Ranks already-sketched query columns as one runner-backed batch against
-    /// one published snapshot — the same code path as
-    /// `QueryService::query_*_batch`, so wire answers are bit-identical to
-    /// in-process answers.  `query`, `batch-query` and `rank` all end here;
-    /// `queries[i]` is the column `sketched[i]` summarizes, and only a cascade
-    /// reads it (to build the companion sketch).
-    fn rank<'q>(
+    /// Ranks already-sketched query columns against one published snapshot
+    /// through [`service::rank`], the path every in-process caller takes, so
+    /// wire answers are bit-identical to in-process answers.  `query`,
+    /// `batch-query` and `rank` all end here; `sketched[i]` summarizes
+    /// `queries[i]`.
+    fn rank<Q: QueryColumn<Error = WireError>>(
         &self,
-        queries: impl IntoIterator<Item = &'q WireQuery>,
+        queries: &[Q],
         sketched: Vec<SketchedColumn>,
         mode: Mode,
         k: u64,
         min_join_size: f64,
         cascade: bool,
     ) -> Result<(Vec<Vec<WireRanked>>, Option<WireNote>), WireError> {
-        let k = usize::try_from(k).unwrap_or(usize::MAX);
-        // A cascade request against a catalog with no companion tier is answered by
-        // the flat scan with an advisory note — never an error (the answer is the
-        // same ranking, just computed the slow way).
-        let companion_est = if cascade {
-            self.companion_estimator.as_ref()
-        } else {
-            None
-        };
-        let note = if cascade && companion_est.is_none() {
-            let fallback = CascadeNote::fallback();
-            Some(WireNote {
-                code: fallback.code.to_string(),
-                message: fallback.message,
-            })
-        } else {
-            None
-        };
-        // Sketch the companions with the immutable estimator clone (identical
-        // configuration → bit-identical sketches); no lock is held here or below.
-        let mut cascade_pairs: Vec<(SketchedColumn, SketchedColumn)> = Vec::new();
-        let sketched = match companion_est {
-            Some(est) => {
-                for (query, primary) in queries.into_iter().zip(sketched) {
-                    let companion = est
-                        .sketch_column(&query.to_table()?, &query.column)
-                        .map_err(WireError::from)?;
-                    cascade_pairs.push((primary, companion));
-                }
-                Vec::new()
-            }
-            None => sketched,
-        };
         // The whole batch ranks against one snapshot, so it sees one catalog
         // state however many writes commit meanwhile.
         let snapshot = self.hydrated_snapshot()?;
-        let index = &snapshot.index;
-        let rankings = match mode {
-            Mode::Joinable if companion_est.is_some() => index.top_k_joinable_cascade_batch(
-                &cascade_pairs,
-                k,
-                ipsketch_join::DEFAULT_CASCADE_CONFIDENCE,
-            ),
-            Mode::Joinable => index.top_k_joinable_batch(&sketched, k),
-            Mode::Related => index.top_k_correlated_batch(&sketched, k, min_join_size),
-        }
-        .map_err(WireError::from)?;
+        let request = RankRequest {
+            mode,
+            k: usize::try_from(k).unwrap_or(usize::MAX),
+            min_join_size,
+            cascade,
+        };
+        let (rankings, note) = service::rank(&snapshot.index, queries, sketched, request)?;
         Ok((
             rankings
                 .iter()
                 .map(|ranking| ranking.iter().map(WireRanked::from).collect())
                 .collect(),
-            note,
+            note.map(|note| WireNote {
+                code: note.code.to_string(),
+                message: note.message,
+            }),
         ))
     }
 }
@@ -1518,13 +1466,14 @@ impl Backend for Node {
                     .iter()
                     .map(|query| query.to_sketched(&self.spec))
                     .collect::<Result<_, _>>()?;
-                let queries = queries.iter().map(|query| &query.query);
                 let (rankings, note) =
                     self.rank(queries, sketched, *mode, *k, *min_join_size, *cascade)?;
                 Ok(ResponseBody::Rankings { rankings, note })
             }
             RequestBody::Ingest { table, partitions } => {
                 let table = table.to_table()?;
+                let snapshot = self.snapshot();
+                let companion_estimator = snapshot.index.companion_estimator();
                 // Sketch every column *outside* the service lock (the expensive part —
                 // seconds for a large table), so queries keep flowing; only the final
                 // registration commit below needs exclusive access.
@@ -1545,13 +1494,9 @@ impl Backend for Node {
                             // The companion (cheap-tier) sketch is always built
                             // one-shot: its sketchers are mergeable, so the result
                             // is independent of the primary's partitioning.
-                            let companion = match &self.companion_estimator {
-                                Some(est) => Some(
-                                    est.sketch_column(&table, &column.name)
-                                        .map_err(WireError::from)?,
-                                ),
-                                None => None,
-                            };
+                            let companion = companion_estimator
+                                .map(|est| est.sketch_column(&table, &column.name))
+                                .transpose()?;
                             sketched.push(primary);
                             companions.push(companion);
                         }
@@ -1578,8 +1523,9 @@ impl Backend for Node {
                     id,
                     SessionSlot {
                         state: Arc::new(Mutex::new(Some(
-                            ShardedIngestState::new(table.clone())
-                                .with_companion(self.companion_estimator.clone()),
+                            ShardedIngestState::new(table.clone()).with_companion(
+                                self.snapshot().index.companion_estimator().cloned(),
+                            ),
                         ))),
                         touched: Instant::now(),
                     },
@@ -1743,6 +1689,7 @@ fn background_loop<B: Backend>(shared: &Shared<B>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::WireQuery;
     use proptest::prelude::*;
 
     /// Frames `chunks` in order, as the reactor does read by read; returns the

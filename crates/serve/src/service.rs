@@ -2,11 +2,12 @@
 //!
 //! The service owns the whole serving workflow the ROADMAP describes: open a catalog,
 //! lazily hydrate its stored sketches into the index, ingest new tables (one-shot,
-//! chunk-partitioned, or shard-partial with the announced-norm exchange), and answer
-//! single or batched joinability/relatedness queries.  Hydration is incremental — a
-//! column is decoded from disk at most once per service, on the first query after it
-//! becomes visible — so opening a service over a large catalog costs only the manifest
-//! read.
+//! chunk-partitioned, or shard-partial with the announced-norm exchange), and rank
+//! joinability/relatedness queries through [`rank`], the one ranking path every
+//! front end shares.  Hydration is incremental — a column is decoded from disk at
+//! most once per service, on the first [`ensure_hydrated`](QueryService::ensure_hydrated)
+//! after it becomes visible — so opening a service over a large catalog costs only
+//! the manifest read.
 
 use crate::catalog::{decode_column_blob, Catalog, CompactionReport};
 use crate::error::CatalogError;
@@ -14,6 +15,7 @@ use ipsketch_core::SketcherSpec;
 use ipsketch_data::{Column, Table};
 use ipsketch_join::{
     ColumnNormPartials, JoinError, JoinEstimator, RankedColumn, SketchIndex, SketchedColumn,
+    DEFAULT_CASCADE_CONFIDENCE,
 };
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -53,6 +55,125 @@ impl CascadeNote {
             message: CASCADE_FALLBACK_MESSAGE.to_string(),
         }
     }
+}
+
+/// Which statistic a query ranks by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Mode {
+    /// Rank by estimated join size (the default).
+    #[default]
+    Joinable,
+    /// Rank by |estimated post-join correlation|, excluding candidates whose
+    /// estimated join size falls below the request's `min_join_size`.
+    Related,
+}
+
+impl Mode {
+    /// The wire token.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Mode::Joinable => "joinable",
+            Mode::Related => "related",
+        }
+    }
+
+    /// Parses a wire token.
+    #[must_use]
+    pub fn parse(token: &str) -> Option<Mode> {
+        match token {
+            "joinable" => Some(Mode::Joinable),
+            "related" => Some(Mode::Related),
+            _ => None,
+        }
+    }
+}
+
+/// What a [`rank`] call asks for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RankRequest {
+    /// The statistic candidates rank by.
+    pub mode: Mode,
+    /// How many candidates each ranking keeps.
+    pub k: usize,
+    /// The join-size floor of [`Mode::Related`]; ignored by [`Mode::Joinable`].
+    pub min_join_size: f64,
+    /// Whether a [`Mode::Joinable`] ranking goes through the two-tier cascade.
+    /// Callers refuse it for [`Mode::Related`] before ranking.
+    pub cascade: bool,
+}
+
+/// A query column as its caller holds it: the cascade sketches its cheap-tier
+/// query from it.
+pub trait QueryColumn {
+    /// What sketching the column can fail with.
+    type Error: From<JoinError>;
+
+    /// Sketches the column with `estimator`.
+    ///
+    /// # Errors
+    ///
+    /// The column cannot be read or sketched.
+    fn sketch_with(&self, estimator: &JoinEstimator) -> Result<SketchedColumn, Self::Error>;
+}
+
+/// A column named in a table.
+impl QueryColumn for (&Table, &str) {
+    type Error = JoinError;
+
+    fn sketch_with(&self, estimator: &JoinEstimator) -> Result<SketchedColumn, JoinError> {
+        estimator.sketch_column(self.0, self.1)
+    }
+}
+
+/// What [`rank`] answers: one ranking per query column, in query order, and
+/// the note of a cascade answered by the flat scan.
+pub type Ranked = (Vec<Vec<RankedColumn>>, Option<CascadeNote>);
+
+/// Ranks every query column against `index`: the one ranking path.  The
+/// node's `query`, `batch-query` and `rank` ops and the CLI's `query` all end
+/// here, so their answers agree bit for bit.
+///
+/// `sketched[i]` is the primary sketch of `queries[i]`; result `i` ranks it.
+/// A cascade sketches each column's cheap-tier query with the index's
+/// companion estimator and ranks through
+/// [`SketchIndex::top_k_joinable_cascade_batch`] at
+/// [`DEFAULT_CASCADE_CONFIDENCE`], whose answer is the flat scan's.  When the
+/// index has no companion estimator, a cascade is answered by the flat scan
+/// and the returned [`CascadeNote`] says so; that is never an error.
+///
+/// # Errors
+///
+/// A cheap-tier query that cannot be sketched, or a sketch the index cannot
+/// rank against (the first failure by query order: batches are
+/// all-or-nothing).
+pub fn rank<Q: QueryColumn>(
+    index: &SketchIndex,
+    queries: &[Q],
+    sketched: Vec<SketchedColumn>,
+    request: RankRequest,
+) -> Result<Ranked, Q::Error> {
+    let RankRequest {
+        mode,
+        k,
+        min_join_size,
+        cascade,
+    } = request;
+    let cascade = cascade && mode == Mode::Joinable;
+    let rankings = match (mode, index.companion_estimator()) {
+        (Mode::Related, _) => index.top_k_correlated_batch(&sketched, k, min_join_size)?,
+        (Mode::Joinable, Some(companion)) if cascade => {
+            let pairs = queries
+                .iter()
+                .zip(sketched)
+                .map(|(query, primary)| Ok((primary, query.sketch_with(companion)?)))
+                .collect::<Result<Vec<_>, Q::Error>>()?;
+            index.top_k_joinable_cascade_batch(&pairs, k, DEFAULT_CASCADE_CONFIDENCE)?
+        }
+        (Mode::Joinable, _) => index.top_k_joinable_batch(&sketched, k)?,
+    };
+    let note = (cascade && index.companion_estimator().is_none()).then(CascadeNote::fallback);
+    Ok((rankings, note))
 }
 
 /// Splits a table into (up to) `shards` contiguous row-range shards, each carrying the
@@ -132,6 +253,7 @@ pub struct ServiceStats {
 /// ```
 /// use ipsketch_core::method::{AnySketcher, SketchMethod};
 /// use ipsketch_data::{Column, Table};
+/// use ipsketch_serve::service::{rank, Mode, RankRequest};
 /// use ipsketch_serve::QueryService;
 ///
 /// let root = std::env::temp_dir().join(format!("ipsketch-doc-qs-{}", std::process::id()));
@@ -151,13 +273,17 @@ pub struct ServiceStats {
 ///     (0..250).collect(),
 ///     vec![Column::new("rides", (0..250).map(|i| f64::from(i) + 1.0).collect())],
 /// ).unwrap();
-/// let query = service.sketch_query(&taxi, "rides").unwrap();
-/// let ranked = service.query_joinable(&query, 5).unwrap();
-/// assert_eq!(ranked[0].id.table, "weather");
+/// let request = RankRequest { mode: Mode::Joinable, k: 5, min_join_size: 0.0, cascade: true };
+/// let query = service.estimator().sketch_column(&taxi, "rides").unwrap();
+/// let (ranked, note) = rank(service.index(), &[(&taxi, "rides")], vec![query], request).unwrap();
+/// assert_eq!(ranked[0][0].id.table, "weather");
+/// assert!(note.is_none(), "the catalog stores cascade companions");
 ///
 /// let mut reopened = QueryService::open(&root).unwrap();
-/// let query = reopened.sketch_query(&taxi, "rides").unwrap();
-/// assert_eq!(reopened.query_joinable(&query, 5).unwrap(), ranked);
+/// reopened.ensure_hydrated().unwrap();
+/// let query = reopened.estimator().sketch_column(&taxi, "rides").unwrap();
+/// let (again, _) = rank(reopened.index(), &[(&taxi, "rides")], vec![query], request).unwrap();
+/// assert_eq!(again, ranked);
 /// # std::fs::remove_dir_all(&root).unwrap();
 /// ```
 #[derive(Debug)]
@@ -231,8 +357,8 @@ impl QueryService {
         &self.catalog
     }
 
-    /// The in-memory index the service ranks with (the batch methods of
-    /// [`SketchIndex`] are exactly the ones the `query_*` methods here call).
+    /// The in-memory index, which [`rank`] ranks against once
+    /// [`ensure_hydrated`](Self::ensure_hydrated) has loaded every column.
     #[must_use]
     pub fn index(&self) -> &SketchIndex {
         &self.index
@@ -340,9 +466,9 @@ impl QueryService {
         self.hydrated.len()
     }
 
-    /// Loads every catalog column not yet in the in-memory index.  Called implicitly
-    /// by the query methods; exposed for warm-up.  Returns the number of columns
-    /// hydrated by this call.
+    /// Loads every catalog column not yet in the in-memory index; callers run it
+    /// before ranking against [`index`](Self::index).  Returns the number of
+    /// columns hydrated by this call.
     ///
     /// # Errors
     ///
@@ -589,183 +715,6 @@ impl QueryService {
         // One catalog commit for the whole table, moving (not cloning) the folds.
         self.register_all_hydrated_with(folded_columns, folded_companions)?;
         Ok(report)
-    }
-
-    /// Sketches a query column with the catalog's configuration (queries are sketched
-    /// fresh, not registered).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JoinError`] if the column is missing or unsketchable.
-    pub fn sketch_query(&self, table: &Table, column: &str) -> Result<SketchedColumn, JoinError> {
-        self.index.estimator().sketch_column(table, column)
-    }
-
-    /// Sketches a query column with the companion (cheap-tier) configuration.
-    /// `Ok(None)` means the catalog declares no cascade tier — pass it through to
-    /// [`query_joinable_cascade`](Self::query_joinable_cascade), which then answers
-    /// by the flat scan with a typed note.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JoinError`] if the column is missing or unsketchable.
-    pub fn sketch_query_companion(
-        &self,
-        table: &Table,
-        column: &str,
-    ) -> Result<Option<SketchedColumn>, JoinError> {
-        self.index.sketch_companion_query(table, column)
-    }
-
-    /// Ranks all served columns by estimated join size with the query and returns the
-    /// top `k`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CatalogError`] for hydration failures or incompatible query sketches.
-    pub fn query_joinable(
-        &mut self,
-        query: &SketchedColumn,
-        k: usize,
-    ) -> Result<Vec<RankedColumn>, CatalogError> {
-        self.ensure_hydrated()?;
-        Ok(self.index.top_k_joinable(query, k)?)
-    }
-
-    /// [`query_joinable`](Self::query_joinable) through the two-tier cascade: the
-    /// cheap companion sketches score every candidate, the Table 1 error bounds
-    /// (scaled by `confidence`, see
-    /// [`DEFAULT_CASCADE_CONFIDENCE`](ipsketch_join::DEFAULT_CASCADE_CONFIDENCE))
-    /// prune candidates that provably cannot reach the top `k`, and the primary
-    /// sketches rerank the survivors under the same deterministic
-    /// `(score, table, column)` total order — so at the default margin the answer
-    /// is byte-identical to the flat scan's.
-    ///
-    /// When the catalog stores no companion sketches (`companion_query` is `None`
-    /// because [`sketch_query_companion`](Self::sketch_query_companion) found no
-    /// tier — e.g. a catalog migrated from v1 under a non-derivable method), the
-    /// query is answered by the flat scan and the returned [`CascadeNote`] says so;
-    /// this is never an error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CatalogError`] for hydration failures or incompatible query
-    /// sketches.
-    pub fn query_joinable_cascade(
-        &mut self,
-        query: &SketchedColumn,
-        companion_query: Option<&SketchedColumn>,
-        k: usize,
-        confidence: f64,
-    ) -> Result<(Vec<RankedColumn>, Option<CascadeNote>), CatalogError> {
-        self.ensure_hydrated()?;
-        match companion_query {
-            Some(cq) if self.index.companion_estimator().is_some() => {
-                let (ranking, _stats) = self
-                    .index
-                    .top_k_joinable_cascade(query, cq, k, confidence)?;
-                Ok((ranking, None))
-            }
-            _ => Ok((
-                self.index.top_k_joinable(query, k)?,
-                Some(CascadeNote::fallback()),
-            )),
-        }
-    }
-
-    /// Answers a batch of cascade queries (see
-    /// [`query_joinable_cascade`](Self::query_joinable_cascade)); result `i` ranks
-    /// query `i`, ranked in parallel on the work-claiming runner.  The whole batch
-    /// shares one fallback note: either the catalog has a companion tier and every
-    /// query cascades, or it has none and every query falls back.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failure — batches are all-or-nothing.
-    pub fn query_joinable_cascade_batch(
-        &mut self,
-        queries: &[(SketchedColumn, Option<SketchedColumn>)],
-        k: usize,
-        confidence: f64,
-    ) -> Result<(Vec<Vec<RankedColumn>>, Option<CascadeNote>), CatalogError> {
-        self.ensure_hydrated()?;
-        if self.index.companion_estimator().is_some()
-            && queries.iter().all(|(_, companion)| companion.is_some())
-        {
-            let pairs: Vec<(SketchedColumn, SketchedColumn)> = queries
-                .iter()
-                .map(|(query, companion)| {
-                    (
-                        query.clone(),
-                        companion.clone().expect("all companions checked above"),
-                    )
-                })
-                .collect();
-            Ok((
-                self.index
-                    .top_k_joinable_cascade_batch(&pairs, k, confidence)?,
-                None,
-            ))
-        } else {
-            let flat: Vec<SketchedColumn> =
-                queries.iter().map(|(query, _)| query.clone()).collect();
-            Ok((
-                self.index.top_k_joinable_batch(&flat, k)?,
-                Some(CascadeNote::fallback()),
-            ))
-        }
-    }
-
-    /// Ranks all served columns by |estimated post-join correlation| and returns the
-    /// top `k`, excluding candidates whose estimated join size is below
-    /// `min_join_size`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CatalogError`] for hydration failures or incompatible query sketches.
-    pub fn query_related(
-        &mut self,
-        query: &SketchedColumn,
-        k: usize,
-        min_join_size: f64,
-    ) -> Result<Vec<RankedColumn>, CatalogError> {
-        self.ensure_hydrated()?;
-        Ok(self.index.top_k_correlated(query, k, min_join_size)?)
-    }
-
-    /// Answers a batch of joinability queries; result `i` ranks query `i`.  The batch
-    /// is ranked in parallel on the work-claiming runner (see
-    /// [`SketchIndex::top_k_joinable_batch`]), so batched serving scales across cores
-    /// while results stay in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failure — batches are all-or-nothing.
-    pub fn query_joinable_batch(
-        &mut self,
-        queries: &[SketchedColumn],
-        k: usize,
-    ) -> Result<Vec<Vec<RankedColumn>>, CatalogError> {
-        self.ensure_hydrated()?;
-        Ok(self.index.top_k_joinable_batch(queries, k)?)
-    }
-
-    /// Answers a batch of relatedness queries; result `i` ranks query `i`, ranked in
-    /// parallel like [`query_joinable_batch`](Self::query_joinable_batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failure — batches are all-or-nothing.
-    pub fn query_related_batch(
-        &mut self,
-        queries: &[SketchedColumn],
-        k: usize,
-        min_join_size: f64,
-    ) -> Result<Vec<Vec<RankedColumn>>, CatalogError> {
-        self.ensure_hydrated()?;
-        Ok(self
-            .index
-            .top_k_correlated_batch(queries, k, min_join_size)?)
     }
 }
 
@@ -1036,6 +985,42 @@ mod tests {
         shard_rows(table, n)
     }
 
+    fn joinable(k: usize, cascade: bool) -> RankRequest {
+        RankRequest {
+            mode: Mode::Joinable,
+            k,
+            min_join_size: 0.0,
+            cascade,
+        }
+    }
+
+    fn related(k: usize, min_join_size: f64) -> RankRequest {
+        RankRequest {
+            mode: Mode::Related,
+            k,
+            min_join_size,
+            cascade: false,
+        }
+    }
+
+    /// Sketches `table.column`, hydrates `service`, and ranks the column
+    /// through [`rank`].
+    fn rank_column(
+        service: &mut QueryService,
+        table: &Table,
+        column: &str,
+        request: RankRequest,
+    ) -> (Vec<RankedColumn>, Option<CascadeNote>) {
+        let sketched = service
+            .estimator()
+            .sketch_column(table, column)
+            .expect("sketch");
+        service.ensure_hydrated().expect("hydrate");
+        let (mut rankings, note) =
+            rank(service.index(), &[(table, column)], vec![sketched], request).expect("rank");
+        (rankings.remove(0), note)
+    }
+
     #[test]
     fn ingest_query_reopen_matches_in_memory_index() {
         let root = temp_root("e2e");
@@ -1045,8 +1030,7 @@ mod tests {
         service.ingest_table(&good).expect("ingest good");
         service.ingest_table(&bad).expect("ingest bad");
 
-        let q = service.sketch_query(&query, "rides").expect("query sketch");
-        let ranked = service.query_joinable(&q, 3).expect("query");
+        let (ranked, _) = rank_column(&mut service, &query, "rides", joinable(3, false));
         assert_eq!(ranked[0].id.table, "good");
 
         // An in-memory index built with the same spec ranks identically, with
@@ -1068,8 +1052,7 @@ mod tests {
         // Reopening the catalog cold reproduces the same answers (lazy hydration).
         let mut reopened = QueryService::open(&root).expect("open");
         assert_eq!(reopened.hydrated_len(), 0);
-        let q2 = reopened.sketch_query(&query, "rides").expect("sketch");
-        let ranked2 = reopened.query_joinable(&q2, 3).expect("query");
+        let (ranked2, _) = rank_column(&mut reopened, &query, "rides", joinable(3, false));
         assert_eq!(reopened.hydrated_len(), 3);
         assert_eq!(ranked, ranked2);
         fs::remove_dir_all(&root).expect("cleanup");
@@ -1083,20 +1066,43 @@ mod tests {
             QueryService::create(&root, spec_for(SketchMethod::Kmv, 5)).expect("create");
         service.ingest_table(&good).expect("good");
         service.ingest_table(&bad).expect("bad");
-        let q1 = service.sketch_query(&query, "rides").expect("q1");
-        let q2 = service.sketch_query(&good, "precip").expect("q2");
-        let batch = service
-            .query_joinable_batch(&[q1.clone(), q2.clone()], 5)
-            .expect("batch");
+        let q1 = service.index().sketch_query(&query, "rides").expect("q1");
+        let q2 = service.index().sketch_query(&good, "precip").expect("q2");
+        let columns = [(&query, "rides"), (&good, "precip")];
+        let (batch, note) = rank(
+            service.index(),
+            &columns,
+            vec![q1.clone(), q2],
+            joinable(5, false),
+        )
+        .expect("batch");
+        assert!(note.is_none());
         assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0], service.query_joinable(&q1, 5).expect("single 1"));
-        assert_eq!(batch[1], service.query_joinable(&q2, 5).expect("single 2"));
-        let related = service
-            .query_related_batch(std::slice::from_ref(&q1), 2, 10.0)
-            .expect("related batch");
         assert_eq!(
-            related[0],
-            service.query_related(&q1, 2, 10.0).expect("related single")
+            batch[0],
+            rank_column(&mut service, &query, "rides", joinable(5, false)).0
+        );
+        assert_eq!(
+            batch[1],
+            rank_column(&mut service, &good, "precip", joinable(5, false)).0
+        );
+        let (related_batch, _) = rank(
+            service.index(),
+            &columns[..1],
+            vec![q1.clone()],
+            related(2, 10.0),
+        )
+        .expect("related batch");
+        assert_eq!(
+            related_batch[0],
+            rank_column(&mut service, &query, "rides", related(2, 10.0)).0
+        );
+        assert_eq!(
+            related_batch[0],
+            service
+                .index()
+                .top_k_correlated(&q1, 2, 10.0)
+                .expect("index ranks")
         );
         fs::remove_dir_all(&root).expect("cleanup");
     }
@@ -1127,8 +1133,7 @@ mod tests {
                 let report = service.finish_sharded_ingest(ingest).expect("finish");
                 assert_eq!(report.registered.len(), table.columns().len(), "{method:?}");
             }
-            let q = service.sketch_query(&query, "rides").expect("sketch");
-            let ranked = service.query_joinable(&q, 3).expect("query");
+            let (ranked, _) = rank_column(&mut service, &query, "rides", joinable(3, false));
 
             // One-shot in-memory baseline with identical configuration.
             let est = JoinEstimator::new(spec.build().expect("build"));
@@ -1215,11 +1220,9 @@ mod tests {
             }
             sequential.finish_sharded_ingest(ingest).expect("finish");
         }
-        let q = service.sketch_query(&query, "rides").expect("sketch");
-        let q2 = sequential.sketch_query(&query, "rides").expect("sketch");
         assert_eq!(
-            service.query_joinable(&q, 3).expect("query"),
-            sequential.query_joinable(&q2, 3).expect("query"),
+            rank_column(&mut service, &query, "rides", joinable(3, false)),
+            rank_column(&mut sequential, &query, "rides", joinable(3, false)),
             "interleaved owned sessions must be indistinguishable from sequential"
         );
         fs::remove_dir_all(&root).expect("cleanup");
@@ -1337,8 +1340,7 @@ mod tests {
         let mut reopened = QueryService::open(&root).expect("open");
         assert_eq!(reopened.stats().hydrated, 0);
         assert!(reopened.stats().last_compaction.is_none());
-        let q = reopened.sketch_query(&query, "rides").expect("sketch");
-        reopened.query_joinable(&q, 1).expect("query");
+        rank_column(&mut reopened, &query, "rides", joinable(1, false));
         assert_eq!(reopened.stats().hydrated, 2);
         fs::remove_dir_all(&root).expect("cleanup");
     }
@@ -1351,20 +1353,21 @@ mod tests {
             QueryService::create(&root, spec_for(SketchMethod::Kmv, 9)).expect("create");
         service.ingest_table(&good).expect("good");
         service.ingest_table(&bad).expect("bad");
-        let q = service.sketch_query(&query, "rides").expect("sketch");
-        assert!(service
-            .query_joinable(&q, 10)
-            .expect("query")
-            .iter()
-            .any(|r| r.id.table == "good" && r.id.column == "precip"));
+        assert!(
+            rank_column(&mut service, &query, "rides", joinable(10, false))
+                .0
+                .iter()
+                .any(|r| r.id.table == "good" && r.id.column == "precip")
+        );
 
         service.drop_column("good", "precip").expect("drop");
         // Gone from rankings in the same process, with no rehydration needed.
-        assert!(service
-            .query_joinable(&q, 10)
-            .expect("query")
-            .iter()
-            .all(|r| !(r.id.table == "good" && r.id.column == "precip")));
+        assert!(
+            rank_column(&mut service, &query, "rides", joinable(10, false))
+                .0
+                .iter()
+                .all(|r| !(r.id.table == "good" && r.id.column == "precip"))
+        );
         assert_eq!(service.stats().columns, 2);
         assert!(service.is_fully_hydrated());
         // Unknown or already-dropped keys are NotFound.
@@ -1375,12 +1378,12 @@ mod tests {
 
         // Gone after a cold reopen too, and compaction reclaims the blob bytes.
         let mut reopened = QueryService::open(&root).expect("open");
-        let q2 = reopened.sketch_query(&query, "rides").expect("sketch");
-        assert!(reopened
-            .query_joinable(&q2, 10)
-            .expect("query")
-            .iter()
-            .all(|r| !(r.id.table == "good" && r.id.column == "precip")));
+        assert!(
+            rank_column(&mut reopened, &query, "rides", joinable(10, false))
+                .0
+                .iter()
+                .all(|r| !(r.id.table == "good" && r.id.column == "precip"))
+        );
         let before = reopened.stats().bytes_on_disk;
         let report = reopened.compact().expect("compact");
         // The dropped column's primary blob and its cascade companion blob.
@@ -1397,7 +1400,10 @@ mod tests {
         let mut service = QueryService::create(&root, spec_for(SketchMethod::WeightedMinHash, 13))
             .expect("create");
         service.ingest_table(&good).expect("good");
-        let q = service.sketch_query(&query, "rides").expect("sketch");
+        let q = service
+            .index()
+            .sketch_query(&query, "rides")
+            .expect("sketch");
         let answers = |index: &SketchIndex| {
             (
                 index.top_k_joinable(&q, 10).expect("joinable"),
@@ -1460,29 +1466,27 @@ mod tests {
         service.ingest_table(&good).expect("good");
         service.ingest_table(&bad).expect("bad");
 
-        let q = service.sketch_query(&query, "rides").expect("sketch");
-        let cq = service
-            .sketch_query_companion(&query, "rides")
-            .expect("companion sketch")
-            .expect("companion tier exists");
-        let flat = service.query_joinable(&q, 3).expect("flat");
-        let (cascaded, note) = service
-            .query_joinable_cascade(&q, Some(&cq), 3, ipsketch_join::DEFAULT_CASCADE_CONFIDENCE)
-            .expect("cascade");
+        let (flat, flat_note) = rank_column(&mut service, &query, "rides", joinable(3, false));
+        assert!(flat_note.is_none(), "a flat request carries no note");
+        let (cascaded, note) = rank_column(&mut service, &query, "rides", joinable(3, true));
         assert!(note.is_none(), "a served cascade carries no fallback note");
         assert_eq!(
             cascaded, flat,
             "cascade answers are bit-identical to the flat scan"
         );
 
-        // The batch path agrees, sharing the same (absent) note.
-        let (batch, batch_note) = service
-            .query_joinable_cascade_batch(
-                &[(q.clone(), Some(cq.clone()))],
-                3,
-                ipsketch_join::DEFAULT_CASCADE_CONFIDENCE,
-            )
-            .expect("batch");
+        // A batch of one query agrees with the single ranking.
+        let q = service
+            .index()
+            .sketch_query(&query, "rides")
+            .expect("sketch");
+        let (batch, batch_note) = rank(
+            service.index(),
+            &[(&query, "rides")],
+            vec![q],
+            joinable(3, true),
+        )
+        .expect("batch");
         assert!(batch_note.is_none());
         assert_eq!(batch, vec![flat.clone()]);
 
@@ -1490,19 +1494,7 @@ mod tests {
         drop(service);
         let mut reopened = QueryService::open(&root).expect("open");
         assert!(reopened.companion_estimator().is_some());
-        let q2 = reopened.sketch_query(&query, "rides").expect("sketch");
-        let cq2 = reopened
-            .sketch_query_companion(&query, "rides")
-            .expect("companion sketch")
-            .expect("companion tier persists");
-        let (cascaded2, note2) = reopened
-            .query_joinable_cascade(
-                &q2,
-                Some(&cq2),
-                3,
-                ipsketch_join::DEFAULT_CASCADE_CONFIDENCE,
-            )
-            .expect("cascade");
+        let (cascaded2, note2) = rank_column(&mut reopened, &query, "rides", joinable(3, true));
         assert!(note2.is_none());
         assert_eq!(cascaded2, flat);
         fs::remove_dir_all(&root).expect("cleanup");
@@ -1521,28 +1513,16 @@ mod tests {
         assert!(service.companion_estimator().is_none());
         service.ingest_table(&good).expect("ingest");
 
-        let q = service.sketch_query(&query, "rides").expect("sketch");
-        assert!(service
-            .sketch_query_companion(&query, "rides")
-            .expect("companion sketch")
-            .is_none());
-        let flat = service.query_joinable(&q, 2).expect("flat");
-        let (ranking, note) = service
-            .query_joinable_cascade(&q, None, 2, ipsketch_join::DEFAULT_CASCADE_CONFIDENCE)
-            .expect("cascade never errors on flat catalogs");
+        let (flat, _) = rank_column(&mut service, &query, "rides", joinable(2, false));
+        let (ranking, note) = rank_column(&mut service, &query, "rides", joinable(2, true));
         let note = note.expect("fallback is reported");
         assert_eq!(note.code, NOTE_CASCADE_FALLBACK);
+        assert_eq!(note, CascadeNote::fallback());
         assert_eq!(ranking, flat);
 
-        let (batch, batch_note) = service
-            .query_joinable_cascade_batch(
-                &[(q.clone(), None)],
-                2,
-                ipsketch_join::DEFAULT_CASCADE_CONFIDENCE,
-            )
-            .expect("batch");
-        assert_eq!(batch_note.expect("noted").code, NOTE_CASCADE_FALLBACK);
-        assert_eq!(batch, vec![flat]);
+        // A relatedness ranking is never a cascade, so it carries no note.
+        let (_, related_note) = rank_column(&mut service, &query, "rides", related(2, 1.0));
+        assert!(related_note.is_none());
         fs::remove_dir_all(&root).expect("cleanup");
     }
 
@@ -1568,22 +1548,8 @@ mod tests {
         }
         sharded.finish_sharded_ingest(ingest).expect("finish");
 
-        let q1 = one_shot.sketch_query(&query, "rides").expect("sketch");
-        let c1 = one_shot
-            .sketch_query_companion(&query, "rides")
-            .expect("companion")
-            .expect("tier");
-        let q2 = sharded.sketch_query(&query, "rides").expect("sketch");
-        let c2 = sharded
-            .sketch_query_companion(&query, "rides")
-            .expect("companion")
-            .expect("tier");
-        let (a, note_a) = one_shot
-            .query_joinable_cascade(&q1, Some(&c1), 2, ipsketch_join::DEFAULT_CASCADE_CONFIDENCE)
-            .expect("cascade");
-        let (b, note_b) = sharded
-            .query_joinable_cascade(&q2, Some(&c2), 2, ipsketch_join::DEFAULT_CASCADE_CONFIDENCE)
-            .expect("cascade");
+        let (a, note_a) = rank_column(&mut one_shot, &query, "rides", joinable(2, true));
+        let (b, note_b) = rank_column(&mut sharded, &query, "rides", joinable(2, true));
         assert!(note_a.is_none() && note_b.is_none());
         assert_eq!(a, b, "companion-backed cascades agree across ingest paths");
         fs::remove_dir_all(&root_shot).expect("cleanup");
@@ -1597,8 +1563,11 @@ mod tests {
         let mut service =
             QueryService::create(&root, spec_for(SketchMethod::SimHash, 3)).expect("create");
         service.ingest_table(&good).expect("one-shot works");
-        let q = service.sketch_query(&query, "rides").expect("sketch");
-        assert!(!service.query_joinable(&q, 2).expect("query").is_empty());
+        assert!(
+            !rank_column(&mut service, &query, "rides", joinable(2, false))
+                .0
+                .is_empty()
+        );
 
         let mut ingest = service.begin_sharded_ingest("bad");
         let shards = shards_of(&lake().2, 2);
@@ -1624,7 +1593,10 @@ mod tests {
         let (_, good, _) = lake();
         let mut service = QueryService::create(&root, spec_for(SketchMethod::WeightedMinHash, 5))
             .expect("create");
-        let sketched = service.sketch_query(&good, "precip").expect("sketch");
+        let sketched = service
+            .estimator()
+            .sketch_column(&good, "precip")
+            .expect("sketch");
         let v1 = sketched.encode(ipsketch_core::FormatVersion::V1);
         assert!(matches!(
             service.import_sketched_blob("good", "precip", &v1),

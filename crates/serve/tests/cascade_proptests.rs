@@ -7,12 +7,36 @@
 
 use ipsketch_core::method::{AnySketcher, SketchMethod};
 use ipsketch_data::{Column, Table};
-use ipsketch_join::DEFAULT_CASCADE_CONFIDENCE;
-use ipsketch_serve::QueryService;
+use ipsketch_join::RankedColumn;
+use ipsketch_serve::service::{rank, Mode, RankRequest};
+use ipsketch_serve::{CascadeNote, QueryService};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
+
+/// Ranks the query column `v` of `query` through the one ranking path.
+fn ranked(
+    service: &mut QueryService,
+    query: &Table,
+    k: usize,
+    cascade: bool,
+) -> (Vec<RankedColumn>, Option<CascadeNote>) {
+    let q = service
+        .estimator()
+        .sketch_column(query, "v")
+        .expect("sketch");
+    service.ensure_hydrated().expect("hydrate");
+    let request = RankRequest {
+        mode: Mode::Joinable,
+        k,
+        min_join_size: 0.0,
+        cascade,
+    };
+    let (mut rankings, note) =
+        rank(service.index(), &[(query, "v")], vec![q], request).expect("rank");
+    (rankings.remove(0), note)
+}
 
 /// A candidate table overlapping the query on a generated key range.
 fn candidate(index: usize, offset: u64, pattern: u64, rows: u64) -> Table {
@@ -82,22 +106,17 @@ proptest! {
                 .expect("ingest");
         }
         let query = query_table();
-        let q = service.sketch_query(&query, "v").expect("sketch");
-        let cq = service
-            .sketch_query_companion(&query, "v")
-            .expect("companion sketch");
-        prop_assert!(cq.is_some(), "created catalogs store companions by default");
-        let flat = service.query_joinable(&q, k).expect("flat");
-        let (cascaded, note) = service
-            .query_joinable_cascade(&q, cq.as_ref(), k, DEFAULT_CASCADE_CONFIDENCE)
-            .expect("cascade");
+        prop_assert!(
+            service.companion_estimator().is_some(),
+            "created catalogs store companions by default"
+        );
+        let (flat, _) = ranked(&mut service, &query, k, false);
+        let (cascaded, note) = ranked(&mut service, &query, k, true);
         prop_assert!(note.is_none(), "companion catalogs never fall back");
         prop_assert_eq!(&cascaded, &flat, "cascade diverged from the flat scan");
         // The cascade returns a prefix of the full flat ranking: deepening k
         // must only append, never reorder.
-        let full = service
-            .query_joinable(&q, params.len() + 1)
-            .expect("full flat");
+        let (full, _) = ranked(&mut service, &query, params.len() + 1, false);
         prop_assert_eq!(&full[..cascaded.len()], &cascaded[..]);
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -136,14 +155,8 @@ proptest! {
             .ingest_table(&candidate(1, offset + 1, (pattern + 1) % 4, 80))
             .expect("ingest distinct");
         let query = query_table();
-        let q = service.sketch_query(&query, "v").expect("sketch");
-        let cq = service
-            .sketch_query_companion(&query, "v")
-            .expect("companion sketch");
-        let (cascaded, _) = service
-            .query_joinable_cascade(&q, cq.as_ref(), 3, DEFAULT_CASCADE_CONFIDENCE)
-            .expect("cascade");
-        let flat = service.query_joinable(&q, 3).expect("flat");
+        let (cascaded, _) = ranked(&mut service, &query, 3, true);
+        let (flat, _) = ranked(&mut service, &query, 3, false);
         prop_assert_eq!(&cascaded, &flat);
         // The twins tie exactly; the earlier table name must rank first.
         let a = cascaded.iter().position(|r| r.id.table == "cand_0");

@@ -15,6 +15,7 @@
 use ipsketch_core::method::{AnySketcher, SketchMethod};
 use ipsketch_data::{Column, Table};
 use ipsketch_join::DEFAULT_CASCADE_CONFIDENCE;
+use ipsketch_serve::service::{rank, Mode, RankRequest};
 use ipsketch_serve::QueryService;
 use std::collections::BTreeSet;
 use std::fs;
@@ -158,17 +159,30 @@ fn recall_at_k(answer: &[ipsketch_join::RankedColumn], truth: &[&str], k: usize)
 #[test]
 fn default_margin_has_perfect_recall_and_matches_ground_truth() {
     let mut service = QueryService::open(fixture_dir()).expect("open fixture");
+    service.ensure_hydrated().expect("hydrate");
+    assert!(
+        service.companion_estimator().is_some(),
+        "fixture stores companion sketches"
+    );
     let query = query_table();
-    let q = service.sketch_query(&query, "v").expect("sketch");
-    let cq = service
-        .sketch_query_companion(&query, "v")
-        .expect("companion sketch");
-    assert!(cq.is_some(), "fixture stores companion sketches");
     const K: usize = 4;
-    let flat = service.query_joinable(&q, K).expect("flat");
-    let (cascaded, note) = service
-        .query_joinable_cascade(&q, cq.as_ref(), K, DEFAULT_CASCADE_CONFIDENCE)
-        .expect("cascade");
+    let ranked_by = |cascade: bool| {
+        let q = service
+            .estimator()
+            .sketch_column(&query, "v")
+            .expect("sketch");
+        let request = RankRequest {
+            mode: Mode::Joinable,
+            k: K,
+            min_join_size: 0.0,
+            cascade,
+        };
+        let (mut rankings, note) =
+            rank(service.index(), &[(&query, "v")], vec![q], request).expect("rank");
+        (rankings.remove(0), note)
+    };
+    let (flat, _) = ranked_by(false);
+    let (cascaded, note) = ranked_by(true);
     assert!(note.is_none());
     assert_eq!(
         cascaded, flat,
@@ -187,10 +201,13 @@ fn default_margin_has_perfect_recall_and_matches_ground_truth() {
 fn too_tight_margins_degrade_recall_measurably_and_monotonically() {
     let mut service = QueryService::open(fixture_dir()).expect("open fixture");
     let query = query_table();
-    let q = service.sketch_query(&query, "v").expect("sketch");
-    let cq = service
-        .sketch_query_companion(&query, "v")
-        .expect("companion sketch");
+    service.ensure_hydrated().expect("hydrate");
+    let index = service.index();
+    let q = index.sketch_query(&query, "v").expect("sketch");
+    let cq = index
+        .sketch_companion_query(&query, "v")
+        .expect("companion sketch")
+        .expect("fixture stores companion sketches");
     const K: usize = 4;
     let truth: Vec<&str> = OVERLAPS.iter().map(|&(_, name)| name).collect();
     // Confidence 0.0 trusts the cheap tier's point estimates outright — no
@@ -198,8 +215,8 @@ fn too_tight_margins_degrade_recall_measurably_and_monotonically() {
     // than the default (recorded here so a bound change surfaces as a diff).
     let mut measured = Vec::new();
     for confidence in [0.0, 1.0, DEFAULT_CASCADE_CONFIDENCE] {
-        let (answer, _) = service
-            .query_joinable_cascade(&q, cq.as_ref(), K, confidence)
+        let (answer, _) = index
+            .top_k_joinable_cascade(&q, &cq, K, confidence)
             .expect("cascade");
         measured.push(recall_at_k(&answer, &truth, K));
     }

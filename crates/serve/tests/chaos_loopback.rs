@@ -22,6 +22,7 @@ use ipsketch_serve::router::{
     owners, rebalance, serve_router, NodeSpec, RetryPolicy, Router, RouterConfig, RouterHandle,
 };
 use ipsketch_serve::server::{serve, ServerConfig, ServerHandle};
+use ipsketch_serve::service::{rank, RankRequest};
 use ipsketch_serve::wire::Json;
 use ipsketch_serve::{shard_rows, QueryService};
 use std::fs;
@@ -29,6 +30,32 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+/// In-process ground truth: `table.column` ranked through the same path a
+/// node's reads take.
+fn ranked(
+    service: &mut QueryService,
+    table: &Table,
+    column: &str,
+    mode: Mode,
+    k: usize,
+    min_join_size: f64,
+) -> Vec<RankedColumn> {
+    let sketched = service
+        .estimator()
+        .sketch_column(table, column)
+        .expect("sketch");
+    service.ensure_hydrated().expect("hydrate");
+    let request = RankRequest {
+        mode,
+        k,
+        min_join_size,
+        cascade: false,
+    };
+    let (mut rankings, _) =
+        rank(service.index(), &[(table, column)], vec![sketched], request).expect("rank");
+    rankings.remove(0)
+}
 
 fn temp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ipsketch-chaos-{tag}-{}", std::process::id()));
@@ -253,8 +280,7 @@ fn run_fault_scenario(
     let mut twin = QueryService::create(&twin_root, spec_for(seed)).expect("twin");
     twin.ingest_table(&good).expect("good");
     twin.ingest_table(&bad).expect("bad");
-    let q = twin.sketch_query(&query, "rides").expect("sketch");
-    let expected = twin.query_joinable(&q, 5).expect("rank");
+    let expected = ranked(&mut twin, &query, "rides", Mode::Joinable, 5, 0.0);
     fs::remove_dir_all(&twin_root).expect("cleanup twin");
 
     let nodes = boot_nodes(tag, seed, 3);
@@ -611,8 +637,7 @@ fn rebalance_preserves_byte_identity_before_during_and_after_the_flip() {
     let mut twin = QueryService::create(&twin_root, spec_for(seed)).expect("twin");
     twin.ingest_table(&good).expect("good");
     twin.ingest_table(&bad).expect("bad");
-    let q = twin.sketch_query(&query, "rides").expect("sketch");
-    let expected = twin.query_joinable(&q, 5).expect("rank");
+    let expected = ranked(&mut twin, &query, "rides", Mode::Joinable, 5, 0.0);
     fs::remove_dir_all(&twin_root).expect("cleanup twin");
 
     let assert_ranking = |client: &mut Client, id: u64| {

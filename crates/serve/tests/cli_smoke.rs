@@ -217,3 +217,109 @@ fn cli_estimates_match_the_in_memory_index_for_all_mergeable_methods() {
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 }
+
+#[test]
+fn query_cascade_fallback_and_relatedness_answer_through_one_path() {
+    use ipsketch_serve::csv::load_table;
+    use ipsketch_serve::QueryService;
+
+    let dir = temp_dir("query-paths");
+    let (taxi, weather) = write_lake(&dir);
+    let mut noise = String::from("key,a,b\n");
+    for key in 0..180u32 {
+        noise.push_str(&format!(
+            "{key},{},{}\n",
+            f64::from(key % 7) + 1.0,
+            f64::from((key * 13) % 17) + 1.0
+        ));
+    }
+    let noise_path = dir.join("noise.csv");
+    fs::write(&noise_path, noise).expect("write noise");
+    let taxi = taxi.to_str().expect("utf8");
+
+    // Two catalogs over the same lake: one stores cascade companions (the
+    // default), one was initialized without them.
+    let catalog_of = |name: &str, extra: &[&str]| {
+        let catalog = dir.join(name);
+        let path = catalog.to_str().expect("utf8").to_string();
+        let mut init = vec![
+            "catalog", "init", &path, "--method", "wmh", "--budget", "300", "--seed", "7",
+        ];
+        init.extend_from_slice(extra);
+        stdout_of(&run(&init));
+        for table in [&weather, &noise_path] {
+            stdout_of(&run(&["ingest", &path, table.to_str().expect("utf8")]));
+        }
+        path
+    };
+    let companions = catalog_of("companions", &[]);
+    let flat_only = catalog_of("flat-only", &["--no-companion"]);
+    let query_args = |catalog: &str, extra: &[&str]| {
+        let mut args = vec![
+            "query".to_string(),
+            catalog.to_string(),
+            taxi.to_string(),
+            "--column".to_string(),
+            "rides".to_string(),
+            "--top".to_string(),
+            "5".to_string(),
+        ];
+        args.extend(extra.iter().map(|s| s.to_string()));
+        args
+    };
+    let query = |catalog: &str, extra: &[&str]| {
+        let args = query_args(catalog, extra);
+        stdout_of(&run(&args.iter().map(String::as_str).collect::<Vec<_>>()))
+    };
+
+    // The cascade is invisible in the output bytes when companions exist.
+    let cascaded = query(&companions, &["--cascade"]);
+    let flat = query(&companions, &["--no-cascade"]);
+    assert_eq!(cascaded, flat, "cascade changed the CLI output");
+    assert!(flat.contains("weather.precip"), "{flat}");
+    assert!(!flat.contains("note"), "{flat}");
+
+    // Without companions the cascade says so first, then prints the flat ranking.
+    let fallback = query(&flat_only, &["--cascade"]);
+    let (note, ranking) = fallback.split_once('\n').expect("note line");
+    assert!(
+        note.starts_with("note (cascade_fallback): "),
+        "fallback note missing: {fallback}"
+    );
+    assert_eq!(ranking, query(&flat_only, &["--no-cascade"]));
+
+    // Relatedness rows are the index's correlation ranking, printed.
+    let related = query(&companions, &["--relatedness", "--min-join-size", "10"]);
+    let mut service = QueryService::open(&companions).expect("catalog opens");
+    service.ensure_hydrated().expect("hydrates");
+    let taxi_table = load_table(Path::new(taxi), None).expect("taxi parses");
+    let q = service
+        .index()
+        .sketch_query(&taxi_table, "rides")
+        .expect("sketches");
+    let expected: Vec<String> = service
+        .index()
+        .top_k_correlated(&q, 5, 10.0)
+        .expect("ranks")
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            format!(
+                "{:<4} {:<28} {:>12.2} {:>10.4}",
+                i + 1,
+                format!("{}.{}", r.id.table, r.id.column),
+                r.estimated_join_size,
+                r.estimated_correlation
+            )
+        })
+        .collect();
+    assert!(!expected.is_empty());
+    let rows: Vec<&str> = related.lines().skip(2).collect();
+    assert_eq!(rows, expected, "{related}");
+
+    // A cascaded relatedness query is still a usage error.
+    let args = query_args(&companions, &["--cascade", "--relatedness"]);
+    let both = run(&args.iter().map(String::as_str).collect::<Vec<_>>());
+    assert_eq!(both.status.code(), Some(2));
+    fs::remove_dir_all(&dir).expect("cleanup");
+}

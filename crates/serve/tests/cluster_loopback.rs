@@ -8,20 +8,59 @@
 use ipsketch_core::method::{AnySketcher, SketchMethod};
 use ipsketch_core::SketcherSpec;
 use ipsketch_data::{Column, Table};
-use ipsketch_join::{JoinEstimator, RankedColumn, DEFAULT_CASCADE_CONFIDENCE};
+use ipsketch_join::{JoinEstimator, RankedColumn};
 use ipsketch_serve::protocol::{
     sketch_queries, ErrorCode, Mode, Request, RequestBody, Response, ResponseBody, WireQuery,
     WireRankQuery, WireRanked, WireTable,
 };
 use ipsketch_serve::router::{serve_router, NodeSpec, Router, RouterHandle};
 use ipsketch_serve::server::{serve, serve_backend, ServerConfig, ServerHandle};
+use ipsketch_serve::service::{rank, RankRequest};
 use ipsketch_serve::wire::Json;
-use ipsketch_serve::{shard_rows, QueryService};
+use ipsketch_serve::{shard_rows, CascadeNote, QueryService};
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// In-process ground truth: the queries ranked through the same path a
+/// node's reads take.
+fn ranked(
+    service: &mut QueryService,
+    columns: &[(&Table, &str)],
+    mode: Mode,
+    k: usize,
+    min_join_size: f64,
+    cascade: bool,
+) -> (Vec<Vec<RankedColumn>>, Option<CascadeNote>) {
+    let sketched = columns
+        .iter()
+        .map(|(table, column)| service.estimator().sketch_column(table, column))
+        .collect::<Result<_, _>>()
+        .expect("sketch");
+    service.ensure_hydrated().expect("hydrate");
+    let request = RankRequest {
+        mode,
+        k,
+        min_join_size,
+        cascade,
+    };
+    rank(service.index(), columns, sketched, request).expect("rank")
+}
+
+/// [`ranked`] for one flat query.
+fn ranked_one(
+    service: &mut QueryService,
+    table: &Table,
+    column: &str,
+    mode: Mode,
+    k: usize,
+    min_join_size: f64,
+) -> Vec<RankedColumn> {
+    let (mut rankings, _) = ranked(service, &[(table, column)], mode, k, min_join_size, false);
+    rankings.remove(0)
+}
 
 fn temp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ipsketch-cluster-{tag}-{}", std::process::id()));
@@ -118,7 +157,6 @@ fn boot_nodes_opts(tag: &str, seed: u64, n: usize, companions: bool) -> Vec<Node
             };
             let config = ServerConfig::builder()
                 .tcp("127.0.0.1:0")
-                .http("127.0.0.1:0")
                 .build()
                 .expect("valid config");
             let handle = serve(service, config).expect("serve node");
@@ -265,12 +303,15 @@ fn routed_cluster_answers_bit_identical_to_a_single_node() {
     let mut twin = QueryService::create(&twin_root, spec_for(seed)).expect("twin");
     twin.ingest_table(&good).expect("good");
     twin.ingest_table(&bad).expect("bad");
-    let q1 = twin.sketch_query(&query, "rides").expect("q1");
-    let q2 = twin.sketch_query(&good, "precip").expect("q2");
-    let expected_batch = twin
-        .query_joinable_batch(&[q1.clone(), q2], 5)
-        .expect("batch");
-    let expected_related = twin.query_related(&q1, 3, 10.0).expect("related");
+    let (expected_batch, _) = ranked(
+        &mut twin,
+        &[(&query, "rides"), (&good, "precip")],
+        Mode::Joinable,
+        5,
+        0.0,
+        false,
+    );
+    let expected_related = ranked_one(&mut twin, &query, "rides", Mode::Related, 3, 10.0);
 
     // A 3-node cluster populated *through the router*.
     let nodes = boot_nodes("bitident", seed, 3);
@@ -402,8 +443,14 @@ fn rankings_are_identical_for_any_ingest_order_and_cluster_shape() {
     for table in &tables {
         twin.ingest_table(table).expect("ingest");
     }
-    let q = twin.sketch_query(&query, "rides").expect("sketch");
-    let expected = twin.query_joinable(&q, tables.len() + 1).expect("rank");
+    let expected = ranked_one(
+        &mut twin,
+        &query,
+        "rides",
+        Mode::Joinable,
+        tables.len() + 1,
+        0.0,
+    );
     let tie_rank: Vec<&str> = expected
         .iter()
         .filter(|r| r.id.table.starts_with("tie_"))
@@ -459,8 +506,7 @@ fn a_stopped_node_fails_over_to_its_replicas_bit_identically() {
     let mut twin = QueryService::create(&twin_root, spec_for(seed)).expect("twin");
     twin.ingest_table(&good).expect("good");
     twin.ingest_table(&bad).expect("bad");
-    let q = twin.sketch_query(&query, "rides").expect("sketch");
-    let expected = twin.query_joinable(&q, 5).expect("rank");
+    let expected = ranked_one(&mut twin, &query, "rides", Mode::Joinable, 5, 0.0);
 
     let mut nodes = boot_nodes("failover", seed, 3);
     let router = boot_router(tcp_specs(&nodes), 2);
@@ -575,44 +621,6 @@ fn fanouts_count_one_per_node_request() {
 }
 
 #[test]
-fn mixed_transport_routers_answer_byte_identically() {
-    let (query, good, bad) = lake();
-    let seed = 37;
-    let nodes = boot_nodes("transports", seed, 3);
-
-    // One router speaks line-TCP to every node; the other mixes in the
-    // HTTP/1.1 binding for two of them.  Same nodes, so same data.
-    let tcp_router = boot_router(tcp_specs(&nodes), 2);
-    let mixed_specs = vec![
-        NodeSpec::tcp(nodes[0].handle.tcp_addr().expect("tcp").to_string()),
-        NodeSpec::http(nodes[1].handle.http_addr().expect("http").to_string()),
-        NodeSpec::http(nodes[2].handle.http_addr().expect("http").to_string()),
-    ];
-    let mixed_router = boot_router(mixed_specs, 2);
-
-    let mut tcp_client = Client::connect(tcp_router.addr());
-    tcp_client.ingest(&good);
-    tcp_client.ingest(&bad);
-
-    let request = query_request(5, &query, "rides", 4);
-    tcp_client.send_raw(&request.encode());
-    let via_tcp = tcp_client.recv_raw();
-
-    let mut mixed_client = Client::connect(mixed_router.addr());
-    mixed_client.send_raw(&request.encode());
-    let via_mixed = mixed_client.recv_raw();
-    assert_eq!(via_tcp, via_mixed, "transport changed the answer bytes");
-
-    let stats = mixed_router.stats();
-    let transports: Vec<&str> = stats.nodes.iter().map(|n| n.transport.as_str()).collect();
-    assert_eq!(transports, ["tcp", "http", "http"]);
-
-    tcp_router.shutdown();
-    mixed_router.shutdown();
-    cleanup(nodes);
-}
-
-#[test]
 fn node_overlapping_sharded_ingest_yields_only_consistent_states() {
     let (query, good, bad) = lake();
     let seed = 41;
@@ -635,8 +643,7 @@ fn node_overlapping_sharded_ingest_yields_only_consistent_states() {
     let mut twin = QueryService::create(&twin_root, spec_for(seed)).expect("twin");
     twin.ingest_table(&good).expect("good");
     twin.ingest_table(&bad).expect("bad");
-    let q = twin.sketch_query(&query, "rides").expect("sketch");
-    let before = twin.query_joinable(&q, 5).expect("before");
+    let before = ranked_one(&mut twin, &query, "rides", Mode::Joinable, 5, 0.0);
     {
         let mut session = twin.begin_sharded_ingest(extra.name());
         for shard in &shard_rows(&extra, shards) {
@@ -647,7 +654,7 @@ fn node_overlapping_sharded_ingest_yields_only_consistent_states() {
         }
         twin.finish_sharded_ingest(session).expect("finish");
     }
-    let after = twin.query_joinable(&q, 5).expect("after");
+    let after = ranked_one(&mut twin, &query, "rides", Mode::Joinable, 5, 0.0);
     assert_ne!(before, after, "the extra table must change the top-5");
 
     let nodes = boot_nodes("overlap", seed, 3);
@@ -799,18 +806,23 @@ fn cascaded_queries_route_bit_identically_and_fall_back_deterministically() {
     let mut twin = QueryService::create(&twin_root, spec_for(seed)).expect("twin");
     twin.ingest_table(&good).expect("good");
     twin.ingest_table(&bad).expect("bad");
-    let q = twin.sketch_query(&query, "rides").expect("sketch");
-    let cq = twin
-        .sketch_query_companion(&query, "rides")
-        .expect("companion sketch");
-    assert!(cq.is_some(), "created catalogs store companions by default");
-    let (expected, twin_note) = twin
-        .query_joinable_cascade(&q, cq.as_ref(), 5, DEFAULT_CASCADE_CONFIDENCE)
-        .expect("cascade");
+    assert!(
+        twin.companion_estimator().is_some(),
+        "created catalogs store companions by default"
+    );
+    let (mut cascaded, twin_note) = ranked(
+        &mut twin,
+        &[(&query, "rides")],
+        Mode::Joinable,
+        5,
+        0.0,
+        true,
+    );
     assert!(twin_note.is_none());
+    let expected = cascaded.remove(0);
     assert_eq!(
         expected,
-        twin.query_joinable(&q, 5).expect("flat"),
+        ranked_one(&mut twin, &query, "rides", Mode::Joinable, 5, 0.0),
         "cascade must equal the flat scan at the default margin"
     );
 

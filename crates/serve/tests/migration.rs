@@ -11,10 +11,11 @@
 use ipsketch_core::wmh::{WmhStream, WmhVariant};
 use ipsketch_core::{FormatVersion, SketcherKind, SketcherSpec};
 use ipsketch_data::{Column, Table};
-use ipsketch_join::JoinEstimator;
+use ipsketch_join::{JoinEstimator, RankedColumn, SketchedColumn};
 use ipsketch_serve::catalog::{MANIFEST_FILE, SKETCH_DIR};
 use ipsketch_serve::manifest::{fnv64, Manifest, ManifestEntry};
-use ipsketch_serve::{migrate_catalog, Catalog, CatalogError, QueryService};
+use ipsketch_serve::service::{rank, Mode, RankRequest};
+use ipsketch_serve::{migrate_catalog, CascadeNote, Catalog, CatalogError, QueryService};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -23,6 +24,39 @@ fn temp_root(tag: &str) -> PathBuf {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("mkdir");
     dir
+}
+
+/// Sketches the `rides` query column under `service`'s configuration.
+fn rides_query(service: &QueryService) -> SketchedColumn {
+    service
+        .estimator()
+        .sketch_column(&rides(), "rides")
+        .expect("query sketches")
+}
+
+/// Hydrates `service` and ranks the sketched `rides` query through the one
+/// ranking path.
+fn ranked(
+    service: &mut QueryService,
+    query: SketchedColumn,
+    k: usize,
+    cascade: bool,
+) -> (Vec<RankedColumn>, Option<CascadeNote>) {
+    service.ensure_hydrated().expect("hydrate");
+    let request = RankRequest {
+        mode: Mode::Joinable,
+        k,
+        min_join_size: 0.0,
+        cascade,
+    };
+    let (mut rankings, note) = rank(
+        service.index(),
+        &[(&rides(), "rides")],
+        vec![query],
+        request,
+    )
+    .expect("ranks");
+    (rankings.remove(0), note)
 }
 
 /// The deterministic source table behind every v1 catalog in this suite.
@@ -165,10 +199,8 @@ fn golden_v1_fixture_loads_read_only() {
     // Queries work: the service hydrates and ranks v1 sketches as always.
     let mut service = QueryService::open(golden_dir()).expect("service opens");
     assert_eq!(service.stats().format, "v1");
-    let query = service
-        .sketch_query(&rides(), "rides")
-        .expect("query sketches");
-    let ranking = service.query_joinable(&query, 3).expect("query runs");
+    let query = rides_query(&service);
+    let (ranking, _) = ranked(&mut service, query, 3, false);
     assert!(
         ranking.iter().any(|r| r.id.column == "precip"),
         "golden catalog must rank the joinable column: {ranking:?}"
@@ -215,12 +247,8 @@ fn migration_preserves_every_estimate_bit_for_bit() {
     write_catalog_files(&src, &v1_catalog_files(spec));
 
     let mut before_service = QueryService::open(&src).expect("source opens");
-    let query = before_service
-        .sketch_query(&rides(), "rides")
-        .expect("query sketches");
-    let before = before_service
-        .query_joinable(&query, 10)
-        .expect("source ranks");
+    let query = rides_query(&before_service);
+    let (before, _) = ranked(&mut before_service, query.clone(), 10, false);
 
     let dest = root.join("v2");
     let mut seen = Vec::new();
@@ -252,9 +280,7 @@ fn migration_preserves_every_estimate_bit_for_bit() {
 
     // Same query, bit-identical answers.
     let mut after_service = QueryService::open(&dest).expect("destination opens");
-    let after = after_service
-        .query_joinable(&query, 10)
-        .expect("destination ranks");
+    let (after, _) = ranked(&mut after_service, query, 10, false);
     assert_eq!(before.len(), after.len());
     for (b, a) in before.iter().zip(&after) {
         assert_eq!(b.id, a.id);
@@ -324,20 +350,10 @@ fn migration_backfills_kmv_companions_that_serve_cascades() {
     // Cascade queries over the migrated catalog run the real two-tier path (no
     // note) and answer bit-identically to the flat scan.
     let mut service = QueryService::open(&dest).expect("service opens");
-    let query = service.sketch_query(&rides(), "rides").expect("sketch");
-    let companion_query = service
-        .sketch_query_companion(&rides(), "rides")
-        .expect("companion sketch")
-        .expect("companion tier");
-    let flat = service.query_joinable(&query, 3).expect("flat scan");
-    let (cascaded, note) = service
-        .query_joinable_cascade(
-            &query,
-            Some(&companion_query),
-            3,
-            ipsketch_join::DEFAULT_CASCADE_CONFIDENCE,
-        )
-        .expect("cascade");
+    assert!(service.companion_estimator().is_some(), "companion tier");
+    let query = rides_query(&service);
+    let (flat, _) = ranked(&mut service, query.clone(), 3, false);
+    let (cascaded, note) = ranked(&mut service, query, 3, true);
     assert!(
         note.is_none(),
         "backfilled catalogs cascade without fallback"
@@ -370,15 +386,10 @@ fn non_derivable_migrations_fall_back_to_the_flat_scan_with_a_note() {
         .is_none());
 
     let mut service = QueryService::open(&dest).expect("service opens");
-    let query = service.sketch_query(&rides(), "rides").expect("sketch");
-    assert!(service
-        .sketch_query_companion(&rides(), "rides")
-        .expect("companion sketch")
-        .is_none());
-    let flat = service.query_joinable(&query, 3).expect("flat scan");
-    let (ranking, note) = service
-        .query_joinable_cascade(&query, None, 3, ipsketch_join::DEFAULT_CASCADE_CONFIDENCE)
-        .expect("cascade requests over companion-less catalogs never error");
+    assert!(service.companion_estimator().is_none());
+    let query = rides_query(&service);
+    let (flat, _) = ranked(&mut service, query.clone(), 3, false);
+    let (ranking, note) = ranked(&mut service, query, 3, true);
     let note = note.expect("the fallback is reported as a typed note");
     assert_eq!(note.code, ipsketch_serve::NOTE_CASCADE_FALLBACK);
     assert_eq!(ranking, flat);

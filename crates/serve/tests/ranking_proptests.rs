@@ -9,6 +9,7 @@
 use ipsketch_core::method::{AnySketcher, SketchMethod};
 use ipsketch_data::{Column, Table};
 use ipsketch_join::{JoinEstimator, RankedColumn, SketchIndex};
+use ipsketch_serve::service::{rank, Mode, RankRequest};
 use ipsketch_serve::{shard_rows, QueryService};
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -190,9 +191,21 @@ proptest! {
                 }
                 service.finish_sharded_ingest(session).expect("finish");
             }
-            let q = service.sketch_query(&query, "v").expect("sketch");
-            let joinable = service.query_joinable(&q, 3).expect("rank");
-            let related = service.query_related(&q, 3, 5.0).expect("rank");
+            service.ensure_hydrated().expect("hydrate");
+            let ranked_by = |mode: Mode| {
+                let q = service.estimator().sketch_column(&query, "v").expect("sketch");
+                let request = RankRequest {
+                    mode,
+                    k: 3,
+                    min_join_size: 5.0,
+                    cascade: false,
+                };
+                let (mut rankings, _) =
+                    rank(service.index(), &[(&query, "v")], vec![q], request).expect("rank");
+                rankings.remove(0)
+            };
+            let joinable = ranked_by(Mode::Joinable);
+            let related = ranked_by(Mode::Related);
             let _ = std::fs::remove_dir_all(&root);
             (joinable, related)
         };

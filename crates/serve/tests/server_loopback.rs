@@ -14,6 +14,7 @@ use ipsketch_serve::protocol::{
     ErrorCode, Mode, Request, RequestBody, Response, ResponseBody, WireQuery, WireRanked, WireTable,
 };
 use ipsketch_serve::server::{serve, ServerConfig, ServerHandle};
+use ipsketch_serve::service::{rank, RankRequest};
 use ipsketch_serve::wire::Json;
 use ipsketch_serve::{shard_rows, QueryService};
 use std::fs;
@@ -21,6 +22,32 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// In-process ground truth: `table.column` ranked through the same path a
+/// node's reads take.
+fn ranked(
+    service: &mut QueryService,
+    table: &Table,
+    column: &str,
+    mode: Mode,
+    k: usize,
+    min_join_size: f64,
+) -> Vec<RankedColumn> {
+    let sketched = service
+        .estimator()
+        .sketch_column(table, column)
+        .expect("sketch");
+    service.ensure_hydrated().expect("hydrate");
+    let request = RankRequest {
+        mode,
+        k,
+        min_join_size,
+        cascade: false,
+    };
+    let (mut rankings, _) =
+        rank(service.index(), &[(table, column)], vec![sketched], request).expect("rank");
+    rankings.remove(0)
+}
 
 fn temp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ipsketch-loopback-{tag}-{}", std::process::id()));
@@ -162,12 +189,22 @@ fn served_batch_queries_are_bit_identical_to_in_process_answers() {
     service.ingest_table(&bad).expect("bad");
 
     // In-process ground truth, through the exact public batch path.
-    let q1 = service.sketch_query(&query, "rides").expect("q1");
-    let q2 = service.sketch_query(&good, "precip").expect("q2");
-    let expected = service
-        .query_joinable_batch(&[q1.clone(), q2], 5)
-        .expect("in-process batch");
-    let expected_related = service.query_related(&q1, 3, 10.0).expect("related");
+    let columns = [(&query, "rides"), (&good, "precip")];
+    let sketched = columns
+        .iter()
+        .map(|(table, column)| service.estimator().sketch_column(table, column))
+        .collect::<Result<_, _>>()
+        .expect("sketch");
+    service.ensure_hydrated().expect("hydrate");
+    let request = RankRequest {
+        mode: Mode::Joinable,
+        k: 5,
+        min_join_size: 0.0,
+        cascade: false,
+    };
+    let (expected, _) =
+        rank(service.index(), &columns, sketched, request).expect("in-process batch");
+    let expected_related = ranked(&mut service, &query, "rides", Mode::Related, 3, 10.0);
 
     let handle = serve(service, tcp_config()).expect("serve");
     let mut client = Client::connect(&handle);
@@ -225,8 +262,7 @@ fn reopened_catalogs_hydrate_lazily_behind_the_read_write_lock() {
     }
     // Ground truth from a separately reopened service.
     let mut in_process = QueryService::open(&root).expect("open");
-    let q = in_process.sketch_query(&query, "rides").expect("sketch");
-    let expected = in_process.query_joinable(&q, 3).expect("rank");
+    let expected = ranked(&mut in_process, &query, "rides", Mode::Joinable, 3, 0.0);
 
     // The served service starts cold (nothing hydrated): the first wire query takes
     // the write lock to hydrate, then answers under the read lock.
@@ -275,8 +311,7 @@ fn parallel_clients_during_sharded_ingest_see_only_consistent_states() {
     let mut twin = QueryService::create(&twin_root, spec).expect("twin");
     twin.ingest_table(&good).expect("good");
     twin.ingest_table(&bad).expect("bad");
-    let q = twin.sketch_query(&query, "rides").expect("sketch");
-    let before = twin.query_joinable(&q, 5).expect("before");
+    let before = ranked(&mut twin, &query, "rides", Mode::Joinable, 5, 0.0);
     {
         let mut session = twin.begin_sharded_ingest(extra.name());
         for shard in &shard_rows(&extra, shards) {
@@ -287,7 +322,7 @@ fn parallel_clients_during_sharded_ingest_see_only_consistent_states() {
         }
         twin.finish_sharded_ingest(session).expect("finish");
     }
-    let after = twin.query_joinable(&q, 5).expect("after");
+    let after = ranked(&mut twin, &query, "rides", Mode::Joinable, 5, 0.0);
     assert_ne!(
         before, after,
         "the extra table must change the top-5 so the assertion below has teeth"

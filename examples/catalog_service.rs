@@ -17,6 +17,7 @@
 use ipsketch::core::method::{AnySketcher, SketchMethod};
 use ipsketch::data::{Column, DataLakeConfig, Table};
 use ipsketch::join::{JoinEstimator, SketchIndex};
+use ipsketch::serve::service::{rank, Mode, RankRequest};
 use ipsketch::serve::{shard_rows, QueryService};
 
 fn main() {
@@ -113,14 +114,20 @@ fn main() {
     assert_eq!(reopened.catalog().len(), total);
     assert_eq!(reopened.hydrated_len(), 0, "hydration is lazy");
     let q = reopened
-        .sketch_query(&query, "rides")
+        .estimator()
+        .sketch_column(&query, "rides")
         .expect("query sketches");
-    let ranked = reopened.query_related(&q, 3, 50.0).expect("query runs");
-    assert_eq!(
-        reopened.hydrated_len(),
-        total,
-        "first query hydrates the catalog"
-    );
+    let hydrated = reopened.ensure_hydrated().expect("catalog loads");
+    assert_eq!(hydrated, total, "hydration loads every column once");
+    let request = RankRequest {
+        mode: Mode::Related,
+        k: 3,
+        min_join_size: 50.0,
+        cascade: false,
+    };
+    let (rankings, _) =
+        rank(reopened.index(), &[(&query, "rides")], vec![q], request).expect("query runs");
+    let ranked = &rankings[0];
     println!("\ntop related columns for taxi.rides (reopened catalog):");
     for (rank, r) in ranked.iter().enumerate() {
         println!(

@@ -18,6 +18,7 @@ use ipsketch::serve::protocol::{
     Mode, Request, RequestBody, Response, ResponseBody, WireQuery, WireTable,
 };
 use ipsketch::serve::server::{serve, ServerConfig};
+use ipsketch::serve::service::{rank, RankRequest};
 use ipsketch::serve::wire::Json;
 use ipsketch::serve::{shard_rows, QueryService};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -59,8 +60,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // In-process ground truth for the batched query (computed before serving, and —
     // for the post-ingest check — on a twin ingest of the same shards).
-    let q = service.sketch_query(&taxi, "rides")?;
-    let expected = service.query_joinable_batch(std::slice::from_ref(&q), 3)?;
+    let request = RankRequest {
+        mode: Mode::Joinable,
+        k: 3,
+        min_join_size: 0.0,
+        cascade: false,
+    };
+    let q = service.estimator().sketch_column(&taxi, "rides")?;
+    service.ensure_hydrated()?;
+    let (expected, _) = rank(
+        service.index(),
+        &[(&taxi, "rides")],
+        vec![q.clone()],
+        request,
+    )?;
     {
         let mut session = service.begin_sharded_ingest(depth.name());
         for shard in &shard_rows(&depth, 3) {
@@ -71,7 +84,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         service.finish_sharded_ingest(session)?;
     }
-    let expected_after = service.query_joinable(&q, 3)?;
+    let (mut expected_after, _) = rank(service.index(), &[(&taxi, "rides")], vec![q], request)?;
+    let expected_after = expected_after.remove(0);
 
     // Rebuild the served catalog without the river table: the client will ingest it
     // over the wire and must then see `expected_after`.
