@@ -31,7 +31,6 @@
 use criterion::Criterion;
 use ipsketch_bench::report::BenchFiles;
 use ipsketch_core::countsketch::{CountSketch, CountSketcher};
-use ipsketch_core::icws::IcwsSketcher;
 use ipsketch_core::jl::JlSketcher;
 use ipsketch_core::kernel::{dot_scalar, dot_unrolled, KernelMode};
 use ipsketch_core::method::{
@@ -39,8 +38,7 @@ use ipsketch_core::method::{
 };
 use ipsketch_core::runner::parallel_map;
 use ipsketch_core::storage::{
-    countsketch_buckets_for_budget, icws_samples_for_budget, jl_rows_for_budget,
-    wmh_samples_for_budget,
+    countsketch_buckets_for_budget, jl_rows_for_budget, wmh_samples_for_budget,
 };
 use ipsketch_core::traits::Sketcher;
 use ipsketch_core::wmh::{WeightedMinHasher, WmhStream};
@@ -232,7 +230,7 @@ fn main() {
         std::hint::black_box(jl.sketch_scalar(&va).expect("sketchable"));
     });
     let v = suite.bench("sketch_build", "JL", "vectorized", || {
-        std::hint::black_box(jl.sketch_vectorized(&va).expect("sketchable"));
+        std::hint::black_box(jl.sketch(&va).expect("sketchable"));
     });
     kernel_speedups.push(("sketch_build/JL".to_string(), s / v));
 
@@ -242,7 +240,7 @@ fn main() {
         std::hint::black_box(cs.sketch_scalar(&va).expect("sketchable"));
     });
     let v = suite.bench("sketch_build", "CS", "vectorized", || {
-        std::hint::black_box(cs.sketch_vectorized(&va).expect("sketchable"));
+        std::hint::black_box(cs.sketch(&va).expect("sketchable"));
     });
     kernel_speedups.push(("sketch_build/CS".to_string(), s / v));
 
@@ -256,7 +254,7 @@ fn main() {
         std::hint::black_box(wmh.sketch_scalar(&va).expect("sketchable"));
     });
     let v = suite.bench("sketch_build", "WMH", "vectorized", || {
-        std::hint::black_box(wmh.sketch_vectorized(&va).expect("sketchable"));
+        std::hint::black_box(wmh.sketch(&va).expect("sketchable"));
     });
     kernel_speedups.push(("sketch_build/WMH".to_string(), s / v));
 
@@ -275,7 +273,7 @@ fn main() {
         std::hint::black_box(wmh_v2.sketch_scalar(&va).expect("sketchable"));
     });
     let v2 = suite.bench("sketch_build", "WMH_v2", "vectorized", || {
-        std::hint::black_box(wmh_v2.sketch_vectorized(&va).expect("sketchable"));
+        std::hint::black_box(wmh_v2.sketch(&va).expect("sketchable"));
     });
     kernel_speedups.push(("sketch_build/WMH_v2".to_string(), s2 / v2));
     // The format-v2 ratio is measured on its own interleaved reps rather than from the
@@ -291,12 +289,12 @@ fn main() {
         for _ in 0..reps {
             let start = std::time::Instant::now();
             for _ in 0..iters {
-                std::hint::black_box(wmh.sketch_vectorized(&va).expect("sketchable"));
+                std::hint::black_box(wmh.sketch(&va).expect("sketchable"));
             }
             best_v1 = best_v1.min(start.elapsed().as_secs_f64());
             let start = std::time::Instant::now();
             for _ in 0..iters {
-                std::hint::black_box(wmh_v2.sketch_vectorized(&va).expect("sketchable"));
+                std::hint::black_box(wmh_v2.sketch(&va).expect("sketchable"));
             }
             best_v2 = best_v2.min(start.elapsed().as_secs_f64());
         }
@@ -313,7 +311,7 @@ fn main() {
     let column = [&key_indicator, &va, &squared];
     let s = suite.bench("sketch_build", "WMH_v2_column", "three_sweeps", || {
         for vector in column {
-            std::hint::black_box(wmh_v2.sketch_vectorized(vector).expect("sketchable"));
+            std::hint::black_box(wmh_v2.sketch(vector).expect("sketchable"));
         }
     });
     let v = suite.bench("sketch_build", "WMH_v2_column", "one_replay", || {
@@ -324,16 +322,6 @@ fn main() {
         );
     });
     kernel_speedups.push(("sketch_build/WMH_v2_column".to_string(), s / v));
-
-    let icws =
-        IcwsSketcher::new(icws_samples_for_budget(cfg.budget_doubles), SEED).expect("samples >= 1");
-    let s = suite.bench("sketch_build", "ICWS", "scalar", || {
-        std::hint::black_box(icws.sketch_scalar(&va).expect("sketchable"));
-    });
-    let v = suite.bench("sketch_build", "ICWS", "vectorized", || {
-        std::hint::black_box(icws.sketch_vectorized(&va).expect("sketchable"));
-    });
-    kernel_speedups.push(("sketch_build/ICWS".to_string(), s / v));
 
     // Estimator dot product (the JL / CountSketch estimate kernel).
     let ja = jl.sketch(&va).expect("sketchable");
@@ -447,7 +435,7 @@ fn main() {
     });
     let v = suite.bench("table_build", "JL", "par_vectorized", || {
         std::hint::black_box(parallel_map(&table, threads, |v| {
-            jl.sketch_vectorized(v).expect("sketchable")
+            jl.sketch(v).expect("sketchable")
         }));
     });
     end_to_end.push(("table_build/JL".to_string(), s / v));
@@ -459,7 +447,7 @@ fn main() {
     });
     let v = suite.bench("table_build", "WMH", "par_vectorized", || {
         std::hint::black_box(parallel_map(&table, threads, |v| {
-            wmh.sketch_vectorized(v).expect("sketchable")
+            wmh.sketch(v).expect("sketchable")
         }));
     });
     end_to_end.push(("table_build/WMH".to_string(), s / v));

@@ -6,7 +6,7 @@
 //! benchmarks in `benches/` measure sketching/estimation throughput and the ablations
 //! called out in `DESIGN.md`.
 //!
-//! Every experiment has a [`Scale`](experiments::Scale): `Quick` runs in seconds and is
+//! Every experiment has a [`Scale`]: `Quick` runs in seconds and is
 //! used by default (and by the benches and tests), `Paper` uses the paper's full
 //! parameters.
 

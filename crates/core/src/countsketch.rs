@@ -8,7 +8,7 @@
 //! repetitions is configurable).
 
 use crate::error::{incompatible, SketchError};
-use crate::kernel::{self, KernelMode};
+use crate::kernel::KernelMode;
 use crate::storage::{linear_sketch_doubles, COUNTSKETCH_REPETITIONS};
 use crate::traits::{MergeableSketcher, Sketch, Sketcher};
 use ipsketch_hash::sign::{BucketHasher, SignHasher};
@@ -135,26 +135,14 @@ impl CountSketcher {
 
 impl CountSketcher {
     /// Sketches with the scalar reference kernel: one full bucket mix and one full sign
-    /// mix per `(entry, repetition)` pair.  Prefer [`Sketcher::sketch`], which
-    /// dispatches; this twin is kept as the parity baseline.
+    /// mix per `(entry, repetition)` pair, kept as the parity baseline of the
+    /// vectorized twin [`Sketcher::sketch`] runs.
     ///
     /// # Errors
     ///
     /// Infallible today; returns `Result` for signature parity with `sketch`.
     pub fn sketch_scalar(&self, vector: &SparseVector) -> Result<CountSketch, SketchError> {
         self.sketch_with(vector, KernelMode::Scalar)
-    }
-
-    /// Sketches with the vectorized kernel: per-repetition halves of both hash mixes
-    /// are hoisted out of the entry loop, each entry pays a single key mix shared by
-    /// the bucket and sign families, and repetitions are processed in 4-wide unrolled
-    /// chunks.  Bit-for-bit identical to [`sketch_scalar`](Self::sketch_scalar).
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; returns `Result` for signature parity with `sketch`.
-    pub fn sketch_vectorized(&self, vector: &SparseVector) -> Result<CountSketch, SketchError> {
-        self.sketch_with(vector, KernelMode::Vectorized)
     }
 
     fn sketch_with(
@@ -248,7 +236,7 @@ impl Sketcher for CountSketcher {
     type Output = CountSketch;
 
     fn sketch(&self, vector: &SparseVector) -> Result<CountSketch, SketchError> {
-        self.sketch_with(vector, kernel::mode())
+        self.sketch_with(vector, KernelMode::Vectorized)
     }
 
     fn estimate_inner_product(&self, a: &CountSketch, b: &CountSketch) -> Result<f64, SketchError> {
@@ -285,9 +273,9 @@ const DOT_BLOCK: usize = 8;
 ///
 /// Up to [`DOT_BLOCK`] repetitions are walked together, bucket by bucket, each with
 /// its own accumulator that starts at `−0.0` and adds its products in bucket order —
-/// exactly [`kernel::dot_scalar`]'s and [`kernel::dot_unrolled`]'s sequence, so every
-/// estimate is bit-identical to theirs.  Interleaving only lets the repetitions' add
-/// chains overlap instead of running one after another.
+/// exactly [`crate::kernel::dot_scalar`]'s and [`crate::kernel::dot_unrolled`]'s
+/// sequence, so every estimate is bit-identical to theirs.  Interleaving only lets
+/// the repetitions' add chains overlap instead of running one after another.
 fn repetition_dots(a: &[f64], b: &[f64], buckets: usize, out: &mut [f64]) {
     for (block, out) in out.chunks_mut(DOT_BLOCK).enumerate() {
         let offset = block * DOT_BLOCK * buckets;
@@ -427,7 +415,7 @@ mod tests {
             let s = CountSketcher::with_repetitions(17, reps, 0xBEE).unwrap();
             for v in &vectors {
                 let scalar = s.sketch_scalar(v).unwrap();
-                let vectorized = s.sketch_vectorized(v).unwrap();
+                let vectorized = s.sketch(v).unwrap();
                 for (x, y) in scalar.table.iter().zip(&vectorized.table) {
                     assert_eq!(x.to_bits(), y.to_bits(), "reps = {reps}");
                 }
@@ -606,7 +594,7 @@ mod tests {
         let s = CountSketcher::with_repetitions(16, STACK_REPETITIONS + 3, 5).unwrap();
         let sk = s.sketch(&v).unwrap();
         let mut reference: Vec<f64> = (0..s.repetitions())
-            .map(|rep| kernel::dot_scalar(sk.repetition(rep), sk.repetition(rep)))
+            .map(|rep| crate::kernel::dot_scalar(sk.repetition(rep), sk.repetition(rep)))
             .collect();
         reference.sort_by(f64::total_cmp);
         let est = s.estimate_inner_product(&sk, &sk).unwrap();

@@ -16,8 +16,8 @@
 //! discretization parameter is needed: ICWS handles real-valued weights exactly.
 
 use crate::error::{incompatible, SketchError};
-use crate::kernel::{self, KernelMode};
 use crate::traits::{MergeableSketcher, Sketch, Sketcher};
+use crate::wmh::check_reference_norm;
 use ipsketch_hash::mix::{mix2, mix2_key, splitmix64};
 use ipsketch_hash::rng::Xoshiro256PlusPlus;
 use ipsketch_vector::SparseVector;
@@ -116,41 +116,21 @@ impl IcwsSketcher {
         self.seed
     }
 
-    /// The hoisted per-sample half of the variate seed mix.  The per-(sample, index)
-    /// variates of Ioffe's construction are drawn from
-    /// `splitmix64(sample_state(sample) ^ mix2_key(index))` — the exact decomposition
-    /// of the historical `mix3(variate_seed, sample, index)` seeding, so sketches are
-    /// unchanged bit-for-bit.
-    fn sample_state(&self, sample: u64) -> u64 {
-        mix2(self.variate_seed, sample)
-    }
-
-    /// Draws the variates from the fully mixed per-(sample, index) seed.
-    fn variates_from_state(state: u64) -> (f64, f64, f64) {
+    /// Ioffe's sample score for a normalized entry `(index, value)` of sample `sample`;
+    /// the sketch keeps the argmin.  Returns the score together with the quantized
+    /// token `t`.  The per-(sample, index) variates are drawn from
+    /// `splitmix64(mix2(variate_seed, sample) ^ mix2_key(index))` — the exact
+    /// decomposition of the historical `mix3(variate_seed, sample, index)` seeding,
+    /// so sketches are unchanged bit-for-bit.
+    fn score_of(&self, sample: u64, index: u64, value: f64) -> (f64, i64) {
+        let state = splitmix64(mix2(self.variate_seed, sample) ^ mix2_key(index));
         let mut rng = Xoshiro256PlusPlus::new(state);
         // Gamma(2, 1) variates as the sum of two unit exponentials.
         let r = -rng.next_open_unit_f64().ln() - rng.next_open_unit_f64().ln();
         let c = -rng.next_open_unit_f64().ln() - rng.next_open_unit_f64().ln();
         let beta = rng.next_unit_f64();
-        (r, c, beta)
-    }
-
-    /// Ioffe's sample score for a normalized entry `(index, value)` of sample `sample`;
-    /// the sketch keeps the argmin.  Returns the score together with the quantized
-    /// token `t`.
-    fn score_of(&self, sample: u64, index: u64, value: f64) -> (f64, i64) {
-        let weight = value * value;
-        self.score_from_parts(self.sample_state(sample), mix2_key(index), weight.ln())
-    }
-
-    /// The score computation with every reusable piece hoisted: the per-sample seed
-    /// state, the per-entry key state, and the per-entry `ln(value²)` (the scalar
-    /// kernel recomputes that logarithm for every sample; the vectorized kernel pays it
-    /// once per entry).  Bit-identical to [`score_of`](Self::score_of).
-    fn score_from_parts(&self, sample_state: u64, key_state: u64, log_weight: f64) -> (f64, i64) {
-        let (r, c, beta) = Self::variates_from_state(splitmix64(sample_state ^ key_state));
         // Ioffe's ICWS: t = floor(ln S / r + β), y = exp(r (t − β)), score = c / (y e^r).
-        let t = (log_weight / r + beta).floor();
+        let t = ((value * value).ln() / r + beta).floor();
         let y = (r * (t - beta)).exp();
         (c / (y * r.exp()), t as i64)
     }
@@ -175,12 +155,7 @@ impl IcwsSketcher {
     /// Returns [`SketchError::InvalidParameter`] if `reference_norm` is not positive
     /// and finite.
     pub fn empty_sketch_with_norm(&self, reference_norm: f64) -> Result<IcwsSketch, SketchError> {
-        if !(reference_norm > 0.0 && reference_norm.is_finite()) {
-            return Err(SketchError::InvalidParameter {
-                name: "reference_norm",
-                allowed: "positive and finite",
-            });
-        }
+        check_reference_norm(reference_norm)?;
         Ok(IcwsSketch {
             seed: self.seed,
             samples: vec![
@@ -209,156 +184,48 @@ impl IcwsSketcher {
         vector: &SparseVector,
         reference_norm: f64,
     ) -> Result<IcwsSketch, SketchError> {
-        let mut partial = self.empty_sketch_with_norm(reference_norm)?;
+        check_reference_norm(reference_norm)?;
         if vector.norm() > reference_norm * (1.0 + 1e-9) {
             return Err(SketchError::InvalidParameter {
                 name: "reference_norm",
                 allowed: "at least the partition's own Euclidean norm",
             });
         }
-        let normalized = vector.scaled(1.0 / reference_norm);
-        let mut best_scores = vec![f64::INFINITY; self.samples];
-        for (index, value) in normalized.iter() {
-            for (i, slot) in partial.samples.iter_mut().enumerate() {
-                let (score, token) = self.score_of(i as u64, index, value);
-                if score < best_scores[i] {
-                    best_scores[i] = score;
-                    *slot = IcwsSample {
-                        index,
-                        token,
-                        value,
-                    };
-                }
-            }
-        }
-        Ok(partial)
-    }
-}
-
-impl IcwsSketcher {
-    /// Sketches with the scalar reference kernel: sample-outer, entry-inner, one full
-    /// score evaluation (including the entry's `ln(value²)`) per pair.  Prefer
-    /// [`Sketcher::sketch`], which dispatches.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Sketcher::sketch`].
-    pub fn sketch_scalar(&self, vector: &SparseVector) -> Result<IcwsSketch, SketchError> {
-        self.sketch_kernel(vector, KernelMode::Scalar)
+        Ok(self.sketch_normalized(vector, reference_norm))
     }
 
-    /// Sketches with the vectorized kernel: entry-outer, samples swept in 4-wide
-    /// unrolled chunks with the per-sample seed states, the per-entry key state, and
-    /// the per-entry `ln(value²)` all hoisted.  For each sample the argmin comparisons
-    /// happen in the same entry order on strict `<`, so the result is bit-for-bit
-    /// identical to [`sketch_scalar`](Self::sketch_scalar).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Sketcher::sketch`].
-    pub fn sketch_vectorized(&self, vector: &SparseVector) -> Result<IcwsSketch, SketchError> {
-        self.sketch_kernel(vector, KernelMode::Vectorized)
-    }
-
-    fn sketch_kernel(
-        &self,
-        vector: &SparseVector,
-        mode: KernelMode,
-    ) -> Result<IcwsSketch, SketchError> {
-        let norm = vector.norm();
-        if norm == 0.0 {
-            return Err(SketchError::Vector(
-                ipsketch_vector::VectorError::ZeroVector,
-            ));
-        }
+    /// Sketches `vector / norm`: for each sample, the argmin of the scores over
+    /// the entries, in entry order on strict `<`.  A sample with no entry keeps
+    /// the all-zero sentinel of a never-updated slot.
+    fn sketch_normalized(&self, vector: &SparseVector, norm: f64) -> IcwsSketch {
         let normalized = vector.scaled(1.0 / norm);
-        let samples = match mode {
-            KernelMode::Scalar => self.select_samples_scalar(&normalized),
-            KernelMode::Vectorized => self.select_samples_vectorized(&normalized),
-        };
-        Ok(IcwsSketch {
-            seed: self.seed,
-            samples,
-            norm,
-        })
-    }
-
-    fn select_samples_scalar(&self, normalized: &SparseVector) -> Vec<IcwsSample> {
-        let mut samples = Vec::with_capacity(self.samples);
-        for i in 0..self.samples {
-            let mut best_score = f64::INFINITY;
-            let mut best = IcwsSample {
-                index: 0,
-                token: 0,
-                value: 0.0,
-            };
-            for (index, value) in normalized.iter() {
-                let (score, token) = self.score_of(i as u64, index, value);
-                if score < best_score {
-                    best_score = score;
-                    best = IcwsSample {
-                        index,
-                        token,
-                        value,
-                    };
-                }
-            }
-            samples.push(best);
-        }
-        samples
-    }
-
-    fn select_samples_vectorized(&self, normalized: &SparseVector) -> Vec<IcwsSample> {
-        let m = self.samples;
-        let sample_states: Vec<u64> = (0..m as u64).map(|s| self.sample_state(s)).collect();
-        let mut best_scores = vec![f64::INFINITY; m];
-        let mut samples = vec![
-            IcwsSample {
-                index: 0,
-                token: 0,
-                value: 0.0,
-            };
-            m
-        ];
-        for (index, value) in normalized.iter() {
-            let key_state = mix2_key(index);
-            let log_weight = (value * value).ln();
-            let mut s = 0usize;
-            // Four independent score chains per step: each is a serial
-            // rng → ln → exp pipeline, so the lanes overlap in the out-of-order window.
-            while s + 4 <= m {
-                let scored = [
-                    self.score_from_parts(sample_states[s], key_state, log_weight),
-                    self.score_from_parts(sample_states[s + 1], key_state, log_weight),
-                    self.score_from_parts(sample_states[s + 2], key_state, log_weight),
-                    self.score_from_parts(sample_states[s + 3], key_state, log_weight),
-                ];
-                for (lane, &(score, token)) in scored.iter().enumerate() {
-                    if score < best_scores[s + lane] {
-                        best_scores[s + lane] = score;
-                        samples[s + lane] = IcwsSample {
+        let samples = (0..self.samples as u64)
+            .map(|sample| {
+                let mut best_score = f64::INFINITY;
+                let mut best = IcwsSample {
+                    index: 0,
+                    token: 0,
+                    value: 0.0,
+                };
+                for (index, value) in normalized.iter() {
+                    let (score, token) = self.score_of(sample, index, value);
+                    if score < best_score {
+                        best_score = score;
+                        best = IcwsSample {
                             index,
                             token,
                             value,
                         };
                     }
                 }
-                s += 4;
-            }
-            while s < m {
-                let (score, token) = self.score_from_parts(sample_states[s], key_state, log_weight);
-                if score < best_scores[s] {
-                    best_scores[s] = score;
-                    samples[s] = IcwsSample {
-                        index,
-                        token,
-                        value,
-                    };
-                }
-                s += 1;
-            }
+                best
+            })
+            .collect();
+        IcwsSketch {
+            seed: self.seed,
+            samples,
+            norm,
         }
-        samples
     }
 }
 
@@ -366,7 +233,13 @@ impl Sketcher for IcwsSketcher {
     type Output = IcwsSketch;
 
     fn sketch(&self, vector: &SparseVector) -> Result<IcwsSketch, SketchError> {
-        self.sketch_kernel(vector, kernel::mode())
+        let norm = vector.norm();
+        if norm == 0.0 {
+            return Err(SketchError::Vector(
+                ipsketch_vector::VectorError::ZeroVector,
+            ));
+        }
+        Ok(self.sketch_normalized(vector, norm))
     }
 
     /// Estimates `⟨a, b⟩` using the Algorithm-5 estimator structure on top of ICWS
@@ -520,25 +393,6 @@ mod tests {
         assert!((sk.storage_doubles() - 97.0).abs() < 1e-12);
         // Every sampled index must belong to the support.
         assert!(sk.samples().iter().all(|s| v.contains(s.index)));
-    }
-
-    #[test]
-    fn scalar_and_vectorized_kernels_are_bit_identical() {
-        // Sample counts straddling the 4-wide chunk boundary; degenerate vectors too.
-        let vectors = [
-            SparseVector::from_pairs([(3, -1.5)]).unwrap(),
-            SparseVector::from_pairs([(0, 1.0), (9, 2.0), (20, -0.25)]).unwrap(),
-            SparseVector::from_pairs((0..45u64).map(|i| (i * 4, 0.5 + (i % 5) as f64))).unwrap(),
-        ];
-        for m in [1usize, 2, 4, 5, 7, 8, 33] {
-            let s = IcwsSketcher::new(m, 0xD1CE).unwrap();
-            for v in &vectors {
-                let scalar = s.sketch_scalar(v).unwrap();
-                let vectorized = s.sketch_vectorized(v).unwrap();
-                assert_eq!(scalar.samples(), vectorized.samples(), "m = {m}");
-                assert_eq!(scalar.norm().to_bits(), vectorized.norm().to_bits());
-            }
-        }
     }
 
     #[test]

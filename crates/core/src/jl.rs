@@ -88,24 +88,13 @@ impl JlSketcher {
 
     /// Sketches with the scalar reference kernel: one full sign-hash evaluation per
     /// `(entry, row)` pair.  This is the readable spec the vectorized kernel is
-    /// property-tested against; prefer [`Sketcher::sketch`], which dispatches.
+    /// property-tested against; [`Sketcher::sketch`] runs the vectorized twin.
     ///
     /// # Errors
     ///
     /// Infallible today; returns `Result` for signature parity with `sketch`.
     pub fn sketch_scalar(&self, vector: &SparseVector) -> Result<JlSketch, SketchError> {
         self.sketch_with(vector, KernelMode::Scalar)
-    }
-
-    /// Sketches with the vectorized kernel: per-row sign-hash states are hoisted out of
-    /// the entry loop, each entry pays one key mix, and rows accumulate in 4-wide
-    /// unrolled chunks.  Bit-for-bit identical to [`sketch_scalar`](Self::sketch_scalar).
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; returns `Result` for signature parity with `sketch`.
-    pub fn sketch_vectorized(&self, vector: &SparseVector) -> Result<JlSketch, SketchError> {
-        self.sketch_with(vector, KernelMode::Vectorized)
     }
 
     fn sketch_with(
@@ -178,7 +167,7 @@ impl Sketcher for JlSketcher {
     type Output = JlSketch;
 
     fn sketch(&self, vector: &SparseVector) -> Result<JlSketch, SketchError> {
-        self.sketch_with(vector, kernel::mode())
+        self.sketch_with(vector, KernelMode::Vectorized)
     }
 
     fn estimate_inner_product(&self, a: &JlSketch, b: &JlSketch) -> Result<f64, SketchError> {
@@ -193,7 +182,7 @@ impl Sketcher for JlSketcher {
                 self.rows
             )));
         }
-        Ok(kernel::dot(&a.rows, &b.rows))
+        Ok(kernel::dot_unrolled(&a.rows, &b.rows))
     }
 
     fn name(&self) -> &'static str {
@@ -279,7 +268,7 @@ mod tests {
             let s = JlSketcher::new(rows, 0xA11CE).unwrap();
             for v in &vectors {
                 let scalar = s.sketch_scalar(v).unwrap();
-                let vectorized = s.sketch_vectorized(v).unwrap();
+                let vectorized = s.sketch(v).unwrap();
                 for (x, y) in scalar.rows().iter().zip(vectorized.rows()) {
                     assert_eq!(x.to_bits(), y.to_bits(), "rows = {rows}");
                 }

@@ -1,49 +1,25 @@
-//! Scalar/vectorized kernel dispatch.
+//! Scalar/vectorized kernel twins.
 //!
-//! Every sketching hot loop in this crate ships as a pair of twins: a **scalar
-//! reference** (the straightforward loop, kept as the readable spec and the parity
-//! baseline) and a **vectorized** kernel (hoisted hash states, 4-wide manual unrolling,
-//! branchless sign selection).  The twins are bit-for-bit identical — property tests in
-//! `tests/proptests.rs` lock this — so selecting between them is purely a performance
-//! decision.
+//! The sketching hot loops of JL, CountSketch and Weighted MinHash, and JL's
+//! estimator dot product, ship as a pair of twins: a **scalar reference** (the
+//! straightforward loop, kept as the readable spec and the parity baseline) and a
+//! **vectorized** kernel (hoisted hash states, 4-wide manual unrolling, branchless
+//! sign selection).  The twins are bit-for-bit identical — property tests in
+//! `tests/proptests.rs` lock this — so the choice is purely one of speed.
 //!
-//! This module is the single dispatch point: [`mode`] is consulted by every kernel
-//! entry (`JlSketcher::sketch`, `CountSketcher::sketch`, `WeightedMinHasher`'s sample
-//! loop, `IcwsSketcher::sketch`, and JL's estimator dot product).  CountSketch's
-//! estimator needs no dispatch: its interleaved per-repetition dot products are
-//! bit-identical to both twins.  The mode is resolved once per process from the
-//! `IPSKETCH_KERNEL` environment variable:
-//!
-//! * unset or `vectorized` — use the vectorized kernels (the default);
-//! * `scalar` — force the scalar references (useful for benchmarking the baseline and
-//!   for bisecting a suspected kernel bug).
-//!
-//! Benchmarks and tests that need *both* twins in one process call the per-sketcher
-//! `*_scalar` / `*_vectorized` methods directly instead of toggling the global.
+//! Every `Sketcher::sketch`, partition sketch and estimate runs the vectorized
+//! kernel.  The scalar twins are reached only explicitly: through each sketcher's
+//! `sketch_scalar`, [`dot_scalar`], or a [`KernelMode`] argument (e.g.
+//! `WeightedMinHasher::sketch_many`), which is how the tests and the kernels bench
+//! compare the two in one process.
 
-use std::sync::OnceLock;
-
-/// Which implementation of the sketching kernels to run.
+/// Which twin of a sketching kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
     /// The straightforward reference loops.
     Scalar,
     /// The hoisted-hash, 4-wide unrolled kernels (bit-identical to scalar).
     Vectorized,
-}
-
-static MODE: OnceLock<KernelMode> = OnceLock::new();
-
-/// The process-wide kernel mode, resolved once from `IPSKETCH_KERNEL`.
-///
-/// Unrecognized values fall back to [`KernelMode::Vectorized`]; only the exact
-/// (case-insensitive) value `scalar` selects the reference kernels.
-#[must_use]
-pub fn mode() -> KernelMode {
-    *MODE.get_or_init(|| match std::env::var("IPSKETCH_KERNEL") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("scalar") => KernelMode::Scalar,
-        _ => KernelMode::Vectorized,
-    })
 }
 
 /// Sequential dot product — the scalar reference for the linear-sketch estimators.
@@ -79,23 +55,9 @@ pub fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// Dispatches a dot product through the process-wide [`mode`].
-#[must_use]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    match mode() {
-        KernelMode::Scalar => dot_scalar(a, b),
-        KernelMode::Vectorized => dot_unrolled(a, b),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_is_stable_across_calls() {
-        assert_eq!(mode(), mode());
-    }
 
     #[test]
     fn dot_twins_are_bit_identical() {

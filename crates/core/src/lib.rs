@@ -22,7 +22,7 @@
 //! [`serialize`] (compact binary encoding of every sketch), [`method`] (a dynamic,
 //! budget-driven front end used by the experiment harness and examples), [`spec`]
 //! (catalog-stable sketcher-configuration descriptors for persistent sketch stores),
-//! [`kernel`] (the scalar-reference vs. vectorized hot-loop dispatch), and [`runner`]
+//! [`kernel`] (the scalar-reference and vectorized hot-loop twins), and [`runner`]
 //! (the work-claiming parallel map the experiment harness schedules on).
 //!
 //! # Quick example

@@ -466,7 +466,7 @@ impl AnySketcher {
             };
             let inputs = std::array::from_fn(|i| (vectors[i], announced[i]));
             return Ok(s
-                .sketch_many(inputs, crate::kernel::mode())?
+                .sketch_many(inputs, crate::kernel::KernelMode::Vectorized)?
                 .map(AnySketch::WeightedMinHash));
         }
         let one = |i: usize| match path {

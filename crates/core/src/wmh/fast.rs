@@ -17,7 +17,7 @@
 
 use super::{validate_params, WeightedMinHashSketch, WmhParams, WmhStream, WmhVariant};
 use crate::error::{incompatible, SketchError};
-use crate::kernel::{self, KernelMode};
+use crate::kernel::KernelMode;
 use crate::traits::{MergeableSketcher, Sketcher};
 use ipsketch_hash::mix::mix2;
 use ipsketch_hash::record::{prefix_min_replay, prefix_min_replay_v2_sweep, Record, RecordStream};
@@ -360,7 +360,8 @@ impl WeightedMinHasher {
     }
 
     /// Sketches with the scalar reference kernel (the internal
-    /// `sample_minima_scalar` loop); prefer [`Sketcher::sketch`], which dispatches.
+    /// `sample_minima_scalar` loop), the parity baseline of the vectorized twin
+    /// [`Sketcher::sketch`] runs.
     ///
     /// # Errors
     ///
@@ -370,20 +371,6 @@ impl WeightedMinHasher {
         vector: &SparseVector,
     ) -> Result<WeightedMinHashSketch, SketchError> {
         self.sketch_with(vector, KernelMode::Scalar)
-    }
-
-    /// Sketches with the vectorized kernel (the internal `sample_minima_vectorized`
-    /// block-outer replay); bit-for-bit identical to
-    /// [`sketch_scalar`](Self::sketch_scalar).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Sketcher::sketch`].
-    pub fn sketch_vectorized(
-        &self,
-        vector: &SparseVector,
-    ) -> Result<WeightedMinHashSketch, SketchError> {
-        self.sketch_with(vector, KernelMode::Vectorized)
     }
 
     fn sketch_with(
@@ -433,13 +420,14 @@ impl WeightedMinHasher {
         vector: &SparseVector,
         reference_norm: f64,
     ) -> Result<WeightedMinHashSketch, SketchError> {
-        let [sketch] = self.sketch_many([(vector, Some(reference_norm))], kernel::mode())?;
+        let [sketch] =
+            self.sketch_many([(vector, Some(reference_norm))], KernelMode::Vectorized)?;
         Ok(sketch)
     }
 }
 
 /// Rejects an announced norm that is not a positive finite number.
-fn check_reference_norm(reference_norm: f64) -> Result<(), SketchError> {
+pub(crate) fn check_reference_norm(reference_norm: f64) -> Result<(), SketchError> {
     if reference_norm > 0.0 && reference_norm.is_finite() {
         Ok(())
     } else {
@@ -489,7 +477,7 @@ impl Sketcher for WeightedMinHasher {
     type Output = WeightedMinHashSketch;
 
     fn sketch(&self, vector: &SparseVector) -> Result<WeightedMinHashSketch, SketchError> {
-        self.sketch_with(vector, kernel::mode())
+        self.sketch_with(vector, KernelMode::Vectorized)
     }
 
     fn estimate_inner_product(
@@ -650,7 +638,7 @@ mod tests {
             let s = WeightedMinHasher::new(m, 0xC0FFEE, 1 << 18).unwrap();
             for v in &vectors {
                 let scalar = s.sketch_scalar(v).unwrap();
-                let vectorized = s.sketch_vectorized(v).unwrap();
+                let vectorized = s.sketch(v).unwrap();
                 for (x, y) in scalar.hashes().iter().zip(vectorized.hashes()) {
                     assert_eq!(x.to_bits(), y.to_bits(), "m = {m}");
                 }
@@ -675,7 +663,7 @@ mod tests {
             let s = WeightedMinHasher::with_stream(m, 0xC0FFEE, 1 << 18, WmhStream::V2).unwrap();
             for v in &vectors {
                 let scalar = s.sketch_scalar(v).unwrap();
-                let vectorized = s.sketch_vectorized(v).unwrap();
+                let vectorized = s.sketch(v).unwrap();
                 for (x, y) in scalar.hashes().iter().zip(vectorized.hashes()) {
                     assert_eq!(x.to_bits(), y.to_bits(), "m = {m}");
                 }

@@ -26,6 +26,7 @@
 mod fast;
 mod naive;
 
+pub(crate) use fast::check_reference_norm;
 pub use fast::WeightedMinHasher;
 pub use naive::NaiveWeightedMinHasher;
 

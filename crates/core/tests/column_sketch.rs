@@ -96,7 +96,7 @@ fn one_replay_matches_three_sketch_calls() {
                     .collect();
                 for v in vectors {
                     assert_eq!(
-                        bits(&s.sketch_vectorized(v).unwrap()),
+                        bits(&s.sketch(v).unwrap()),
                         bits(&s.sketch_scalar(v).unwrap())
                     );
                 }

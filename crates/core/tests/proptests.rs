@@ -342,7 +342,7 @@ proptest! {
     ) {
         let s = JlSketcher::new(rows, seed).unwrap();
         let scalar = s.sketch_scalar(&a).unwrap();
-        let vectorized = s.sketch_vectorized(&a).unwrap();
+        let vectorized = s.sketch(&a).unwrap();
         prop_assert!(bits_equal(scalar.rows(), vectorized.rows()));
 
         let other = s.sketch_scalar(&a.scaled(-1.5)).unwrap();
@@ -361,7 +361,7 @@ proptest! {
     ) {
         let s = CountSketcher::with_repetitions(buckets, reps, seed).unwrap();
         let scalar = s.sketch_scalar(&a).unwrap();
-        let vectorized = s.sketch_vectorized(&a).unwrap();
+        let vectorized = s.sketch(&a).unwrap();
         prop_assert_eq!(scalar.buckets(), vectorized.buckets());
         for rep in 0..reps {
             prop_assert!(bits_equal(scalar.repetition(rep), vectorized.repetition(rep)));
@@ -376,27 +376,10 @@ proptest! {
     ) {
         let s = WeightedMinHasher::new(samples, seed, 1 << 20).unwrap();
         let scalar = s.sketch_scalar(&a).unwrap();
-        let vectorized = s.sketch_vectorized(&a).unwrap();
+        let vectorized = s.sketch(&a).unwrap();
         prop_assert!(bits_equal(scalar.hashes(), vectorized.hashes()));
         prop_assert!(bits_equal(scalar.values(), vectorized.values()));
         prop_assert_eq!(scalar.norm().to_bits(), vectorized.norm().to_bits());
-    }
-
-    #[test]
-    fn icws_vectorized_kernel_is_bit_identical(
-        a in nonzero_vector(),
-        seed in any::<u64>(),
-        samples in 1usize..40,
-    ) {
-        let s = IcwsSketcher::new(samples, seed).unwrap();
-        let scalar = s.sketch_scalar(&a).unwrap();
-        let vectorized = s.sketch_vectorized(&a).unwrap();
-        prop_assert_eq!(scalar.norm().to_bits(), vectorized.norm().to_bits());
-        for (x, y) in scalar.samples().iter().zip(vectorized.samples()) {
-            prop_assert_eq!(x.index, y.index);
-            prop_assert_eq!(x.token, y.token);
-            prop_assert_eq!(x.value.to_bits(), y.value.to_bits());
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   functions, plus the multiply-shift scheme.
 //! * [`tabulation`] — simple tabulation hashing (3-universal, and much stronger in
 //!   practice).
-//! * [`unit`] — the [`UnitHasher`](unit::UnitHasher) trait mapping 64-bit keys to
+//! * [`unit`](mod@unit) — the [`UnitHasher`] trait mapping 64-bit keys to
 //!   uniform values in `[0, 1)`, with implementations backed by each hash family.
 //! * [`family`] — seeded families of independent unit hashers, as required by MinHash
 //!   style sketches that need `m` independent hash functions.

@@ -11,7 +11,7 @@
 //!   vector `x_1[K]`, a value vector `x_V`, and a squared-value vector `x_{V²}`.
 //! * [`exact`] — ground-truth post-join statistics computed by actually joining.
 //! * [`estimate`] — the same statistics estimated from sketches only.
-//! * [`index`] — a [`SketchIndex`](index::SketchIndex) that pre-sketches every column
+//! * [`index`] — a [`SketchIndex`] that pre-sketches every column
 //!   of a data lake and answers joinability / correlation queries.
 
 #![forbid(unsafe_code)]

@@ -400,18 +400,14 @@ fn ingest(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let csv = parsed.positional(1, "CSV file")?;
     let table = load_table(Path::new(csv), parsed.flag("table"))?;
     let mut service = QueryService::open(dir)?;
-    let report = match parsed.parsed_flag::<usize>("partitions")? {
-        Some(partitions) => {
-            let report = service.ingest_table_partitioned(&table, partitions)?;
-            write_report(out, &report, &format!("{partitions} merged partitions"))?;
-            report
-        }
-        None => {
-            let report = service.ingest_table(&table)?;
-            write_report(out, &report, "one-shot")?;
-            report
-        }
+    let (report, path) = match parsed.parsed_flag::<usize>("partitions")? {
+        Some(partitions) => (
+            service.ingest_table_partitioned(&table, partitions)?,
+            format!("{partitions} merged partitions"),
+        ),
+        None => (service.ingest_table(&table)?, "one-shot".to_string()),
     };
+    write_report(out, &report, &path)?;
     writeln!(
         out,
         "catalog now holds {} columns ({} new)",
@@ -441,7 +437,7 @@ fn ingest_partial(args: &[String], out: &mut dyn Write) -> Result<(), CliError> 
     }
     // Second pass: every shard sketches against the agreed norms; partials fold.
     for shard in &shard_tables {
-        session.submit(service.estimator(), shard)?;
+        session.submit(shard)?;
     }
     let report = service.finish_sharded_ingest(session)?;
     write_report(

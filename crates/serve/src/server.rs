@@ -64,7 +64,7 @@ use crate::protocol::{
 use crate::service::{self, QueryColumn, QueryService, RankRequest, ShardedIngestState};
 use crate::wire::Json;
 use ipsketch_core::SketcherSpec;
-use ipsketch_join::{JoinEstimator, SketchIndex, SketchedColumn};
+use ipsketch_join::{SketchIndex, SketchedColumn};
 use parking_lot::Mutex;
 use polling::{Event, Poller};
 use std::collections::{HashMap, VecDeque};
@@ -1227,7 +1227,6 @@ pub struct Node {
     /// The snapshot reads rank against, replaced by every write before it
     /// replies; locked only long enough to clone or swap the pointer.
     published: Mutex<Arc<Snapshot>>,
-    estimator: JoinEstimator,
     /// The catalog's primary spec, which `rank` checks query sketches against.
     spec: SketcherSpec,
     sessions: Mutex<SessionMap>,
@@ -1315,16 +1314,11 @@ impl SessionMap {
 
 impl Node {
     fn new(service: QueryService, config: &ServerConfig) -> Node {
-        // The service's estimator is cloned once for the session map: sharded-ingest
-        // sketching must not need any service lock.  The configuration is immutable
-        // for the catalog's lifetime, so the clone can never go stale.
-        let estimator = service.estimator().clone();
         let spec = service.catalog().spec();
         Node {
             published: Mutex::new(Arc::new(Snapshot::of(&service, &spec))),
             writer: Mutex::new(service),
             spec,
-            estimator,
             sessions: Mutex::new(SessionMap {
                 next_id: 1,
                 slots: HashMap::new(),
@@ -1435,7 +1429,8 @@ impl Backend for Node {
                 query,
             } => {
                 let query = std::slice::from_ref(query);
-                let sketched = sketch_queries(&self.estimator, query, *mode, *cascade)?;
+                let sketched =
+                    sketch_queries(self.snapshot().index.estimator(), query, *mode, *cascade)?;
                 let (rankings, note) =
                     self.rank(query, sketched, *mode, *k, *min_join_size, *cascade)?;
                 let [ranking] = <[Vec<WireRanked>; 1]>::try_from(rankings)
@@ -1449,7 +1444,8 @@ impl Backend for Node {
                 cascade,
                 queries,
             } => {
-                let sketched = sketch_queries(&self.estimator, queries, *mode, *cascade)?;
+                let sketched =
+                    sketch_queries(self.snapshot().index.estimator(), queries, *mode, *cascade)?;
                 let (rankings, note) =
                     self.rank(queries, sketched, *mode, *k, *min_join_size, *cascade)?;
                 Ok(ResponseBody::Rankings { rankings, note })
@@ -1472,61 +1468,29 @@ impl Backend for Node {
             }
             RequestBody::Ingest { table, partitions } => {
                 let table = table.to_table()?;
-                let snapshot = self.snapshot();
-                let companion_estimator = snapshot.index.companion_estimator();
-                // Sketch every column *outside* the service lock (the expensive part —
-                // seconds for a large table), so queries keep flowing; only the final
-                // registration commit below needs exclusive access.
-                let mut sketched = Vec::new();
-                let mut companions = Vec::new();
-                let mut skipped = Vec::new();
-                for column in table.columns() {
-                    let result = match partitions {
-                        Some(partitions) => self.estimator.sketch_column_partitioned(
-                            &table,
-                            &column.name,
-                            usize::try_from(*partitions).unwrap_or(usize::MAX),
-                        ),
-                        None => self.estimator.sketch_column(&table, &column.name),
-                    };
-                    match result {
-                        Ok(primary) => {
-                            // The companion (cheap-tier) sketch is always built
-                            // one-shot: its sketchers are mergeable, so the result
-                            // is independent of the primary's partitioning.
-                            let companion = companion_estimator
-                                .map(|est| est.sketch_column(&table, &column.name))
-                                .transpose()?;
-                            sketched.push(primary);
-                            companions.push(companion);
-                        }
-                        Err(ipsketch_join::JoinError::EmptyColumn { .. }) => {
-                            skipped.push(column.name.clone());
-                        }
-                        Err(other) => return Err(other.into()),
-                    }
-                }
+                // Sketch outside the writer lock (the expensive part — seconds
+                // for a large table), so queries keep flowing; only the commit
+                // below needs exclusive access.
+                let partitions = partitions.map(|p| usize::try_from(p).unwrap_or(usize::MAX));
+                let sketched = service::sketch_table(&self.snapshot().index, &table, partitions)?;
                 let report = self.write(|service| {
-                    service.register_sketched_with_companions(sketched, companions)
+                    service.register_sketched_with_companions(sketched.columns, sketched.companions)
                 })?;
                 self.wakeup.request();
                 Ok(ResponseBody::Report {
                     registered: report.registered,
-                    skipped,
+                    skipped: sketched.skipped,
                 })
             }
             RequestBody::IngestBegin { table } => {
+                let state = ShardedIngestState::new(&self.snapshot().index, table.clone());
                 let mut sessions = self.sessions.lock();
                 let id = sessions.next_id;
                 sessions.next_id += 1;
                 sessions.slots.insert(
                     id,
                     SessionSlot {
-                        state: Arc::new(Mutex::new(Some(
-                            ShardedIngestState::new(table.clone()).with_companion(
-                                self.snapshot().index.companion_estimator().cloned(),
-                            ),
-                        ))),
+                        state: Arc::new(Mutex::new(Some(state))),
                         touched: Instant::now(),
                     },
                 );
@@ -1540,9 +1504,7 @@ impl Backend for Node {
             }
             RequestBody::IngestSubmit { session, shard } => {
                 self.with_session(*session, |state| {
-                    state
-                        .submit(&self.estimator, &shard.to_table()?)
-                        .map_err(WireError::from)
+                    state.submit(&shard.to_table()?).map_err(WireError::from)
                 })?;
                 Ok(ResponseBody::Session(*session))
             }
@@ -1871,7 +1833,7 @@ mod tests {
             values: (100..300).map(|i| f64::from(i) + 1.0).collect(),
         };
         let sketched = sketch_queries(
-            &node.estimator,
+            node.snapshot().index.estimator(),
             std::slice::from_ref(&query),
             Mode::Joinable,
             false,

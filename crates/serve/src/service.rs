@@ -176,6 +176,63 @@ pub fn rank<Q: QueryColumn>(
     Ok((rankings, note))
 }
 
+/// A table sketched for one commit: the primary sketch of every column with
+/// value mass, in table order, with its cheap-tier companion, and the columns
+/// skipped for having none.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SketchedTable {
+    /// The primary sketches.
+    pub columns: Vec<SketchedColumn>,
+    /// `companions[i]` is the companion of `columns[i]`; `None` when the index
+    /// has no companion estimator.
+    pub companions: Vec<Option<SketchedColumn>>,
+    /// Columns skipped because they carry no value mass.
+    pub skipped: Vec<String>,
+}
+
+/// Sketches every column of `table` for a commit into `index`'s catalog: the
+/// one ingest sketching path.  It holds no lock, so a front end sketches while
+/// readers keep ranking and takes its writer lock only for the commit,
+/// [`QueryService::register_sketched_with_companions`].
+///
+/// Each column's primary and, when the index has a companion estimator, its
+/// companion are sketched along the same path: one-shot, or `partitions`
+/// row-chunks merged through the mergeable-sketcher path.
+///
+/// # Errors
+///
+/// The first column, in table order, that cannot be sketched for another
+/// reason than carrying no value mass (e.g. a non-mergeable method asked for
+/// partitions).
+pub fn sketch_table(
+    index: &SketchIndex,
+    table: &Table,
+    partitions: Option<usize>,
+) -> Result<SketchedTable, JoinError> {
+    let sketch = |estimator: &JoinEstimator, column: &str| match partitions {
+        Some(partitions) => estimator.sketch_column_partitioned(table, column, partitions),
+        None => estimator.sketch_column(table, column),
+    };
+    let mut sketched = SketchedTable::default();
+    for column in table.columns() {
+        match sketch(index.estimator(), &column.name) {
+            Ok(primary) => {
+                // A column the primary can sketch has the value mass the
+                // companion needs.
+                let companion = index
+                    .companion_estimator()
+                    .map(|estimator| sketch(estimator, &column.name))
+                    .transpose()?;
+                sketched.columns.push(primary);
+                sketched.companions.push(companion);
+            }
+            Err(JoinError::EmptyColumn { .. }) => sketched.skipped.push(column.name.clone()),
+            Err(other) => return Err(other),
+        }
+    }
+    Ok(sketched)
+}
+
 /// Splits a table into (up to) `shards` contiguous row-range shards, each carrying the
 /// same table name and column layout — the shape [`ShardedIngestState`] expects.  In a real
 /// deployment shards exist because the data arrives partitioned; this helper lets
@@ -506,7 +563,7 @@ impl QueryService {
     /// Returns [`CatalogError`] for sketching failures, duplicate columns, or
     /// filesystem failures.
     pub fn ingest_table(&mut self, table: &Table) -> Result<IngestReport, CatalogError> {
-        self.ingest_with(table, |est, table, column| est.sketch_column(table, column))
+        self.commit(sketch_table(&self.index, table, None)?)
     }
 
     /// Like [`ingest_table`](Self::ingest_table) but sketches each column as
@@ -522,88 +579,46 @@ impl QueryService {
         table: &Table,
         partitions: usize,
     ) -> Result<IngestReport, CatalogError> {
-        self.ingest_with(table, |est, table, column| {
-            est.sketch_column_partitioned(table, column, partitions)
-        })
+        self.commit(sketch_table(&self.index, table, Some(partitions))?)
     }
 
-    fn ingest_with(
-        &mut self,
-        table: &Table,
-        sketch: impl Fn(&JoinEstimator, &Table, &str) -> Result<SketchedColumn, JoinError>,
-    ) -> Result<IngestReport, CatalogError> {
-        let mut report = IngestReport::default();
-        let mut sketched_columns = Vec::new();
-        let mut companions = Vec::new();
-        for column in table.columns() {
-            match sketch(self.index.estimator(), table, &column.name) {
-                Ok(sketched) => {
-                    // The companion rides through the same sketching path (one-shot
-                    // or partitioned) as the primary; a column sketchable by the
-                    // primary is sketchable by the companion (same value mass).
-                    let companion = match self.index.companion_estimator() {
-                        Some(est) => Some(sketch(est, table, &column.name)?),
-                        None => None,
-                    };
-                    report
-                        .registered
-                        .push((table.name().to_string(), column.name.clone()));
-                    sketched_columns.push(sketched);
-                    companions.push(companion);
-                }
-                Err(JoinError::EmptyColumn { .. }) => report.skipped.push(column.name.clone()),
-                Err(other) => return Err(other.into()),
-            }
-        }
-        self.register_all_hydrated_with(sketched_columns, companions)?;
+    /// Commits a sketched table and reports its skipped columns with it.
+    fn commit(&mut self, sketched: SketchedTable) -> Result<IngestReport, CatalogError> {
+        let mut report =
+            self.register_sketched_with_companions(sketched.columns, sketched.companions)?;
+        report.skipped = sketched.skipped;
         Ok(report)
     }
 
-    /// Registers already-sketched columns into the catalog (one manifest commit) and
-    /// the in-memory index, returning what was registered.  This is the
-    /// writer-lock-minimizing path a concurrent front end takes: the expensive
-    /// sketching runs outside any service lock (with a clone of
-    /// [`estimator`](Self::estimator) — the configuration is immutable for the
-    /// catalog's lifetime), and only this commit needs exclusive access.
+    /// Registers sketched columns, each with an optional companion (cheap-tier)
+    /// sketch, into the catalog (one manifest commit) and the in-memory index:
+    /// the one commit of every write that adds columns.  A concurrent front end
+    /// sketches outside its writer lock with [`sketch_table`] and takes the lock
+    /// only for this call.  A `None` companion registers the column
+    /// companion-less; the cascade then reranks it unconditionally instead of
+    /// prefiltering it.
     ///
     /// # Errors
     ///
-    /// Returns [`CatalogError::Incompatible`] for sketches not built under this
-    /// catalog's configuration, plus duplicate-column and filesystem failures; on
+    /// Returns [`CatalogError::Incompatible`] for sketches or companions not
+    /// built under this catalog's specs (or companions supplied to a catalog
+    /// that declares none), plus duplicate-column and filesystem failures; on
     /// error nothing from the batch is committed.
-    pub fn register_sketched(
-        &mut self,
-        sketched: Vec<SketchedColumn>,
-    ) -> Result<IngestReport, CatalogError> {
-        let companions = vec![None; sketched.len()];
-        self.register_sketched_with_companions(sketched, companions)
-    }
-
-    /// [`register_sketched`](Self::register_sketched) with one optional companion
-    /// (cheap-tier) sketch per column, built by the caller with a clone of
-    /// [`companion_estimator`](Self::companion_estimator) — the same
-    /// outside-the-lock division of labor as the primaries.  A `None` slot
-    /// registers the column companion-less; the cascade then reranks it
-    /// unconditionally instead of prefiltering it.
-    ///
-    /// # Errors
-    ///
-    /// As for [`register_sketched`](Self::register_sketched), plus
-    /// [`CatalogError::Incompatible`] for companions not built under the
-    /// catalog's companion spec (or supplied to a catalog that declares none).
     pub fn register_sketched_with_companions(
         &mut self,
         sketched: Vec<SketchedColumn>,
         companions: Vec<Option<SketchedColumn>>,
     ) -> Result<IngestReport, CatalogError> {
-        let report = IngestReport {
-            registered: sketched
-                .iter()
-                .map(|c| (c.table.clone(), c.column.clone()))
-                .collect(),
-            skipped: Vec::new(),
-        };
-        self.register_all_hydrated_with(sketched, companions)?;
+        self.catalog
+            .register_all_with_companions(&sketched, &companions)?;
+        let mut report = IngestReport::default();
+        let index = Arc::make_mut(&mut self.index);
+        for (column, companion) in sketched.into_iter().zip(companions) {
+            let key = (column.table.clone(), column.column.clone());
+            index.insert_sketched_with_companion(column, companion)?;
+            self.hydrated.insert(key.clone());
+            report.registered.push(key);
+        }
         Ok(report)
     }
 
@@ -635,36 +650,11 @@ impl QueryService {
                 ),
             });
         }
-        match self.register_all_hydrated(vec![sketched]) {
-            Ok(()) => Ok(true),
+        match self.register_sketched_with_companions(vec![sketched], vec![None]) {
+            Ok(_) => Ok(true),
             Err(CatalogError::DuplicateColumn { .. }) => Ok(false),
             Err(other) => Err(other),
         }
-    }
-
-    /// Registers a batch of finished columns into the catalog (one manifest commit)
-    /// and the in-memory index.
-    fn register_all_hydrated(&mut self, sketched: Vec<SketchedColumn>) -> Result<(), CatalogError> {
-        let companions = vec![None; sketched.len()];
-        self.register_all_hydrated_with(sketched, companions)
-    }
-
-    /// [`register_all_hydrated`](Self::register_all_hydrated) carrying one optional
-    /// companion sketch per column into both the catalog and the index.
-    fn register_all_hydrated_with(
-        &mut self,
-        sketched: Vec<SketchedColumn>,
-        companions: Vec<Option<SketchedColumn>>,
-    ) -> Result<(), CatalogError> {
-        self.catalog
-            .register_all_with_companions(&sketched, &companions)?;
-        let index = Arc::make_mut(&mut self.index);
-        for (column, companion) in sketched.into_iter().zip(companions) {
-            let key = (column.table.clone(), column.column.clone());
-            index.insert_sketched_with_companion(column, companion)?;
-            self.hydrated.insert(key);
-        }
-        Ok(())
     }
 
     /// Starts a shard-partial ingest of a table named `table_name` — the genuinely
@@ -674,13 +664,11 @@ impl QueryService {
     /// The returned state is owned and borrows nothing: sequential callers (the
     /// CLI, tests) and a concurrent front end running many sessions at once drive
     /// the *same* API shape — [`announce`](ShardedIngestState::announce) and
-    /// [`submit`](ShardedIngestState::submit) shards (passing
-    /// [`estimator`](Self::estimator) or a clone of it), then register the outcome
+    /// [`submit`](ShardedIngestState::submit) shards, then register the outcome
     /// with [`finish_sharded_ingest`](Self::finish_sharded_ingest).
     #[must_use]
     pub fn begin_sharded_ingest(&self, table_name: impl Into<String>) -> ShardedIngestState {
-        ShardedIngestState::new(table_name)
-            .with_companion(self.index.companion_estimator().cloned())
+        ShardedIngestState::new(&self.index, table_name)
     }
 
     /// Registers the folded columns of a completed [`ShardedIngestState`] into the
@@ -696,25 +684,7 @@ impl QueryService {
         &mut self,
         state: ShardedIngestState,
     ) -> Result<IngestReport, CatalogError> {
-        let (table_name, columns, partials, companion_partials) = state.into_folded()?;
-        let mut report = IngestReport::default();
-        let mut folded_columns = Vec::new();
-        let mut folded_companions = Vec::new();
-        for ((column, partial), companion) in
-            columns.into_iter().zip(partials).zip(companion_partials)
-        {
-            match partial {
-                Some(folded) => {
-                    report.registered.push((table_name.clone(), column));
-                    folded_columns.push(folded);
-                    folded_companions.push(companion);
-                }
-                None => report.skipped.push(column),
-            }
-        }
-        // One catalog commit for the whole table, moving (not cloning) the folds.
-        self.register_all_hydrated_with(folded_columns, folded_companions)?;
-        Ok(report)
+        self.commit(state.into_folded()?)
     }
 }
 
@@ -742,13 +712,14 @@ impl QueryService {
 #[derive(Debug)]
 pub struct ShardedIngestState {
     table_name: String,
+    /// The catalog's estimators, cloned from its index: submitted shards are
+    /// sketched with the primary and, when there is one, the companion
+    /// (cheap-tier) estimator, both against the same announced norms.
+    estimator: JoinEstimator,
+    companion_estimator: Option<JoinEstimator>,
     columns: Vec<String>,
     norms: Vec<ColumnNormPartials>,
     partials: Vec<Option<SketchedColumn>>,
-    /// When set, every submitted shard is additionally sketched with this
-    /// cheap-tier estimator (against the same announced norms) and folded, so the
-    /// finished table carries cascade companions.
-    companion_estimator: Option<JoinEstimator>,
     companion_partials: Vec<Option<SketchedColumn>>,
     /// Set on the first `submit` *attempt* (even a failed one): norms may already
     /// have been used to sketch, so further announcements are refused.
@@ -758,30 +729,21 @@ pub struct ShardedIngestState {
 }
 
 impl ShardedIngestState {
-    /// Opens a session for the logical table `table_name`.
+    /// Opens a session for the logical table `table_name`, to be finished into
+    /// the catalog `index` serves.
     #[must_use]
-    pub fn new(table_name: impl Into<String>) -> Self {
+    pub fn new(index: &SketchIndex, table_name: impl Into<String>) -> Self {
         ShardedIngestState {
             table_name: table_name.into(),
+            estimator: index.estimator().clone(),
+            companion_estimator: index.companion_estimator().cloned(),
             columns: Vec::new(),
             norms: Vec::new(),
             partials: Vec::new(),
-            companion_estimator: None,
             companion_partials: Vec::new(),
             sealed: false,
             submitted: false,
         }
-    }
-
-    /// Attaches the catalog's companion (cheap-tier) estimator, so submitted shards
-    /// also fold companion sketches ([`QueryService::begin_sharded_ingest`] does
-    /// this automatically; front ends constructing sessions directly pass a clone
-    /// of [`QueryService::companion_estimator`]).  Must be called before the first
-    /// [`submit`](Self::submit); `None` leaves the session companion-less.
-    #[must_use]
-    pub fn with_companion(mut self, estimator: Option<JoinEstimator>) -> Self {
-        self.companion_estimator = estimator;
-        self
     }
 
     /// The logical table this session ingests.
@@ -818,20 +780,16 @@ impl ShardedIngestState {
         Ok(())
     }
 
-    /// Second pass: sketches `shard` with `estimator` against the announced norms and
-    /// folds the partial sketches into the session state.  Columns whose announced
-    /// value mass is zero are skipped here and reported at finish.
-    ///
-    /// Every call must pass the estimator of the service the session will finish
-    /// into (the front end clones it once at startup — the configuration is fixed
-    /// for the catalog's lifetime).
+    /// Second pass: sketches `shard` against the announced norms and folds the
+    /// partial sketches into the session state.  Columns whose announced value
+    /// mass is zero are skipped here and reported at finish.
     ///
     /// # Errors
     ///
     /// Returns [`CatalogError::Incompatible`] for a shard of a different table or
     /// column layout or a session with no announcements, and sketching errors
     /// (including non-mergeable methods).
-    pub fn submit(&mut self, estimator: &JoinEstimator, shard: &Table) -> Result<(), CatalogError> {
+    pub fn submit(&mut self, shard: &Table) -> Result<(), CatalogError> {
         if self.columns.is_empty() {
             return Err(CatalogError::Incompatible {
                 detail: "no norms announced: every shard must announce before any submits"
@@ -843,20 +801,14 @@ impl ShardedIngestState {
         // may already have been built against them on other shards.
         self.sealed = true;
         for (i, column) in self.columns.iter().enumerate() {
-            if self.norms[i].values_sq <= 0.0 {
+            let norms = &self.norms[i];
+            if norms.values_sq <= 0.0 {
                 continue; // Skipped column; reported at finish.
             }
-            let sketched = estimator.sketch_column_shard(shard, column, &self.norms[i])?;
-            self.partials[i] = Some(match self.partials[i].take() {
-                None => sketched,
-                Some(acc) => estimator.merge_sketched_columns(&acc, &sketched)?,
-            });
-            if let Some(companion_est) = &self.companion_estimator {
-                let companion = companion_est.sketch_column_shard(shard, column, &self.norms[i])?;
-                self.companion_partials[i] = Some(match self.companion_partials[i].take() {
-                    None => companion,
-                    Some(acc) => companion_est.merge_sketched_columns(&acc, &companion)?,
-                });
+            fold_shard(&self.estimator, &mut self.partials[i], shard, column, norms)?;
+            if let Some(companion) = &self.companion_estimator {
+                let partial = &mut self.companion_partials[i];
+                fold_shard(companion, partial, shard, column, norms)?;
             }
         }
         // Only a fully successful submit counts toward finish's "at least one shard
@@ -865,21 +817,27 @@ impl ShardedIngestState {
         Ok(())
     }
 
-    /// Consumes the session, yielding the table name, column names, and folded
-    /// partials (`None` for all-zero skipped columns).
-    fn into_folded(self) -> Result<FoldedIngest, CatalogError> {
+    /// Consumes the session into its folded columns; a column whose announced
+    /// value mass is zero is skipped.
+    fn into_folded(self) -> Result<SketchedTable, CatalogError> {
         if !self.submitted {
             return Err(CatalogError::Incompatible {
                 detail: "sharded ingest finished before any shard was successfully submitted"
                     .to_string(),
             });
         }
-        Ok((
-            self.table_name,
-            self.columns,
-            self.partials,
-            self.companion_partials,
-        ))
+        let mut folded = SketchedTable::default();
+        let tiers = self.partials.into_iter().zip(self.companion_partials);
+        for (column, (partial, companion)) in self.columns.into_iter().zip(tiers) {
+            match partial {
+                Some(partial) => {
+                    folded.columns.push(partial);
+                    folded.companions.push(companion);
+                }
+                None => folded.skipped.push(column),
+            }
+        }
+        Ok(folded)
     }
 
     /// Validates that a shard belongs to this session: same table name and, once the
@@ -909,16 +867,22 @@ impl ShardedIngestState {
     }
 }
 
-/// What a completed session hands to registration: the table name, its column
-/// names, one folded partial per column (`None` for skipped all-zero columns), and
-/// one folded companion per column (`None` when the session has no companion
-/// estimator or the column was skipped).
-type FoldedIngest = (
-    String,
-    Vec<String>,
-    Vec<Option<SketchedColumn>>,
-    Vec<Option<SketchedColumn>>,
-);
+/// Sketches `shard`'s `column` with `estimator` against the announced `norms` and
+/// folds it into `partial`.
+fn fold_shard(
+    estimator: &JoinEstimator,
+    partial: &mut Option<SketchedColumn>,
+    shard: &Table,
+    column: &str,
+    norms: &ColumnNormPartials,
+) -> Result<(), JoinError> {
+    let sketched = estimator.sketch_column_shard(shard, column, norms)?;
+    *partial = Some(match partial.take() {
+        None => sketched,
+        Some(acc) => estimator.merge_sketched_columns(&acc, &sketched)?,
+    });
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {
@@ -1128,7 +1092,7 @@ mod tests {
                     ingest.announce(shard).expect("announce");
                 }
                 for shard in &shards {
-                    ingest.submit(service.estimator(), shard).expect("submit");
+                    ingest.submit(shard).expect("submit");
                 }
                 let report = service.finish_sharded_ingest(ingest).expect("finish");
                 assert_eq!(report.registered.len(), table.columns().len(), "{method:?}");
@@ -1170,17 +1134,16 @@ mod tests {
 
     #[test]
     fn owned_session_states_interleave_across_tables() {
-        // The front-end shape: two sessions live at once, fed in interleaved order,
-        // sketching with a *clone* of the service estimator and finished
+        // The front-end shape: two sessions live at once, built from the index
+        // the way a node builds them, fed in interleaved order and finished
         // independently — answers match a sequential run exactly.
         let root = temp_root("interleaved");
         let (query, good, bad) = lake();
         let spec = spec_for(SketchMethod::WeightedMinHash, 17);
         let mut service = QueryService::create(&root, spec).expect("create");
-        let estimator = service.estimator().clone();
 
-        let mut good_session = ShardedIngestState::new(good.name());
-        let mut bad_session = ShardedIngestState::new(bad.name());
+        let mut good_session = ShardedIngestState::new(service.index(), good.name());
+        let mut bad_session = ShardedIngestState::new(service.index(), bad.name());
         let good_shards = shards_of(&good, 2);
         let bad_shards = shards_of(&bad, 3);
         for shard in &good_shards {
@@ -1190,15 +1153,11 @@ mod tests {
             bad_session.announce(shard).expect("announce bad");
         }
         // Interleave the submit passes across the two sessions.
-        good_session
-            .submit(&estimator, &good_shards[0])
-            .expect("good 0");
+        good_session.submit(&good_shards[0]).expect("good 0");
         for shard in &bad_shards {
-            bad_session.submit(&estimator, shard).expect("bad shard");
+            bad_session.submit(shard).expect("bad shard");
         }
-        good_session
-            .submit(&estimator, &good_shards[1])
-            .expect("good 1");
+        good_session.submit(&good_shards[1]).expect("good 1");
         let bad_report = service.finish_sharded_ingest(bad_session).expect("finish");
         let good_report = service.finish_sharded_ingest(good_session).expect("finish");
         assert_eq!(bad_report.registered.len(), 1);
@@ -1214,9 +1173,7 @@ mod tests {
                 ingest.announce(shard).expect("announce");
             }
             for shard in &shards_of(table, if table.name() == "good" { 2 } else { 3 }) {
-                ingest
-                    .submit(sequential.estimator(), shard)
-                    .expect("submit");
+                ingest.submit(shard).expect("submit");
             }
             sequential.finish_sharded_ingest(ingest).expect("finish");
         }
@@ -1240,7 +1197,7 @@ mod tests {
         // Submitting before announcing fails.
         let mut ingest = service.begin_sharded_ingest("good");
         assert!(matches!(
-            ingest.submit(service.estimator(), &shards[0]),
+            ingest.submit(&shards[0]),
             Err(CatalogError::Incompatible { .. })
         ));
         // A shard of a different table fails.
@@ -1250,17 +1207,13 @@ mod tests {
         ));
         ingest.announce(&shards[0]).expect("announce 0");
         ingest.announce(&shards[1]).expect("announce 1");
-        ingest
-            .submit(service.estimator(), &shards[0])
-            .expect("submit 0");
+        ingest.submit(&shards[0]).expect("submit 0");
         // Announcing after the first submit fails (norms are sealed).
         assert!(matches!(
             ingest.announce(&shards[1]),
             Err(CatalogError::Incompatible { .. })
         ));
-        ingest
-            .submit(service.estimator(), &shards[1])
-            .expect("submit 1");
+        ingest.submit(&shards[1]).expect("submit 1");
         service.finish_sharded_ingest(ingest).expect("finish");
 
         // Finishing a session that never submitted fails.
@@ -1301,7 +1254,7 @@ mod tests {
             ingest.announce(shard).expect("announce");
         }
         for shard in &shards {
-            ingest.submit(service2.estimator(), shard).expect("submit");
+            ingest.submit(shard).expect("submit");
         }
         let report = service2.finish_sharded_ingest(ingest).expect("finish");
         assert_eq!(report.skipped, vec!["z".to_string()]);
@@ -1544,7 +1497,7 @@ mod tests {
             ingest.announce(shard).expect("announce");
         }
         for shard in &shards {
-            ingest.submit(sharded.estimator(), shard).expect("submit");
+            ingest.submit(shard).expect("submit");
         }
         sharded.finish_sharded_ingest(ingest).expect("finish");
 
@@ -1575,7 +1528,7 @@ mod tests {
             .announce(&shards[0])
             .expect("announce is method-agnostic");
         assert!(
-            ingest.submit(service.estimator(), &shards[0]).is_err(),
+            ingest.submit(&shards[0]).is_err(),
             "SimHash partials cannot merge"
         );
         // A session whose only submit failed must not finish as if the table were

@@ -650,7 +650,7 @@ fn node_overlapping_sharded_ingest_yields_only_consistent_states() {
             session.announce(shard).expect("announce");
         }
         for shard in &shard_rows(&extra, shards) {
-            session.submit(twin.estimator(), shard).expect("submit");
+            session.submit(shard).expect("submit");
         }
         twin.finish_sharded_ingest(session).expect("finish");
     }

@@ -187,7 +187,7 @@ proptest! {
                     session.announce(shard).expect("announce");
                 }
                 for shard in &shard_rows(table, shards) {
-                    session.submit(service.estimator(), shard).expect("submit");
+                    session.submit(shard).expect("submit");
                 }
                 service.finish_sharded_ingest(session).expect("finish");
             }

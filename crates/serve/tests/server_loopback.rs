@@ -16,7 +16,7 @@ use ipsketch_serve::protocol::{
 use ipsketch_serve::server::{serve, ServerConfig, ServerHandle};
 use ipsketch_serve::service::{rank, RankRequest};
 use ipsketch_serve::wire::Json;
-use ipsketch_serve::{shard_rows, QueryService};
+use ipsketch_serve::{shard_rows, Catalog, QueryService};
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -318,7 +318,7 @@ fn parallel_clients_during_sharded_ingest_see_only_consistent_states() {
             session.announce(shard).expect("announce");
         }
         for shard in &shard_rows(&extra, shards) {
-            session.submit(twin.estimator(), shard).expect("submit");
+            session.submit(shard).expect("submit");
         }
         twin.finish_sharded_ingest(session).expect("finish");
     }
@@ -809,8 +809,56 @@ fn wire_ingest_registers_and_compaction_runs_on_demand() {
         other => panic!("expected ranking, got {other:?}"),
     }
 
+    // Wire ingest stores what in-process ingest stores, bit for bit, both
+    // tiers.  Fractional values make the partition merge order show in the
+    // companion's CountSketch buckets.
+    let frac = Table::new(
+        "frac",
+        (20_000..20_400).collect(),
+        vec![Column::new(
+            "w",
+            (0..400).map(|i| f64::from(i).sqrt() * 0.37 + 0.1).collect(),
+        )],
+    )
+    .expect("table");
+    let response = client.call(&Request {
+        id: Json::Null,
+        body: RequestBody::Ingest {
+            table: WireTable::from_table(&frac),
+            partitions: Some(4),
+        },
+    });
+    assert!(response.result.is_ok(), "{:?}", response.result);
     handle.shutdown();
+    let twin_root = temp_root("wireingest-twin");
+    let mut twin =
+        QueryService::create(&twin_root, spec_for(SketchMethod::Icws, 13)).expect("create");
+    for table in [&good, &frac] {
+        twin.ingest_table_partitioned(table, 4).expect("ingest");
+    }
+    let wire = Catalog::open(&root).expect("open");
+    let stored = |catalog: &Catalog, table: &str, column: &str| {
+        let companion = catalog.load_companion(table, column).expect("companion");
+        (
+            catalog.export_blob(table, column).expect("primary").1,
+            companion.map(|c| c.encode(catalog.format())),
+        )
+    };
+    assert_eq!(wire.len(), 3);
+    assert_eq!(wire.len(), twin.catalog().len());
+    for entry in wire.live_entries() {
+        let (primary, companion) = stored(&wire, &entry.table, &entry.column);
+        assert!(companion.is_some(), "{}.{}", entry.table, entry.column);
+        // Compared without printing: a mismatch would dump kilobytes of blob.
+        assert!(
+            (primary, companion) == stored(twin.catalog(), &entry.table, &entry.column),
+            "{}.{} is stored differently by wire and in-process ingest",
+            entry.table,
+            entry.column
+        );
+    }
     fs::remove_dir_all(&root).expect("cleanup");
+    fs::remove_dir_all(&twin_root).expect("cleanup");
 }
 
 #[test]

@@ -93,7 +93,7 @@ impl SparseVector {
     /// Builds a binary indicator vector with value 1.0 at each of the given indices.
     ///
     /// Duplicate indices are collapsed to a single 1.0 entry (not summed), matching the
-    /// "x_1[K]" key-indicator vectors of the paper's Figure 3.
+    /// `x_1[K]` key-indicator vectors of the paper's Figure 3.
     #[must_use]
     pub fn indicator<I>(indices: I) -> Self
     where

@@ -92,9 +92,7 @@ fn main() {
             session.announce(shard).expect("norm exchange");
         }
         for shard in &shards {
-            session
-                .submit(service.estimator(), shard)
-                .expect("shard sketches");
+            session.submit(shard).expect("shard sketches");
         }
         let report = service
             .finish_sharded_ingest(session)

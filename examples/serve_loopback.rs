@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             session.announce(shard)?;
         }
         for shard in &shard_rows(&depth, 3) {
-            session.submit(service.estimator(), shard)?;
+            session.submit(shard)?;
         }
         service.finish_sharded_ingest(session)?;
     }
