@@ -20,7 +20,9 @@ use crate::error::{incompatible, SketchError};
 use crate::kernel::KernelMode;
 use crate::traits::{MergeableSketcher, Sketcher};
 use ipsketch_hash::mix::mix2;
-use ipsketch_hash::record::{prefix_min_replay, prefix_min_replay_v2_sweep, Record, RecordStream};
+use ipsketch_hash::record::{
+    prefix_min_replay, prefix_min_replay_v2_sweep, undercut_v2, Record, RecordStream,
+};
 use ipsketch_vector::rounding::{normalize_and_round, repetition_counts};
 use ipsketch_vector::SparseVector;
 
@@ -198,6 +200,18 @@ impl WeightedMinHasher {
     /// indicator, values and squared values replay the stream of each `(sample, key)`
     /// once, up to the largest count, and each vector keeps the last record below its
     /// own count.  This is the v2 format's sketch-build speedup.
+    ///
+    /// Most v2 streams are not replayed at all.  Once a few keys have set a small
+    /// running minimum, a later stream can only matter through a record below it, and
+    /// [`undercut_v2`] decides from the stream's value chain alone — its uniform draws
+    /// and products, no logarithm in the common case — whether such a record can land
+    /// inside each vector's prefix.  It runs once per `(sample, key)`, against each
+    /// vector's running minimum for that sample; only samples where some vector can
+    /// still win are swept, and a vector the test pruned gets length 0 in that sweep.
+    /// The test is exact (its docs carry the proof): a skipped stream could not have
+    /// changed one bit of `hashes`, `values` or the strict-`<` tie order, so the
+    /// unpruned scalar reference remains the oracle.  The v1 stream is not pruned: its
+    /// vectorized arm is the v1 side of the format-v2 gate.
     fn sample_minima_vectorized<const N: usize>(
         &self,
         blocks: &[Block<N>],
@@ -208,42 +222,46 @@ impl WeightedMinHasher {
             .collect();
         let mut minima: [(Vec<f64>, Vec<f64>); N] =
             std::array::from_fn(|_| (vec![f64::INFINITY; m], vec![0.0; m]));
+        // The v2 arm's survivors of the undercut test, allocated once per sketch: each
+        // surviving sample with the lengths it is replayed at, and its seed state.
+        let mut survivors: Vec<([u64; N], usize)> = Vec::new();
+        let mut survivor_states: Vec<u64> = Vec::new();
         for &(block, counts, values) in blocks {
             let block_state = RecordStream::block_state(block);
-            let mut commit = |i: usize, sample: usize, record: Option<Record>| {
-                if counts[i] == 0 {
-                    return;
-                }
-                let record = record.expect("count >= 1 by construction");
-                let (hashes, best) = &mut minima[i];
-                if record.value < hashes[sample] {
-                    hashes[sample] = record.value;
-                    best[sample] = values[i];
-                }
-            };
             match self.params.stream {
                 WmhStream::V1 => {
                     for (sample, sample_state) in sample_states.iter().enumerate() {
-                        for (i, &count) in counts.iter().enumerate() {
-                            commit(
-                                i,
-                                sample,
-                                prefix_min_replay(*sample_state, block_state, count),
-                            );
-                        }
+                        let records = counts
+                            .map(|count| prefix_min_replay(*sample_state, block_state, count));
+                        commit(&mut minima, values, sample, records);
                     }
                 }
                 WmhStream::V2 => {
-                    prefix_min_replay_v2_sweep(
-                        &sample_states,
-                        block_state,
-                        counts,
-                        &mut |sample, records| {
-                            for (i, record) in records.into_iter().enumerate() {
-                                commit(i, sample, record);
-                            }
-                        },
-                    );
+                    survivors.clear();
+                    for (sample, sample_state) in sample_states.iter().enumerate() {
+                        let bounds = std::array::from_fn(|i| minima[i].0[sample]);
+                        let lens = undercut_v2(*sample_state, block_state, counts, bounds);
+                        if lens.iter().any(|&len| len > 0) {
+                            survivors.push((lens, sample));
+                        }
+                    }
+                    // One sweep per distinct set of surviving lengths.
+                    survivors.sort_unstable();
+                    survivor_states.clear();
+                    survivor_states.extend(survivors.iter().map(|&(_, s)| sample_states[s]));
+                    let mut start = 0;
+                    for group in survivors.chunk_by(|a, b| a.0 == b.0) {
+                        let states = &survivor_states[start..start + group.len()];
+                        prefix_min_replay_v2_sweep(
+                            states,
+                            block_state,
+                            group[0].0,
+                            &mut |j, records| {
+                                commit(&mut minima, values, group[j].1, records);
+                            },
+                        );
+                        start += group.len();
+                    }
                 }
             }
         }
@@ -470,6 +488,26 @@ fn union_blocks<const N: usize>(lists: &[BlockList; N]) -> Vec<Block<N>> {
             }
         }
         union.push((key, counts, values));
+    }
+}
+
+/// The min-reduction of the vectorized kernel: each vector's record for one sample at
+/// one key replaces that sample's minimum only if strictly smaller, keeping the key's
+/// rounded entry value.  `None` — the vector has no block at the key, or the v2
+/// undercut test pruned it — leaves the minimum as it is.
+fn commit<const N: usize>(
+    minima: &mut [(Vec<f64>, Vec<f64>); N],
+    values: [f64; N],
+    sample: usize,
+    records: [Option<Record>; N],
+) {
+    for (i, record) in records.into_iter().enumerate() {
+        let Some(record) = record else { continue };
+        let (hashes, best) = &mut minima[i];
+        if record.value < hashes[sample] {
+            hashes[sample] = record.value;
+            best[sample] = values[i];
+        }
     }
 }
 

@@ -403,3 +403,63 @@ proptest! {
         }
     }
 }
+
+/// A non-empty vector whose magnitudes span eight orders, either sign: the heavy keys
+/// set small running minima early, so most streams of the light keys are pruned by
+/// the v2 undercut test.
+fn skewed_vector() -> impl Strategy<Value = SparseVector> {
+    proptest::collection::vec((0u64..10_000, -6.0f64..2.0, any::<bool>()), 1..80).prop_map(
+        |mut entries| {
+            entries.dedup_by_key(|e| e.0);
+            SparseVector::from_pairs(entries.into_iter().map(|(i, exponent, negative)| {
+                (i, 10f64.powf(exponent) * if negative { -1.0 } else { 1.0 })
+            }))
+            .expect("finite values")
+        },
+    )
+}
+
+/// A sketch's hashes, values and norm as bit patterns.
+fn sketch_bits(s: &ipsketch_core::wmh::WeightedMinHashSketch) -> (Vec<u64>, Vec<u64>, u64) {
+    (
+        s.hashes().iter().map(|x| x.to_bits()).collect(),
+        s.values().iter().map(|x| x.to_bits()).collect(),
+        s.norm().to_bits(),
+    )
+}
+
+proptest! {
+    // The default configuration, so `PROPTEST_CASES` scales this suite.
+
+    // The served v2 stream's pruned sweep against its unpruned scalar reference, for
+    // one vector and for three sharing some keys (a column's key indicator and values,
+    // plus an unrelated vector), one-shot and against announced norms, at sample
+    // counts covering the serving m = 266 and at a coarse and the default grid.
+    #[test]
+    fn wmh_v2_sketch_many_vectorized_is_bit_identical(
+        a in skewed_vector(),
+        b in skewed_vector(),
+        seed in any::<u64>(),
+        samples in 1usize..300,
+        coarse in any::<bool>(),
+        announce in any::<bool>(),
+        stretch in 1.0f64..4.0,
+    ) {
+        use ipsketch_core::kernel::KernelMode;
+        use ipsketch_core::wmh::WmhStream;
+        let l = if coarse { 1 << 12 } else { 1 << 24 };
+        let s = WeightedMinHasher::with_stream(samples, seed, l, WmhStream::V2).unwrap();
+        let key = SparseVector::from_pairs(a.iter().map(|(i, _)| (i, 1.0))).unwrap();
+        let norm = |v: &SparseVector| announce.then(|| v.norm() * stretch);
+        let one = [(&a, norm(&a))];
+        let three = [(&key, norm(&key)), (&a, norm(&a)), (&b, norm(&b))];
+        let scalar = s.sketch_many(one, KernelMode::Scalar).unwrap();
+        let vectorized = s.sketch_many(one, KernelMode::Vectorized).unwrap();
+        prop_assert_eq!(sketch_bits(&scalar[0]), sketch_bits(&vectorized[0]));
+        let scalar = s.sketch_many(three, KernelMode::Scalar).unwrap();
+        let vectorized = s.sketch_many(three, KernelMode::Vectorized).unwrap();
+        for (x, y) in scalar.iter().zip(&vectorized) {
+            prop_assert_eq!(sketch_bits(x), sketch_bits(y));
+        }
+    }
+}

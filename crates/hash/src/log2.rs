@@ -19,6 +19,11 @@
 //! within ~1e-9 of an integer, i.e. with per-record probability on the order of 1e-8.
 //! That changes *which* stream the v2 format defines, not its statistical properties,
 //! which is exactly why the v2 stream is a new format rather than a drop-in kernel.
+//! On `(0, 1)`, where the stream takes its logarithms, the error is also *relative*:
+//! below `2⁻²⁰` of `|log₂ x|` even within an ulp of 1, where `log₂ x` itself is tiny
+//! (the reduction leaves `m = x`, `m − 1` is exact, and the series is `z·(…)`).  The
+//! record module's undercut test leans on that bound to decide most skips without
+//! evaluating them.
 //!
 //! # Algorithm
 //!
@@ -254,6 +259,32 @@ mod tests {
             let u = f64::from_bits(1.0f64.to_bits() - delta);
             let err = (fast_log2(u) - u.log2()).abs();
             assert!(err < 2e-9, "u = 1 - {delta} ulp: error {err:e}");
+        }
+    }
+
+    #[test]
+    fn relative_error_is_below_2_pow_minus_20_on_the_unit_interval() {
+        // Uniform draws, every binade down to 2^-60, the ulps just below 1, and the
+        // √2/2 reduction boundary.
+        let mut rng = Xoshiro256PlusPlus::new(0x3E1);
+        let mut xs: Vec<f64> = (0..200_000).map(|_| rng.next_open_unit_f64()).collect();
+        for binade in 1..=60 {
+            let base = 0.5f64.powi(binade);
+            xs.extend((0..1_000).map(|_| base * (1.0 + rng.next_unit_f64())));
+        }
+        for shift in 0..52 {
+            let ulps = 1u64 << shift;
+            xs.extend((0..8).map(|d| f64::from_bits(1.0f64.to_bits() - ulps - d)));
+        }
+        let edge = core::f64::consts::FRAC_1_SQRT_2.to_bits();
+        xs.extend((0..64).map(|d| f64::from_bits(edge - 32 + d)));
+        for x in xs.into_iter().filter(|&x| x > 0.0 && x < 1.0) {
+            let exact = x.log2();
+            let relative = ((fast_log2(x) - exact) / exact).abs();
+            assert!(
+                relative < 1.0 / f64::from(1 << 20),
+                "x = {x:e}: relative error {relative:e}"
+            );
         }
     }
 

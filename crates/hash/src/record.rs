@@ -29,10 +29,23 @@
 //! [`RecordStream`] samples this process directly, so the minimum over a prefix of
 //! length `k` has exactly the distribution of `min` of `k` i.i.d. uniforms, and the
 //! joint distribution across nested prefixes matches the idealized model as well.
+//!
+//! # Skipping streams that cannot win
+//!
+//! A sketch keeps, per sample, the minimum over all of a vector's blocks, so a block's
+//! stream matters only if its prefix minimum is *strictly* below the running minimum
+//! `h` of the blocks before it.  Once `h` is small, most streams cannot get there:
+//! their first record below `h` lands past the prefix.  [`undercut_v2`] decides that
+//! for the v2 stream without replaying it.  It walks only the value chain (one
+//! multiply per record, the skip draws kept as raw words) down to the first value
+//! below `h`, and evaluates that one record's skip, usually from
+//! logarithm-free bounds on it.  Because values strictly decrease and every position
+//! is at least the skip that reached it, a skip at or past the prefix length proves
+//! the stream cannot change the minimum; the function's docs give the full argument.
 
 use crate::geometric::{geometric_skip, geometric_skip_v2};
 use crate::log2::fast_log2;
-use crate::mix::{mix2, mix2_key, mix3, splitmix64};
+use crate::mix::{mix2, mix2_key, mix3, splitmix64, u64_to_open_unit_f64};
 use crate::rng::Xoshiro256PlusPlus;
 
 /// A single record (running minimum) of the implicit hash stream.
@@ -328,14 +341,14 @@ pub fn prefix_min_replay_v2_sweep<const N: usize>(
 /// Unlike the v1 pair — where [`prefix_min_replay`] adds a shortcut that a theorem
 /// (locked in by a `geometric.rs` test) proves consistent with the slow path — the v2
 /// replay samples the *same definition* as [`geometric_skip_v2`], shortcut included,
-/// so bit-parity is structural.  The skip arithmetic is spelled out in the loop rather
-/// than called: the replay's `value` is in `(0, 1)` and `u` in `(0, 1]` by
-/// construction, so the definition's domain asserts are vacuous here and eliding them
-/// (together with the call) keeps the per-draw path branch-free up to the two
-/// [`fast_log2`] evaluations that define the stream.  Every arithmetic step —
-/// `1 − p` rounding, the `log₂` quotient, `ceil`, and the saturation ladder — is the
-/// definition's, in the definition's order.  The remaining wins are the same as v1's:
-/// no per-record `Option` bookkeeping, state kept in registers.
+/// so bit-parity is structural.  The skip is computed by `skip_v2`, the definition
+/// with its domain asserts elided: the replay's `value` is in `(0, 1)` and `u` in
+/// `(0, 1]` by construction, so the asserts are vacuous here and eliding them keeps
+/// the per-draw path branch-free up to the two [`fast_log2`] evaluations that define
+/// the stream.  Every arithmetic step — `1 − p` rounding, the `log₂` quotient, `ceil`,
+/// and the saturation ladder — is the definition's, in the definition's order.  The
+/// remaining wins are the same as v1's: no per-record `Option` bookkeeping, state kept
+/// in registers.
 #[must_use]
 pub fn prefix_min_replay_v2_scalar<const N: usize>(
     sample_state: u64,
@@ -354,26 +367,7 @@ pub fn prefix_min_replay_v2_scalar<const N: usize>(
     let mut position = 0u64;
     let mut best = [Record { position, value }; N];
     loop {
-        let u = rng.next_open_unit_f64();
-        // geometric_skip_v2(value, u), domain asserts elided (vacuously true here).
-        let fail = 1.0 - value;
-        let skip = if u >= fail {
-            1
-        } else {
-            let denom = fast_log2(fail);
-            if denom == 0.0 {
-                u64::MAX
-            } else {
-                let quotient = (fast_log2(u) / denom).ceil();
-                if !quotient.is_finite() || quotient >= u64::MAX as f64 {
-                    u64::MAX
-                } else if quotient < 1.0 {
-                    1
-                } else {
-                    quotient as u64
-                }
-            }
-        };
+        let skip = skip_v2(value, rng.next_open_unit_f64());
         let Some(next) = position.checked_add(skip) else {
             break;
         };
@@ -394,6 +388,158 @@ pub fn prefix_min_replay_v2_scalar<const N: usize>(
     }
     std::array::from_fn(|i| (lens[i] > 0).then_some(best[i]))
 }
+
+/// [`geometric_skip_v2`]`(value, u)` with its domain asserts elided, for callers whose
+/// `value` is in `(0, 1)` and `u` in `(0, 1]` by construction: the skip from a record
+/// of value `value` to the next, step for step the definition's arithmetic.
+#[inline(always)]
+fn skip_v2(value: f64, u: f64) -> u64 {
+    let fail = 1.0 - value;
+    if u >= fail {
+        return 1;
+    }
+    let denom = fast_log2(fail);
+    if denom == 0.0 {
+        return u64::MAX;
+    }
+    let quotient = (fast_log2(u) / denom).ceil();
+    if !quotient.is_finite() || quotient >= u64::MAX as f64 {
+        u64::MAX
+    } else if quotient < 1.0 {
+        1
+    } else {
+        quotient as u64
+    }
+}
+
+/// The draws-only undercut test: which of `lens` can the v2 stream of `(sample_state,
+/// block_state)` still win at, against running minima `bounds`?
+///
+/// Returns `lens` with a zero wherever the prefix minimum over the first `lens[i]`
+/// positions provably cannot be *strictly* below `bounds[i]` — so a min-reduction that
+/// keeps a new record only on strict `<` would discard it — and `lens[i]` unchanged
+/// wherever it may be.  Zero lengths stay zero.  All zeros means the stream need not be
+/// replayed at all; otherwise a replay at the returned lengths reproduces every record
+/// that can matter.
+///
+/// The test walks only the value chain.  It seeds the generator exactly as the replay
+/// does and draws `d₀`, then one `(u_k, d_k)` pair per step with `v_k = v_{k−1}·d_k`;
+/// the skip draws `u_k` are kept as raw words and no logarithm is taken.  For each
+/// vector it finds the first `k` with `v_k < bounds[i]` and prunes the vector when that
+/// single skip `s = skip(v_{k−1}, u_k)` is at least `lens[i]` — decided by
+/// `skip_reaches`, from logarithm-free bounds on `s` where they are conclusive and
+/// with the replay's own arithmetic otherwise.  This is exact:
+///
+/// * the draw order is positionally fixed (see the `avx2` module docs), so `v_k` is
+///   the value of the replay's `k`-th record whenever the replay reaches it;
+/// * values strictly decrease, so the record for a prefix beats `bounds[i]` only if it
+///   is record `k` or a later one;
+/// * positions are at least the skip that reached them (`pos_k = pos_{k−1} + s`), and
+///   records after `k` lie further still, so `s ≥ lens[i]` puts every such record
+///   outside the prefix;
+/// * a value that underflows to zero ends the stream before `k`, so the vectors still
+///   waiting are pruned.  (A position overflow would also end it early; the test does
+///   not track positions and simply does not prune on it.)
+///
+/// A first record below a bound (`k = 0`, position 0) always wins, and a bound the walk
+/// has not crossed within `UNDERCUT_STEPS` records is left unpruned.  The fixed-length
+/// replays ([`prefix_min_replay_v2_scalar`] and [`prefix_min_replay_v2_sweep`]) stay
+/// unpruned; this test only decides which of their calls can be skipped.
+#[must_use]
+pub fn undercut_v2<const N: usize>(
+    sample_state: u64,
+    block_state: u64,
+    lens: [u64; N],
+    bounds: [f64; N],
+) -> [u64; N] {
+    // Record values are positive, so only a positive bound can be undercut; the walk
+    // runs until it is below the lowest one.
+    let lowest = (0..N)
+        .filter(|&i| lens[i] > 0 && bounds[i] > 0.0)
+        .map(|i| bounds[i])
+        .fold(f64::INFINITY, f64::min);
+    if lowest == f64::INFINITY {
+        return lens;
+    }
+    let mut rng = Xoshiro256PlusPlus::new(splitmix64(sample_state ^ block_state));
+    // values[k] = v_k and words[k] = the raw draw of u_k (words[0] is unused).
+    let mut values = [0.0f64; UNDERCUT_STEPS];
+    let mut words = [0u64; UNDERCUT_STEPS];
+    let mut value = rng.next_unit_f64();
+    values[0] = value;
+    let mut walked = 1;
+    // An underflow to zero is below every positive bound, so it ends the walk too.
+    while value >= lowest && walked < UNDERCUT_STEPS {
+        words[walked] = rng.next_u64();
+        value *= rng.next_unit_f64();
+        values[walked] = value;
+        walked += 1;
+    }
+    let values = &values[..walked];
+    std::array::from_fn(|i| {
+        let (len, bound) = (lens[i], bounds[i]);
+        let undercuttable = len > 0 && bound > 0.0;
+        if !undercuttable {
+            return len;
+        }
+        // Values strictly decrease (until an underflow to zero), so the first record
+        // below the bound is the one after every record at or above it.
+        let k = values.iter().filter(|&&v| v >= bound).count();
+        match values.get(k) {
+            // The walk stopped (buffer full) before crossing: nothing is known.
+            None => len,
+            // Underflow: the stream ends before record k.
+            Some(&v) if v <= 0.0 => 0,
+            // Record 0 sits at position 0, inside every prefix.
+            Some(_) if k == 0 => len,
+            Some(_) if skip_reaches(values[k - 1], u64_to_open_unit_f64(words[k]), len) => 0,
+            Some(_) => len,
+        }
+    })
+}
+
+/// The slack [`skip_reaches`] leaves between its logarithm-free bounds and the
+/// length: `1 + 2⁻¹⁰`, against a [`fast_log2`] relative error below `2⁻²⁰` on `(0, 1)`
+/// (locked by a `log2.rs` test) and a few roundings of `2⁻⁵³` each.
+const SKIP_BOUND_SLACK: f64 = 1.0 + 1.0 / 1024.0;
+
+/// Whether `skip_v2(value, u) ≥ len`, mostly without taking a logarithm.
+///
+/// The skip is `ceil(q)` for the computed quotient `q ≈ R = ln u / ln(1 − p)` (after
+/// the `u ≥ 1 − p` shortcut, which is exact and cheap).  With `fail = 1 − p` as the
+/// skip rounds it, `w = 1 − fail` (exact by Sterbenz) and `t = 1 − u`, the inequalities
+/// `1 − x ≤ −ln x ≤ (1 − x)/x` bound `R` within `[t·fail/w, t/(u·w)]`.  When the lower
+/// bound clears `len` by the slack, `q > len` and the skip is at least `len`; when the
+/// upper bound stays under `len − 1` by the slack, `q < len − 1` and the skip is below
+/// `len`.  The slack covers `fast_log2`'s relative error in both logarithms and every
+/// rounding, so either answer is the one the exact skip gives.  Only the rare ratio
+/// within the slack of `len` falls through to [`skip_v2`] itself.  (`fail == 1` makes
+/// `w = 0`: the lower bound is then infinite and the skip is the saturated `u64::MAX`,
+/// which agree.)
+#[inline(always)]
+fn skip_reaches(value: f64, u: f64, len: u64) -> bool {
+    let fail = 1.0 - value;
+    if u >= fail {
+        return len <= 1;
+    }
+    let w = 1.0 - fail;
+    let t = 1.0 - u;
+    let len_f = len as f64;
+    if t * fail > SKIP_BOUND_SLACK * len_f * w {
+        true
+    } else if t * SKIP_BOUND_SLACK < (len_f - 1.0) * u * w {
+        false
+    } else {
+        skip_v2(value, u) >= len
+    }
+}
+
+/// The longest value chain [`undercut_v2`] walks.  A walk that has not crossed a bound
+/// by then leaves that length unpruned.  Each step multiplies by a uniform draw, so
+/// crossing a bound `h` takes about `ln(1/h)` steps; a running minimum sits near
+/// `1/L`, so the serving `L = 2²⁴` needs about 17, and 64 leave a wide margin up to
+/// `L` around `2⁶⁰`.
+const UNDERCUT_STEPS: usize = 64;
 
 /// AVX2 replays of the v2 record stream, bit-identical to the scalar reference.
 ///
@@ -897,6 +1043,105 @@ mod tests {
             calls += 1;
         });
         assert_eq!(calls, 2);
+    }
+
+    /// `x` one ulp up or down (for positive finite `x`), without `f64::next_up`.
+    fn ulp_step(x: f64, up: bool) -> f64 {
+        f64::from_bits(if up { x.to_bits() + 1 } else { x.to_bits() - 1 })
+    }
+
+    #[test]
+    fn undercut_never_prunes_a_stream_that_can_win() {
+        // Random streams at lengths up to 2^24 against bounds drawn around the stream's
+        // own prefix minima: equal (a tie, which must not count as a win), one ulp
+        // either side, scaled, or infinite.  A pruned length must have a prefix
+        // minimum at or above its bound; an unpruned one is returned unchanged.
+        let mut rng = Xoshiro256PlusPlus::new(0x0DDC);
+        let draw_len =
+            |rng: &mut Xoshiro256PlusPlus| 1 + rng.next_u64() % (1 << (rng.next_u64() % 25));
+        let (mut pruned, mut kept) = (0u64, 0u64);
+        for _ in 0..6_000 {
+            let (sample_state, block_state) = (rng.next_u64(), rng.next_u64());
+            let truth = |len: u64| {
+                RecordStream::from_states(sample_state, block_state)
+                    .prefix_min_v2(len)
+                    .expect("len >= 1")
+                    .value
+            };
+            let lens: [u64; 3] = std::array::from_fn(|_| {
+                if rng.next_u64() % 6 == 0 {
+                    0
+                } else {
+                    draw_len(&mut rng)
+                }
+            });
+            let bounds: [f64; 3] = std::array::from_fn(|_| {
+                let near = truth(draw_len(&mut rng));
+                match rng.next_u64() % 6 {
+                    0 => near,
+                    1 => ulp_step(near, true),
+                    2 => ulp_step(near, false),
+                    3 => f64::INFINITY,
+                    _ => near * rng.next_range_f64(0.25, 4.0),
+                }
+            });
+            let got = undercut_v2(sample_state, block_state, lens, bounds);
+            for i in 0..3 {
+                if lens[i] > 0 && got[i] == 0 {
+                    assert!(
+                        truth(lens[i]) >= bounds[i],
+                        "pruned a win: len {} bound {:e}",
+                        lens[i],
+                        bounds[i]
+                    );
+                    pruned += 1;
+                } else {
+                    assert_eq!(got[i], lens[i]);
+                    kept += 1;
+                }
+            }
+        }
+        // Both answers are common, so neither direction is checked vacuously.
+        assert!(
+            pruned > 3_000 && kept > 3_000,
+            "pruned {pruned}, kept {kept}"
+        );
+        assert_eq!(undercut_v2(1, 2, [0, 0], [0.5, 0.5]), [0, 0]);
+        assert_eq!(undercut_v2(1, 2, [7], [f64::INFINITY]), [7]);
+    }
+
+    #[test]
+    fn skip_bounds_agree_with_the_exact_skip_at_its_boundary() {
+        // The logarithm-free bounds must answer `skip >= len` exactly as the skip
+        // itself does, most sharply for lengths right around the skip.
+        let mut rng = Xoshiro256PlusPlus::new(0x5C1B);
+        let mut exact_only = 0u64;
+        for _ in 0..100_000 {
+            // Values across the record range, from first records to deep minima.
+            let value = rng.next_unit_f64().powi(1 + (rng.next_u64() % 40) as i32);
+            if value <= 0.0 {
+                continue;
+            }
+            let u = rng.next_open_unit_f64();
+            let skip = skip_v2(value, u);
+            for len in [
+                1,
+                2,
+                skip.saturating_sub(1),
+                skip,
+                skip.saturating_add(1),
+                skip.saturating_mul(2),
+            ] {
+                let len = len.max(1);
+                assert_eq!(
+                    skip_reaches(value, u, len),
+                    skip >= len,
+                    "value {value:e} u {u} len {len} skip {skip}"
+                );
+            }
+            exact_only += u64::from(skip > 2);
+        }
+        assert!(exact_only > 10_000);
     }
 
     #[test]
