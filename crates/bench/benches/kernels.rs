@@ -2,34 +2,34 @@
 //! sketching hot loops, plus dispatched per-method baselines for sketch-build, merge,
 //! and estimate — the trajectory future PRs regress against.
 //!
-//! Beyond the criterion console lines, the suite exports every measurement to
-//! `target/bench-reports/BENCH_kernels.json` (override the path with
-//! `IPSKETCH_BENCH_OUT`; the committed `BENCH_kernels.json` at the repository
-//! root is refreshed only by naming it there, at paper scale):
+//! Every row is timed by [`Timer`]: the arms of each ratio run interleaved, round by
+//! round, and each keeps its best round, so both arms see the same machine
+//! conditions.  The suite writes its profile of `target/bench-reports/BENCH_kernels.json`
+//! (override the path with `IPSKETCH_BENCH_OUT`; the committed `BENCH_kernels.json` at
+//! the repository root is refreshed only by naming it there), with these members:
 //!
-//! * `results` — one `{group, method, variant, ns_per_iter}` row per benchmark;
+//! * `results` — one `{group, method, variant, ns_per_iter}` row per timed arm;
 //! * `kernel_speedups` — scalar-twin time over vectorized-twin time per kernel
 //!   (bit-for-bit identical implementations, so this isolates the restructuring win),
 //!   plus `sketch_build/WMH_v2_column`: a column's three vectors sketched by three
 //!   vectorized sweeps over one shared replay, and `estimate_column/{WMH,CS}`: a
 //!   column pair's six products by six sequential calls (per-repetition dot products
-//!   for CS) over one fused call;
-//! * `format_speedups` — the format-v2 kernel wins: v1-stream time over v2-stream
-//!   time for the WMH custom-ln sketch-build (vectorized twin vs twin), measured on
-//!   interleaved best-of-reps so both arms see the same machine conditions, and gated
-//!   ≥1.5× under `IPSKETCH_BENCH_ENFORCE=1`;
+//!   for CS) over one fused call; gated ≥0.90× under `IPSKETCH_BENCH_ENFORCE=1`;
+//! * `format_speedups` — the format-v2 kernel win: v1-stream time over v2-stream
+//!   time for the WMH custom-ln sketch-build (vectorized twin vs twin), gated ≥1.5×;
 //! * `end_to_end_speedups` — table-scale sketch-build, sequential scalar kernels
 //!   vs. the work-claiming runner driving vectorized kernels — the speedup a user
 //!   of the build path actually observes.
 //!
 //! Environment knobs:
 //!
-//! * `IPSKETCH_BENCH_QUICK=1` — CI-sized inputs and short measurement windows;
+//! * `IPSKETCH_BENCH_QUICK=1` — CI-sized inputs and short rounds, written under the
+//!   `quick` profile;
 //! * `IPSKETCH_BENCH_ENFORCE=1` — exit non-zero if any vectorized kernel is more than
-//!   10% slower than its scalar reference (the CI `bench-baseline` gate).
+//!   10% slower than its scalar reference, or format v2 under 1.5× (the CI
+//!   `bench-baseline` gate).
 
-use criterion::Criterion;
-use ipsketch_bench::report::BenchFiles;
+use ipsketch_bench::report::{self, fixed, BenchReport, Floor, Profile, Timer};
 use ipsketch_core::countsketch::{CountSketch, CountSketcher};
 use ipsketch_core::jl::JlSketcher;
 use ipsketch_core::kernel::{dot_scalar, dot_unrolled, KernelMode};
@@ -43,147 +43,87 @@ use ipsketch_core::storage::{
 use ipsketch_core::traits::Sketcher;
 use ipsketch_core::wmh::{WeightedMinHasher, WmhStream};
 use ipsketch_data::SyntheticPairConfig;
+use ipsketch_serve::wire::Json;
 use ipsketch_vector::SparseVector;
+use std::hint::black_box;
 use std::time::Duration;
 
 const SEED: u64 = 7;
 
 struct Config {
-    quick: bool,
     dimension: u64,
     nonzeros: usize,
     budget_doubles: f64,
     table_vectors: usize,
-    sample_size: usize,
-    measurement: Duration,
+    timer: Timer,
 }
 
 impl Config {
-    fn from_env() -> Self {
-        let quick = std::env::var("IPSKETCH_BENCH_QUICK").is_ok_and(|v| v.trim() == "1");
+    fn new(quick: bool) -> Self {
         if quick {
             Self {
-                quick,
                 dimension: 2_000,
                 nonzeros: 200,
                 budget_doubles: 200.0,
                 table_vectors: 4,
-                sample_size: 3,
-                measurement: Duration::from_millis(250),
+                timer: Timer {
+                    reps: 15,
+                    round: Duration::from_millis(20),
+                },
             }
         } else {
             // Paper-scale: the Figure 4–6 regime (nnz 2000 vectors, budget 400
             // double-equivalents per sketch).
             Self {
-                quick,
                 dimension: 10_000,
                 nonzeros: 2_000,
                 budget_doubles: 400.0,
                 table_vectors: 8,
-                sample_size: 5,
-                measurement: Duration::from_secs(1),
+                timer: Timer {
+                    reps: 7,
+                    round: Duration::from_millis(100),
+                },
             }
         }
     }
 }
 
-#[derive(Debug)]
-struct Measurement {
-    group: &'static str,
-    method: String,
-    variant: &'static str,
-    ns_per_iter: f64,
+/// Times one group's arms interleaved and records a `results` row per arm.
+struct Rows {
+    timer: Timer,
+    results: Vec<Json>,
 }
 
-struct Suite {
-    criterion: Criterion,
-    sample_size: usize,
-    measurement: Duration,
-    results: Vec<Measurement>,
-}
-
-impl Suite {
-    fn bench<F: FnMut()>(
+impl Rows {
+    fn time<const N: usize>(
         &mut self,
-        group: &'static str,
-        method: &str,
-        variant: &'static str,
-        mut routine: F,
-    ) -> f64 {
-        let mut g = self.criterion.benchmark_group(group);
-        g.sample_size(self.sample_size)
-            .measurement_time(self.measurement);
-        g.bench_function(format!("{method}/{variant}"), |b| b.iter(&mut routine));
-        let ns = g.last_mean_ns().expect("benchmark ran").max(1.0);
-        g.finish();
-        self.results.push(Measurement {
-            group,
-            method: method.to_string(),
-            variant,
-            ns_per_iter: ns,
-        });
+        (group, method): (&str, &str),
+        variants: [&str; N],
+        arms: [&mut dyn FnMut(); N],
+    ) -> [f64; N] {
+        let ns = self.timer.best_ns(arms);
+        for (variant, ns) in variants.into_iter().zip(ns) {
+            self.results.push(Json::Obj(vec![
+                ("group".into(), Json::str(group)),
+                ("method".into(), Json::str(method)),
+                ("variant".into(), Json::str(variant)),
+                ("ns_per_iter".into(), fixed(ns, 1)),
+            ]));
+        }
         ns
     }
 }
 
-/// The paper methods the dispatched baselines cover (SimHash is excluded from the
-/// merge/batch groups: it is not mergeable and not a paper baseline).
-fn methods() -> [SketchMethod; 5] {
-    SketchMethod::paper_baselines()
+/// A timed arm: calls `f` and keeps its result from being optimized away.
+fn arm<T>(mut f: impl FnMut() -> T) -> impl FnMut() {
+    move || {
+        black_box(f());
+    }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn write_json(
-    cfg: &Config,
-    threads: usize,
-    results: &[Measurement],
-    kernel_speedups: &[(String, f64)],
-    format_speedups: &[(String, f64)],
-    end_to_end: &[(String, f64)],
-) -> std::io::Result<std::path::PathBuf> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"version\": 1,\n");
-    out.push_str("  \"generated_by\": \"cargo bench -p ipsketch-bench --bench kernels\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", cfg.quick));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!(
-        "  \"parameters\": {{\"dimension\": {}, \"nonzeros\": {}, \"budget_doubles\": {}, \"seed\": {}, \"table_vectors\": {}}},\n",
-        cfg.dimension, cfg.nonzeros, cfg.budget_doubles, SEED, cfg.table_vectors
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"group\": \"{}\", \"method\": \"{}\", \"variant\": \"{}\", \"ns_per_iter\": {:.1}}}{comma}\n",
-            json_escape(m.group),
-            json_escape(&m.method),
-            json_escape(m.variant),
-            m.ns_per_iter
-        ));
-    }
-    out.push_str("  ],\n");
-    for (label, entries, trailing) in [
-        ("kernel_speedups", kernel_speedups, ","),
-        ("format_speedups", format_speedups, ","),
-        ("end_to_end_speedups", end_to_end, ""),
-    ] {
-        out.push_str(&format!("  \"{label}\": {{\n"));
-        for (i, (key, speedup)) in entries.iter().enumerate() {
-            let comma = if i + 1 == entries.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    \"{}\": {:.2}{comma}\n",
-                json_escape(key),
-                speedup
-            ));
-        }
-        out.push_str(&format!("  }}{trailing}\n"));
-    }
-    out.push_str("}\n");
-    BenchFiles::new("BENCH_kernels.json").write(&out)
+/// A ratio row: the first arm's time over the second's.
+fn speedup(row: impl Into<String>, [s, v]: [f64; 2]) -> (String, f64) {
+    (row.into(), s / v)
 }
 
 /// A CountSketch estimate as one dot product per repetition, collected and sorted
@@ -203,290 +143,297 @@ fn per_repetition_median(x: &CountSketch, y: &CountSketch) -> f64 {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let cfg = Config::from_env();
+    let report = BenchReport::open(
+        "BENCH_kernels.json",
+        "cargo bench -p ipsketch-bench --bench kernels",
+    );
+    let cfg = Config::new(report.profile() == Profile::Quick);
     let threads = ipsketch_core::runner::default_threads();
-    let mut suite = Suite {
-        criterion: Criterion::default(),
-        sample_size: cfg.sample_size,
-        measurement: cfg.measurement,
+    let mut rows = Rows {
+        timer: cfg.timer,
         results: Vec::new(),
     };
-
-    let pair = SyntheticPairConfig {
-        dimension: cfg.dimension,
-        nonzeros: cfg.nonzeros,
-        overlap: 0.1,
-        ..SyntheticPairConfig::default()
-    }
-    .generate(SEED)
-    .expect("valid configuration");
+    let twin = ["scalar", "vectorized"];
+    let generate = |seed| {
+        SyntheticPairConfig {
+            dimension: cfg.dimension,
+            nonzeros: cfg.nonzeros,
+            overlap: 0.1,
+            ..SyntheticPairConfig::default()
+        }
+        .generate(seed)
+        .expect("valid configuration")
+    };
+    let pair = generate(SEED);
     let (va, vb) = (pair.a, pair.b);
 
     // ---- Scalar-twin vs vectorized-twin kernel pairs (bit-for-bit identical). ----
     let mut kernel_speedups: Vec<(String, f64)> = Vec::new();
 
     let jl = JlSketcher::new(jl_rows_for_budget(cfg.budget_doubles), SEED).expect("rows >= 1");
-    let s = suite.bench("sketch_build", "JL", "scalar", || {
-        std::hint::black_box(jl.sketch_scalar(&va).expect("sketchable"));
-    });
-    let v = suite.bench("sketch_build", "JL", "vectorized", || {
-        std::hint::black_box(jl.sketch(&va).expect("sketchable"));
-    });
-    kernel_speedups.push(("sketch_build/JL".to_string(), s / v));
-
     let cs = CountSketcher::new(countsketch_buckets_for_budget(cfg.budget_doubles), SEED)
         .expect("buckets >= 1");
-    let s = suite.bench("sketch_build", "CS", "scalar", || {
-        std::hint::black_box(cs.sketch_scalar(&va).expect("sketchable"));
-    });
-    let v = suite.bench("sketch_build", "CS", "vectorized", || {
-        std::hint::black_box(cs.sketch(&va).expect("sketchable"));
-    });
-    kernel_speedups.push(("sketch_build/CS".to_string(), s / v));
-
-    let wmh = WeightedMinHasher::new(
-        wmh_samples_for_budget(cfg.budget_doubles),
-        SEED,
-        DEFAULT_WMH_DISCRETIZATION,
-    )
-    .expect("samples >= 1");
-    let s = suite.bench("sketch_build", "WMH", "scalar", || {
-        std::hint::black_box(wmh.sketch_scalar(&va).expect("sketchable"));
-    });
-    let v = suite.bench("sketch_build", "WMH", "vectorized", || {
-        std::hint::black_box(wmh.sketch(&va).expect("sketchable"));
-    });
-    kernel_speedups.push(("sketch_build/WMH".to_string(), s / v));
-
+    let samples = wmh_samples_for_budget(cfg.budget_doubles);
+    let wmh =
+        WeightedMinHasher::new(samples, SEED, DEFAULT_WMH_DISCRETIZATION).expect("samples >= 1");
     // The format-v2 WMH record stream (custom deterministic ln): same sampler, same
-    // statistical guarantees, bit-incompatible sketches.  Its scalar/vectorized twins
-    // are gated against each other like every kernel pair, and the vectorized v2-vs-v1
-    // ratio is the format-v2 sketch-build win recorded in `format_speedups`.
-    let wmh_v2 = WeightedMinHasher::with_stream(
-        wmh_samples_for_budget(cfg.budget_doubles),
-        SEED,
-        DEFAULT_WMH_DISCRETIZATION,
-        WmhStream::V2,
-    )
-    .expect("samples >= 1");
-    let s2 = suite.bench("sketch_build", "WMH_v2", "scalar", || {
-        std::hint::black_box(wmh_v2.sketch_scalar(&va).expect("sketchable"));
-    });
-    let v2 = suite.bench("sketch_build", "WMH_v2", "vectorized", || {
-        std::hint::black_box(wmh_v2.sketch(&va).expect("sketchable"));
-    });
-    kernel_speedups.push(("sketch_build/WMH_v2".to_string(), s2 / v2));
-    // The format-v2 ratio is measured on its own interleaved reps rather than from the
-    // two criterion means above: those groups run seconds apart, and clock-frequency
-    // drift between them moves the ratio by ±0.1 on a busy host.  Alternating the two
-    // vectorized twins inside one loop exposes both arms to the same machine
-    // conditions, and taking each arm's best rep discards the slow outliers of both
-    // sides alike, so the ratio converges on the actual kernel-speed difference.
-    let format_speedups: Vec<(String, f64)> = {
-        let (reps, iters) = if cfg.quick { (9, 4) } else { (7, 2) };
-        let mut best_v1 = f64::INFINITY;
-        let mut best_v2 = f64::INFINITY;
-        for _ in 0..reps {
-            let start = std::time::Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(wmh.sketch(&va).expect("sketchable"));
-            }
-            best_v1 = best_v1.min(start.elapsed().as_secs_f64());
-            let start = std::time::Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(wmh_v2.sketch(&va).expect("sketchable"));
-            }
-            best_v2 = best_v2.min(start.elapsed().as_secs_f64());
-        }
-        vec![("sketch_build/WMH_v2_over_v1".to_string(), best_v1 / best_v2)]
-    };
+    // statistical guarantees, bit-incompatible sketches.
+    let wmh_v2 =
+        WeightedMinHasher::with_stream(samples, SEED, DEFAULT_WMH_DISCRETIZATION, WmhStream::V2)
+            .expect("samples >= 1");
+    let ns = [
+        rows.time(
+            ("sketch_build", "JL"),
+            twin,
+            [
+                &mut arm(|| jl.sketch_scalar(&va).expect("sketchable")),
+                &mut arm(|| jl.sketch(&va).expect("sketchable")),
+            ],
+        ),
+        rows.time(
+            ("sketch_build", "CS"),
+            twin,
+            [
+                &mut arm(|| cs.sketch_scalar(&va).expect("sketchable")),
+                &mut arm(|| cs.sketch(&va).expect("sketchable")),
+            ],
+        ),
+        rows.time(
+            ("sketch_build", "WMH"),
+            twin,
+            [
+                &mut arm(|| wmh.sketch_scalar(&va).expect("sketchable")),
+                &mut arm(|| wmh.sketch(&va).expect("sketchable")),
+            ],
+        ),
+        rows.time(
+            ("sketch_build", "WMH_v2"),
+            twin,
+            [
+                &mut arm(|| wmh_v2.sketch_scalar(&va).expect("sketchable")),
+                &mut arm(|| wmh_v2.sketch(&va).expect("sketchable")),
+            ],
+        ),
+    ];
+    for (kernel, ns) in ["JL", "CS", "WMH", "WMH_v2"].into_iter().zip(ns) {
+        kernel_speedups.push(speedup(format!("sketch_build/{kernel}"), ns));
+    }
+    // The vectorized v2-over-v1 ratio, timed as its own interleaved pair, is the
+    // format-v2 sketch-build win.
+    let ns = rows.time(
+        ("sketch_build_format", "WMH"),
+        ["v1_vectorized", "v2_vectorized"],
+        [
+            &mut arm(|| wmh.sketch(&va).expect("sketchable")),
+            &mut arm(|| wmh_v2.sketch(&va).expect("sketchable")),
+        ],
+    );
+    let format_speedups = vec![speedup("sketch_build/WMH_v2_over_v1", ns)];
 
     // One column's three Figure-3 vectors (key indicator, values, squared values),
     // sketched as three vectorized v2 sweeps against one pass that replays each
     // `(sample, key)` stream once for all three.  Both arms are bit-identical, so the
     // row gates like a kernel twin.
-    let key_indicator =
-        SparseVector::from_pairs(va.iter().map(|(i, _)| (i, 1.0))).expect("finite values");
-    let squared = SparseVector::from_pairs(va.iter().map(|(i, v)| (i, v * v))).expect("finite");
-    let column = [&key_indicator, &va, &squared];
-    let s = suite.bench("sketch_build", "WMH_v2_column", "three_sweeps", || {
-        for vector in column {
-            std::hint::black_box(wmh_v2.sketch(vector).expect("sketchable"));
-        }
-    });
-    let v = suite.bench("sketch_build", "WMH_v2_column", "one_replay", || {
-        std::hint::black_box(
-            wmh_v2
-                .sketch_many(column.map(|v| (v, None)), KernelMode::Vectorized)
-                .expect("sketchable"),
-        );
-    });
-    kernel_speedups.push(("sketch_build/WMH_v2_column".to_string(), s / v));
+    let triple = |v: &SparseVector| {
+        let indicator = SparseVector::from_pairs(v.iter().map(|(i, _)| (i, 1.0)));
+        let squared = SparseVector::from_pairs(v.iter().map(|(i, x)| (i, x * x)));
+        [
+            indicator.expect("finite"),
+            v.clone(),
+            squared.expect("finite"),
+        ]
+    };
+    let (column_a, column_b) = (triple(&va), triple(&vb));
+    let column = column_a.each_ref();
+    let ns = rows.time(
+        ("sketch_build", "WMH_v2_column"),
+        ["three_sweeps", "one_replay"],
+        [
+            &mut arm(|| column.map(|v| wmh_v2.sketch(v).expect("sketchable"))),
+            &mut arm(|| {
+                let many = column.map(|v| (v, None));
+                wmh_v2
+                    .sketch_many(many, KernelMode::Vectorized)
+                    .expect("sketchable")
+            }),
+        ],
+    );
+    kernel_speedups.push(speedup("sketch_build/WMH_v2_column", ns));
 
     // Estimator dot product (the JL / CountSketch estimate kernel).
-    let ja = jl.sketch(&va).expect("sketchable");
-    let jb = jl.sketch(&vb).expect("sketchable");
-    let s = suite.bench("estimate_dot", "JL", "scalar", || {
-        std::hint::black_box(dot_scalar(ja.rows(), jb.rows()));
-    });
-    let v = suite.bench("estimate_dot", "JL", "vectorized", || {
-        std::hint::black_box(dot_unrolled(ja.rows(), jb.rows()));
-    });
-    kernel_speedups.push(("estimate_dot/JL".to_string(), s / v));
+    let (ja, jb) = (
+        jl.sketch(&va).expect("sketchable"),
+        jl.sketch(&vb).expect("sketchable"),
+    );
+    let ns = rows.time(
+        ("estimate_dot", "JL"),
+        twin,
+        [
+            &mut arm(|| dot_scalar(ja.rows(), jb.rows())),
+            &mut arm(|| dot_unrolled(ja.rows(), jb.rows())),
+        ],
+    );
+    kernel_speedups.push(speedup("estimate_dot/JL", ns));
 
     // One (query, candidate) column pair's six post-join products, as six sequential
     // calls against one fused call — bit-identical arms, so each row gates like a
     // kernel twin.  WMH (at the suite's budget) fuses the six Algorithm-5 passes into
     // one; CountSketch, at the serving companion's 256 buckets × 5 repetitions,
     // interleaves each call's per-repetition dot products.
-    let vb_indicator =
-        SparseVector::from_pairs(vb.iter().map(|(i, _)| (i, 1.0))).expect("finite values");
-    let vb_squared = SparseVector::from_pairs(vb.iter().map(|(i, v)| (i, v * v))).expect("finite");
-    let pair_columns = [column, [&vb_indicator, &vb, &vb_squared]];
     let pair_sketchers = [
         AnySketcher::for_budget(SketchMethod::WeightedMinHash, cfg.budget_doubles, SEED)
             .expect("budget fits"),
         AnySketcher::CountSketch(CountSketcher::new(256, SEED).expect("buckets >= 1")),
     ];
     for sketcher in &pair_sketchers {
-        let [qa, qb] = pair_columns.map(|col| col.map(|v| sketcher.sketch(v).expect("sketchable")));
+        let [qa, qb] = [&column_a, &column_b].map(|col| {
+            col.each_ref()
+                .map(|v| sketcher.sketch(v).expect("sketchable"))
+        });
         let (qa, qb) = (qa.each_ref(), qb.each_ref());
         let label = sketcher.method().label();
-        let s = match sketcher {
-            AnySketcher::CountSketch(_) => {
-                suite.bench("estimate_column", label, "per_repetition_dots", || {
-                    for (i, j) in COLUMN_PAIR_PRODUCTS {
-                        let (AnySketch::CountSketch(x), AnySketch::CountSketch(y)) = (qa[i], qb[j])
-                        else {
-                            unreachable!("CountSketch sketches")
-                        };
-                        std::hint::black_box(per_repetition_median(x, y));
-                    }
-                })
-            }
-            _ => suite.bench("estimate_column", label, "six_calls", || {
-                for (i, j) in COLUMN_PAIR_PRODUCTS {
-                    std::hint::black_box(
-                        sketcher
-                            .estimate_inner_product(qa[i], qb[j])
-                            .expect("compatible"),
-                    );
-                }
-            }),
+        let baseline = match sketcher {
+            AnySketcher::CountSketch(_) => "per_repetition_dots",
+            _ => "six_calls",
         };
-        let v = suite.bench("estimate_column", label, "fused", || {
-            std::hint::black_box(sketcher.estimate_column_pair(qa, qb).expect("compatible"));
-        });
-        kernel_speedups.push((format!("estimate_column/{label}"), s / v));
+        let ns = rows.time(
+            ("estimate_column", label),
+            [baseline, "fused"],
+            [
+                &mut arm(|| {
+                    COLUMN_PAIR_PRODUCTS.map(|(i, j)| match (qa[i], qb[j]) {
+                        (AnySketch::CountSketch(x), AnySketch::CountSketch(y)) => {
+                            per_repetition_median(x, y)
+                        }
+                        (x, y) => sketcher.estimate_inner_product(x, y).expect("compatible"),
+                    })
+                }),
+                &mut arm(|| sketcher.estimate_column_pair(qa, qb).expect("compatible")),
+            ],
+        );
+        kernel_speedups.push(speedup(format!("estimate_column/{label}"), ns));
     }
 
     // ---- Dispatched per-method baselines: sketch-build, merge, estimate. ----
-    for method in methods() {
+    for method in SketchMethod::paper_baselines() {
         let sketcher =
             AnySketcher::for_budget(method, cfg.budget_doubles, SEED).expect("budget fits");
         let label = method.label();
-        suite.bench("sketch_build_dispatch", label, "default", || {
-            std::hint::black_box(sketcher.sketch(&va).expect("sketchable"));
-        });
-
         // Merge two announced-norm partials of the same vector (the distributed fold).
         let pairs: Vec<(u64, f64)> = va.iter().collect();
-        let half = pairs.len() / 2;
-        let left = SparseVector::from_pairs(pairs[..half].iter().copied()).expect("well formed");
-        let right = SparseVector::from_pairs(pairs[half..].iter().copied()).expect("well formed");
-        let norm = va.norm();
-        let pa = sketcher.sketch_partial(&left, norm).expect("partial");
-        let pb = sketcher.sketch_partial(&right, norm).expect("partial");
-        suite.bench("merge", label, "default", || {
-            std::hint::black_box(sketcher.merge_sketches(&pa, &pb).expect("mergeable"));
-        });
-
-        let sa = sketcher.sketch(&va).expect("sketchable");
-        let sb = sketcher.sketch(&vb).expect("sketchable");
-        suite.bench("estimate", label, "default", || {
-            std::hint::black_box(
+        let (left, right) = pairs.split_at(pairs.len() / 2);
+        let partial = |half: &[(u64, f64)]| {
+            let half = SparseVector::from_pairs(half.iter().copied()).expect("well formed");
+            sketcher.sketch_partial(&half, va.norm()).expect("partial")
+        };
+        let (pa, pb) = (partial(left), partial(right));
+        let (sa, sb) = (sketcher.sketch(&va), sketcher.sketch(&vb));
+        let (sa, sb) = (sa.expect("sketchable"), sb.expect("sketchable"));
+        rows.time(
+            ("sketch_build_dispatch", label),
+            ["default"],
+            [&mut arm(|| sketcher.sketch(&va).expect("sketchable"))],
+        );
+        rows.time(
+            ("merge", label),
+            ["default"],
+            [&mut arm(|| {
+                sketcher.merge_sketches(&pa, &pb).expect("mergeable")
+            })],
+        );
+        rows.time(
+            ("estimate", label),
+            ["default"],
+            [&mut arm(|| {
                 sketcher
                     .estimate_inner_product(&sa, &sb)
-                    .expect("compatible"),
-            );
-        });
+                    .expect("compatible")
+            })],
+        );
     }
 
-    // ---- End-to-end: table-scale sketch-build, PR-3 shape vs. this PR. ----
+    // ---- End-to-end: table-scale sketch-build, sequential scalar vs the runner. ----
     let table: Vec<SparseVector> = (0..cfg.table_vectors as u64)
-        .map(|i| {
-            SyntheticPairConfig {
-                dimension: cfg.dimension,
-                nonzeros: cfg.nonzeros,
-                overlap: 0.1,
-                ..SyntheticPairConfig::default()
-            }
-            .generate(SEED + i)
-            .expect("valid configuration")
-            .a
-        })
+        .map(|i| generate(SEED + i).a)
         .collect();
-    let mut end_to_end: Vec<(String, f64)> = Vec::new();
-
-    let s = suite.bench("table_build", "JL", "seq_scalar", || {
-        for v in &table {
-            std::hint::black_box(jl.sketch_scalar(v).expect("sketchable"));
-        }
-    });
-    let v = suite.bench("table_build", "JL", "par_vectorized", || {
-        std::hint::black_box(parallel_map(&table, threads, |v| {
-            jl.sketch(v).expect("sketchable")
-        }));
-    });
-    end_to_end.push(("table_build/JL".to_string(), s / v));
-
-    let s = suite.bench("table_build", "WMH", "seq_scalar", || {
-        for v in &table {
-            std::hint::black_box(wmh.sketch_scalar(v).expect("sketchable"));
-        }
-    });
-    let v = suite.bench("table_build", "WMH", "par_vectorized", || {
-        std::hint::black_box(parallel_map(&table, threads, |v| {
-            wmh.sketch(v).expect("sketchable")
-        }));
-    });
-    end_to_end.push(("table_build/WMH".to_string(), s / v));
+    let ns = rows.time(
+        ("table_build", "JL"),
+        ["seq_scalar", "par_vectorized"],
+        [
+            &mut arm(|| {
+                table
+                    .iter()
+                    .map(|v| jl.sketch_scalar(v).expect("sketchable"))
+                    .collect::<Vec<_>>()
+            }),
+            &mut arm(|| parallel_map(&table, threads, |v| jl.sketch(v).expect("sketchable"))),
+        ],
+    );
+    let mut end_to_end = vec![speedup("table_build/JL", ns)];
+    let ns = rows.time(
+        ("table_build", "WMH"),
+        ["seq_scalar", "par_vectorized"],
+        [
+            &mut arm(|| {
+                table
+                    .iter()
+                    .map(|v| wmh.sketch_scalar(v).expect("sketchable"))
+                    .collect::<Vec<_>>()
+            }),
+            &mut arm(|| parallel_map(&table, threads, |v| wmh.sketch(v).expect("sketchable"))),
+        ],
+    );
+    end_to_end.push(speedup("table_build/WMH", ns));
 
     // ---- Export + gate. ----
-    let path = write_json(
-        &cfg,
-        threads,
-        &suite.results,
-        &kernel_speedups,
-        &format_speedups,
-        &end_to_end,
-    )
-    .expect("BENCH_kernels.json is writable");
-    println!("\nwrote {}", path.display());
-    for (kernel, speedup) in &kernel_speedups {
-        println!("kernel speedup {kernel}: {speedup:.2}x");
-    }
-    for (pair, speedup) in &format_speedups {
-        println!("format speedup {pair}: {speedup:.2}x");
-    }
-    for (flow, speedup) in &end_to_end {
-        println!("end-to-end speedup {flow}: {speedup:.2}x");
-    }
+    let map = |ratios: &[(String, f64)]| {
+        Json::Obj(
+            ratios
+                .iter()
+                .map(|(k, r)| (k.clone(), fixed(*r, 2)))
+                .collect(),
+        )
+    };
+    let parameters = Json::Obj(vec![
+        ("dimension".into(), Json::u64(cfg.dimension)),
+        ("nonzeros".into(), Json::u64(cfg.nonzeros as u64)),
+        ("budget_doubles".into(), Json::f64(cfg.budget_doubles)),
+        ("seed".into(), Json::u64(SEED)),
+        ("table_vectors".into(), Json::u64(cfg.table_vectors as u64)),
+        ("threads".into(), Json::u64(threads as u64)),
+        ("reps".into(), Json::u64(cfg.timer.reps as u64)),
+        (
+            "round_ms".into(),
+            Json::u64(cfg.timer.round.as_millis() as u64),
+        ),
+    ]);
+    report
+        .write(&[
+            ("parameters", parameters),
+            ("results", Json::Arr(rows.results)),
+            ("kernel_speedups", map(&kernel_speedups)),
+            ("format_speedups", map(&format_speedups)),
+            ("end_to_end_speedups", map(&end_to_end)),
+        ])
+        .expect("BENCH_kernels.json is writable");
 
-    if std::env::var("IPSKETCH_BENCH_ENFORCE").is_ok_and(|v| v.trim() == "1") {
-        // 10% tolerance: the gate catches real regressions, not scheduler noise.
-        let regressed: Vec<&(String, f64)> =
-            kernel_speedups.iter().filter(|(_, s)| *s < 0.90).collect();
-        if !regressed.is_empty() {
-            eprintln!("vectorized kernels slower than their scalar references: {regressed:?}");
-            std::process::exit(1);
-        }
-        // The format-v2 acceptance bar: the custom-ln stream must build WMH sketches
-        // at least 1.5x faster than the v1 libm stream (vectorized twin vs twin).
-        let slow: Vec<&(String, f64)> = format_speedups.iter().filter(|(_, s)| *s < 1.5).collect();
-        if !slow.is_empty() {
-            eprintln!("format-v2 kernels under the 1.5x acceptance bar: {slow:?}");
-            std::process::exit(1);
+    // Twins: 10% tolerance, so the gate catches real regressions, not scheduler
+    // noise.  Format v2: the custom-ln stream must build WMH sketches at least 1.5x
+    // faster than the v1 libm stream (vectorized twin vs twin).
+    let mut floors = Vec::new();
+    for (label, ratios, floor) in [
+        ("kernel", &kernel_speedups, Some(0.90)),
+        ("format", &format_speedups, Some(1.5)),
+        ("end-to-end", &end_to_end, None),
+    ] {
+        for (row, speedup) in ratios {
+            println!("{label} speedup {row}: {speedup:.2}x");
+            floors.extend(floor.map(|floor| Floor {
+                row: row.clone(),
+                measured: Some(*speedup),
+                floor,
+            }));
         }
     }
+    report::enforce(&floors);
 }

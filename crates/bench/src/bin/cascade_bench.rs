@@ -32,10 +32,10 @@
 //! (both tiers) happens before the clock starts.  Both answers are checked
 //! against [`rank`], the path a served query takes.
 //!
-//! Results merge into the committed `BENCH_cascade.json` at the repository
-//! root under a `quick` or `full` profile, and the merged report is written to
-//! `target/bench-reports/BENCH_cascade.json`. Environment knobs mirror the
-//! serve suite:
+//! Results are written under a `quick` or `full` profile beside the committed
+//! `BENCH_cascade.json`'s other profile (carried over verbatim) to
+//! `target/bench-reports/BENCH_cascade.json`, through the harness the serve and
+//! kernel suites share ([`ipsketch_bench::report`]). Environment knobs:
 //!
 //! * `IPSKETCH_BENCH_QUICK=1` — CI-sized runs under the `quick` profile;
 //! * `IPSKETCH_BENCH_ENFORCE=1` — exit non-zero if any workload's measured
@@ -49,7 +49,7 @@
 //! committed speedups are a conservative floor across repeated runs on the
 //! reference machine, not one lucky run.
 
-use ipsketch_bench::report::BenchFiles;
+use ipsketch_bench::report::{self, fixed, mean, quantile, BenchReport, Floor};
 use ipsketch_core::method::{AnySketcher, SketchMethod};
 use ipsketch_data::text::CorpusConfig;
 use ipsketch_data::tfidf::{TfIdfConfig, TfIdfVectorizer};
@@ -59,7 +59,6 @@ use ipsketch_serve::service::{rank, Mode, RankRequest};
 use ipsketch_serve::wire::Json;
 use ipsketch_serve::QueryService;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 use std::time::Instant;
 
 const SEED: u64 = 7;
@@ -69,7 +68,6 @@ const PRIMARY_BUDGET: f64 = 1024.0;
 const K: usize = 10;
 
 struct Profile {
-    quick: bool,
     /// Candidate tables per workload (documents, for `tfidf`).
     tables: usize,
     /// Distinct query columns per workload.
@@ -79,30 +77,19 @@ struct Profile {
 }
 
 impl Profile {
-    fn from_env() -> Self {
-        let quick = std::env::var("IPSKETCH_BENCH_QUICK").is_ok_and(|v| v.trim() == "1");
+    fn new(quick: bool) -> Self {
         if quick {
             Self {
-                quick,
                 tables: 48,
                 queries: 3,
                 reps: 20,
             }
         } else {
             Self {
-                quick,
                 tables: 160,
                 queries: 5,
                 reps: 60,
             }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        if self.quick {
-            "quick"
-        } else {
-            "full"
         }
     }
 }
@@ -258,21 +245,6 @@ fn tfidf_workload(profile: &Profile) -> Workload {
     }
 }
 
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn mean(samples: &[u64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.iter().sum::<u64>() as f64 / samples.len() as f64
-}
-
 /// Recall@k of the cascade answer against the flat answer's column set.
 fn recall(cascade: &[RankedColumn], flat: &[RankedColumn]) -> f64 {
     if flat.is_empty() {
@@ -404,87 +376,27 @@ fn run_workload(workload: &Workload, profile: &Profile) -> WorkloadResult {
     result
 }
 
-// ---- Report I/O: merge the measured profile into the committed baseline. ----
-
-fn parse_profile(doc: &Json, profile: &str) -> Option<(Json, Vec<WorkloadResult>)> {
-    let section = doc.get("profiles")?.get(profile)?;
-    let parameters = section.get("parameters")?.clone();
-    let Json::Arr(rows) = section.get("results")? else {
-        return None;
-    };
-    let mut results = Vec::new();
-    for row in rows {
-        results.push(WorkloadResult {
-            workload: row.get("workload")?.as_str()?.to_string(),
-            candidates: usize::try_from(row.get("candidates")?.as_u64()?).ok()?,
-            flat_mean_us: row.get("flat_mean_us")?.as_f64()?,
-            flat_p50_us: row.get("flat_p50_us")?.as_u64()?,
-            cascade_mean_us: row.get("cascade_mean_us")?.as_f64()?,
-            cascade_p50_us: row.get("cascade_p50_us")?.as_u64()?,
-            speedup: row.get("speedup")?.as_f64()?,
-            recall_at_k: row.get("recall_at_k")?.as_f64()?,
-        });
+impl WorkloadResult {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("workload".into(), Json::str(&self.workload)),
+            ("candidates".into(), Json::u64(self.candidates as u64)),
+            ("flat_mean_us".into(), fixed(self.flat_mean_us, 1)),
+            ("flat_p50_us".into(), Json::u64(self.flat_p50_us)),
+            ("cascade_mean_us".into(), fixed(self.cascade_mean_us, 1)),
+            ("cascade_p50_us".into(), Json::u64(self.cascade_p50_us)),
+            ("speedup".into(), fixed(self.speedup, 2)),
+            ("recall_at_k".into(), fixed(self.recall_at_k, 3)),
+        ])
     }
-    Some((parameters, results))
-}
-
-fn render_profile(out: &mut String, parameters: &Json, results: &[WorkloadResult]) {
-    out.push_str(&format!("      \"parameters\": {parameters},\n"));
-    out.push_str("      \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        out.push_str(&format!(
-            "        {{\"workload\": \"{}\", \"candidates\": {}, \"flat_mean_us\": {:.1}, \
-             \"flat_p50_us\": {}, \"cascade_mean_us\": {:.1}, \"cascade_p50_us\": {}, \
-             \"speedup\": {:.2}, \"recall_at_k\": {:.3}}}{comma}\n",
-            r.workload,
-            r.candidates,
-            r.flat_mean_us,
-            r.flat_p50_us,
-            r.cascade_mean_us,
-            r.cascade_p50_us,
-            r.speedup,
-            r.recall_at_k
-        ));
-    }
-    out.push_str("      ]\n");
-}
-
-fn write_report(
-    files: &BenchFiles,
-    profile: &Profile,
-    parameters: &Json,
-    results: &[WorkloadResult],
-    baseline: Option<&Json>,
-) -> std::io::Result<PathBuf> {
-    let other_name = if profile.quick { "full" } else { "quick" };
-    let other = baseline.and_then(|doc| parse_profile(doc, other_name));
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"version\": 1,\n");
-    out.push_str(
-        "  \"generated_by\": \"cargo run --release -p ipsketch-bench --bin cascade_bench\",\n",
-    );
-    out.push_str("  \"profiles\": {\n");
-    let mut sections: Vec<(&str, &Json, &[WorkloadResult])> = Vec::new();
-    sections.push((profile.name(), parameters, results));
-    if let Some((params, rows)) = &other {
-        sections.push((other_name, params, rows));
-    }
-    sections.sort_by_key(|(name, _, _)| *name); // stable file order: full, quick
-    for (i, (name, params, rows)) in sections.iter().enumerate() {
-        let comma = if i + 1 == sections.len() { "" } else { "," };
-        out.push_str(&format!("    \"{name}\": {{\n"));
-        render_profile(&mut out, params, rows);
-        out.push_str(&format!("    }}{comma}\n"));
-    }
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    files.write(&out)
 }
 
 fn main() {
-    let profile = Profile::from_env();
+    let report = BenchReport::open(
+        "BENCH_cascade.json",
+        "cargo run --release -p ipsketch-bench --bin cascade_bench",
+    );
+    let profile = Profile::new(report.profile() == report::Profile::Quick);
     let workloads = [
         synthetic_workload(&profile),
         worldbank_workload(&profile),
@@ -507,51 +419,33 @@ fn main() {
         ),
         ("seed".to_string(), Json::u64(SEED)),
     ]);
-    let files = BenchFiles::new("BENCH_cascade.json");
-    let baseline = std::fs::read_to_string(&files.committed)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok());
-    let path = write_report(&files, &profile, &parameters, &results, baseline.as_ref())
+    report
+        .write(&[
+            ("parameters", parameters),
+            (
+                "results",
+                Json::Arr(results.iter().map(WorkloadResult::to_json).collect()),
+            ),
+        ])
         .expect("report writes");
-    println!("\nwrote {}", path.display());
 
-    if std::env::var("IPSKETCH_BENCH_ENFORCE").is_ok_and(|v| v.trim() == "1") {
-        // Recall is a correctness contract, not a tuning knob: enforce it even
-        // without a committed baseline.
-        let mut failures: Vec<String> = results
-            .iter()
-            .filter(|r| r.recall_at_k < 1.0)
-            .map(|r| format!("{}: recall@{K} {} < 1.0", r.workload, r.recall_at_k))
-            .collect();
-        if let Some((_, committed)) = baseline
-            .as_ref()
-            .and_then(|doc| parse_profile(doc, profile.name()))
-        {
-            // 25% tolerance: shared CI runners are noisy; the gate is for real
-            // regressions (a broken prefilter, a widened margin), not jitter.
-            for base in &committed {
-                let Some(now) = results.iter().find(|r| r.workload == base.workload) else {
-                    failures.push(format!("{} vanished", base.workload));
-                    continue;
-                };
-                if now.speedup < 0.75 * base.speedup {
-                    failures.push(format!(
-                        "{}: {:.2}x vs baseline {:.2}x",
-                        base.workload, now.speedup, base.speedup
-                    ));
-                }
-            }
-        } else {
-            println!(
-                "no committed `{}` baseline in BENCH_cascade.json; enforcing recall only",
-                profile.name()
-            );
-        }
-        if failures.is_empty() {
-            println!("all workloads within 25% of the committed baseline");
-        } else {
-            eprintln!("cascade bench regressed beyond tolerance: {failures:#?}");
-            std::process::exit(1);
-        }
-    }
+    // Recall is a correctness contract, not a tuning knob: it is gated even
+    // without a committed baseline.  Speedups get 25% tolerance: shared CI
+    // runners are noisy; the gate is for real regressions (a broken prefilter,
+    // a widened margin), not jitter.
+    let mut floors: Vec<Floor> = results
+        .iter()
+        .map(|r| Floor {
+            row: format!("{} recall@{K}", r.workload),
+            measured: Some(r.recall_at_k),
+            floor: 1.0,
+        })
+        .collect();
+    floors.extend(
+        report.relative_floors(&["workload"], "speedup", 0.75, |key| {
+            let now = results.iter().find(|r| r.workload == key[0])?;
+            Some(now.speedup)
+        }),
+    );
+    report::enforce(&floors);
 }

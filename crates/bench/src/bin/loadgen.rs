@@ -26,11 +26,10 @@
 //! server-side stalls surface as tail latency instead of being absorbed by a
 //! slowing client (no coordinated omission).
 //!
-//! Results merge into the committed `BENCH_serve.json` at the repository root
-//! under a `quick` or `full` profile (the other profile's committed numbers
-//! are preserved), and the merged report is written to
-//! `target/bench-reports/BENCH_serve.json`. Environment knobs mirror the
-//! kernel suite:
+//! Results are written under a `quick` or `full` profile beside the committed
+//! `BENCH_serve.json`'s other profile (carried over verbatim) to
+//! `target/bench-reports/BENCH_serve.json`, through the harness the kernel and
+//! cascade suites share ([`ipsketch_bench::report`]). Environment knobs:
 //!
 //! * `IPSKETCH_BENCH_QUICK=1` — CI-sized runs under the `quick` profile;
 //! * `IPSKETCH_BENCH_ENFORCE=1` — exit non-zero if any scenario's sustained
@@ -45,9 +44,9 @@
 //! one lucky run. Refresh them the same way: run quick a few times and keep
 //! the minima.
 
-use ipsketch_bench::report::BenchFiles;
+use ipsketch_bench::report::{self, fixed, quantile, BenchReport};
 use ipsketch_core::method::{AnySketcher, SketchMethod};
-use ipsketch_data::DataLakeConfig;
+use ipsketch_data::{DataLake, DataLakeConfig, Table};
 use ipsketch_serve::faults::{FaultMode, FaultProxy};
 use ipsketch_serve::protocol::{Mode, Request, RequestBody, Response, WireQuery, WireTable};
 use ipsketch_serve::router::{serve_router, NodeSpec, Router, RouterHandle};
@@ -65,7 +64,6 @@ const SEED: u64 = 7;
 const OPEN_LOOP_FRACTION: f64 = 0.7;
 
 struct Profile {
-    quick: bool,
     /// Tables pre-ingested into the served catalog.
     tables: usize,
     /// Queries per batch-query request.
@@ -79,11 +77,9 @@ struct Profile {
 }
 
 impl Profile {
-    fn from_env() -> Self {
-        let quick = std::env::var("IPSKETCH_BENCH_QUICK").is_ok_and(|v| v.trim() == "1");
+    fn new(quick: bool) -> Self {
         if quick {
             Self {
-                quick,
                 tables: 8,
                 batch: 8,
                 connections: 2,
@@ -92,21 +88,12 @@ impl Profile {
             }
         } else {
             Self {
-                quick,
                 tables: 24,
                 batch: 16,
                 connections: 4,
                 capacity: Duration::from_secs(1),
                 measure: Duration::from_secs(3),
             }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        if self.quick {
-            "quick"
-        } else {
-            "full"
         }
     }
 }
@@ -212,16 +199,22 @@ struct Workload {
     ingest_template: WireTable,
 }
 
-fn build_workload(tag: &str, profile: &Profile) -> Workload {
+/// An empty catalog in a fresh temporary directory named after `tag`.  JL
+/// keeps per-request sketching cheap, so the measurement weighs the serving
+/// path (framing, locks, queueing) rather than the sketch kernel.
+fn create_catalog(tag: &str) -> (PathBuf, QueryService) {
     let root = std::env::temp_dir().join(format!("ipsketch-loadgen-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    // JL keeps per-request sketching cheap, so the measurement weighs the
-    // serving path (framing, locks, queueing) rather than the sketch kernel.
     let spec = AnySketcher::for_budget(SketchMethod::Jl, 256.0, SEED)
         .expect("budget fits")
         .spec();
-    let mut service = QueryService::create(&root, spec).expect("create catalog");
-    let lake = DataLakeConfig {
+    let service = QueryService::create(&root, spec).expect("create catalog");
+    (root, service)
+}
+
+/// The lake every scenario serves.
+fn lake(profile: &Profile) -> DataLake {
+    DataLakeConfig {
         tables: profile.tables,
         columns_per_table: 2,
         min_rows: 100,
@@ -229,7 +222,44 @@ fn build_workload(tag: &str, profile: &Profile) -> Workload {
         key_universe: 1_000,
     }
     .generate(SEED)
-    .expect("valid config");
+    .expect("valid config")
+}
+
+/// `column` of `table` as a query from a table no catalog holds.
+fn wire_query(table: &Table, column: &str) -> WireQuery {
+    WireQuery {
+        table: "loadgen".to_string(),
+        column: column.to_string(),
+        keys: table.keys().to_vec(),
+        values: table
+            .columns()
+            .iter()
+            .find(|c| c.name == column)
+            .expect("column exists")
+            .values
+            .clone(),
+    }
+}
+
+/// The single joinability query every `query` scenario sends: `table`'s
+/// first column.
+fn query_line(table: &Table) -> String {
+    Request {
+        id: Json::u64(1),
+        body: RequestBody::Query {
+            mode: Mode::Joinable,
+            k: 5,
+            min_join_size: 0.0,
+            cascade: false,
+            query: wire_query(table, &table.columns()[0].name),
+        },
+    }
+    .encode()
+}
+
+fn build_workload(tag: &str, profile: &Profile) -> Workload {
+    let (root, mut service) = create_catalog(tag);
+    let lake = lake(profile);
     for table in lake.tables() {
         service.ingest_table(table).expect("lake ingests");
     }
@@ -237,30 +267,7 @@ fn build_workload(tag: &str, profile: &Profile) -> Workload {
     service.ensure_hydrated().expect("catalog hydrates");
 
     let first = &lake.tables()[0];
-    let wire_query = |column: &str| WireQuery {
-        table: "loadgen".to_string(),
-        column: column.to_string(),
-        keys: first.keys().to_vec(),
-        values: first
-            .columns()
-            .iter()
-            .find(|c| c.name == column)
-            .expect("column exists")
-            .values
-            .clone(),
-    };
-    let query = wire_query(&first.columns()[0].name);
-    let query_line = Request {
-        id: Json::u64(1),
-        body: RequestBody::Query {
-            mode: Mode::Joinable,
-            k: 5,
-            min_join_size: 0.0,
-            cascade: false,
-            query: query.clone(),
-        },
-    }
-    .encode();
+    let query_line = query_line(first);
     let batch_line = Request {
         id: Json::u64(2),
         body: RequestBody::BatchQuery {
@@ -273,7 +280,7 @@ fn build_workload(tag: &str, profile: &Profile) -> Workload {
                 .iter()
                 .cycle()
                 .take(profile.batch)
-                .map(|c| wire_query(&c.name))
+                .map(|c| wire_query(first, &c.name))
                 .collect(),
         },
     }
@@ -317,13 +324,7 @@ fn build_routed_workload(profile: &Profile, flaky: bool) -> RoutedWorkload {
     let mut nodes = Vec::new();
     let mut roots = Vec::new();
     for i in 0..3 {
-        let root =
-            std::env::temp_dir().join(format!("ipsketch-loadgen-{tag}-{i}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let spec = AnySketcher::for_budget(SketchMethod::Jl, 256.0, SEED)
-            .expect("budget fits")
-            .spec();
-        let service = QueryService::create(&root, spec).expect("create catalog");
+        let (root, service) = create_catalog(&format!("{tag}-{i}"));
         let handle = serve(
             service,
             ServerConfig::builder()
@@ -351,15 +352,7 @@ fn build_routed_workload(profile: &Profile, flaky: bool) -> RoutedWorkload {
     let router = Router::new(specs, 2).expect("valid router");
     let router = serve_router(router, "127.0.0.1:0".parse().expect("addr")).expect("route");
 
-    let lake = DataLakeConfig {
-        tables: profile.tables,
-        columns_per_table: 2,
-        min_rows: 100,
-        max_rows: 300,
-        key_universe: 1_000,
-    }
-    .generate(SEED)
-    .expect("valid config");
+    let lake = lake(profile);
     let mut conn = Conn::connect(Framer::Tcp, router.addr());
     for table in lake.tables() {
         let line = Request {
@@ -373,23 +366,7 @@ fn build_routed_workload(profile: &Profile, flaky: bool) -> RoutedWorkload {
         conn.call("/v1/ingest", &line);
     }
 
-    let first = &lake.tables()[0];
-    let query_line = Request {
-        id: Json::u64(1),
-        body: RequestBody::Query {
-            mode: Mode::Joinable,
-            k: 5,
-            min_join_size: 0.0,
-            cascade: false,
-            query: WireQuery {
-                table: "loadgen".to_string(),
-                column: first.columns()[0].name.clone(),
-                keys: first.keys().to_vec(),
-                values: first.columns()[0].values.clone(),
-            },
-        },
-    }
-    .encode();
+    let query_line = query_line(&lake.tables()[0]);
     // Warm every node's hydration path through the router before measuring.
     conn.call("/v1/query", &query_line);
     if let Some(proxy) = &proxy {
@@ -483,14 +460,6 @@ fn measure_open_loop(
     (sustained, all)
 }
 
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Runs one (scenario, framer) pair: capacity probe, then the open-loop window.
 fn run_scenario(
     scenario: &str,
@@ -533,111 +502,71 @@ fn run_scenario(
         })
     });
 
+    let result = measure(scenario, framer, addr, path, line, profile);
+    stop.store(true, Ordering::Relaxed);
+    match ingester.map(|t| t.join().expect("ingester")) {
+        Some(n) => println!("{} | {n} concurrent ingests", result.line()),
+        None => println!("{}", result.line()),
+    }
+    result
+}
+
+/// One scenario's numbers: the capacity probe, then the open-loop window at
+/// [`OPEN_LOOP_FRACTION`] of that capacity.
+fn measure(
+    scenario: &str,
+    framer: Framer,
+    addr: SocketAddr,
+    path: &str,
+    line: &str,
+    profile: &Profile,
+) -> ScenarioResult {
     let capacity_qps = measure_capacity(framer, addr, path, line, profile);
     let target = capacity_qps * OPEN_LOOP_FRACTION;
     let (sustained_qps, mut latencies) =
         measure_open_loop(framer, addr, path, line, profile, target);
     latencies.sort_unstable();
-
-    stop.store(true, Ordering::Relaxed);
-    let ingested = ingester.map(|t| t.join().expect("ingester"));
-
-    let result = ScenarioResult {
+    ScenarioResult {
         scenario: scenario.to_string(),
         framer: framer.label().to_string(),
         capacity_qps,
         sustained_qps,
         p50_us: quantile(&latencies, 0.50),
         p99_us: quantile(&latencies, 0.99),
-    };
-    print!(
-        "{:>20} / {:<5} capacity {:>8.0} qps | sustained {:>8.0} qps | p50 {:>6} us | p99 {:>6} us",
-        result.scenario,
-        result.framer,
-        result.capacity_qps,
-        result.sustained_qps,
-        result.p50_us,
-        result.p99_us
-    );
-    if let Some(n) = ingested {
-        print!(" | {n} concurrent ingests");
     }
-    println!();
-    result
 }
 
-// ---- Report I/O: merge the measured profile into the committed baseline. ----
+impl ScenarioResult {
+    fn line(&self) -> String {
+        format!(
+            "{:>20} / {:<5} capacity {:>8.0} qps | sustained {:>8.0} qps | p50 {:>6} us | p99 {:>6} us",
+            self.scenario,
+            self.framer,
+            self.capacity_qps,
+            self.sustained_qps,
+            self.p50_us,
+            self.p99_us
+        )
+    }
 
-/// Parses one profile's results back out of a previously written report.
-fn parse_profile(doc: &Json, profile: &str) -> Option<(Json, Vec<ScenarioResult>)> {
-    let section = doc.get("profiles")?.get(profile)?;
-    let parameters = section.get("parameters")?.clone();
-    let Json::Arr(rows) = section.get("results")? else {
-        return None;
-    };
-    let mut results = Vec::new();
-    for row in rows {
-        results.push(ScenarioResult {
-            scenario: row.get("scenario")?.as_str()?.to_string(),
-            framer: row.get("framer")?.as_str()?.to_string(),
-            capacity_qps: row.get("capacity_qps")?.as_f64()?,
-            sustained_qps: row.get("sustained_qps")?.as_f64()?,
-            p50_us: row.get("p50_us")?.as_u64()?,
-            p99_us: row.get("p99_us")?.as_u64()?,
-        });
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("scenario".into(), Json::str(&self.scenario)),
+            ("framer".into(), Json::str(&self.framer)),
+            ("capacity_qps".into(), fixed(self.capacity_qps, 1)),
+            ("sustained_qps".into(), fixed(self.sustained_qps, 1)),
+            ("p50_us".into(), Json::u64(self.p50_us)),
+            ("p99_us".into(), Json::u64(self.p99_us)),
+        ])
     }
-    Some((parameters, results))
-}
-
-fn render_profile(out: &mut String, parameters: &Json, results: &[ScenarioResult]) {
-    out.push_str(&format!("      \"parameters\": {parameters},\n"));
-    out.push_str("      \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        out.push_str(&format!(
-            "        {{\"scenario\": \"{}\", \"framer\": \"{}\", \"capacity_qps\": {:.1}, \
-             \"sustained_qps\": {:.1}, \"p50_us\": {}, \"p99_us\": {}}}{comma}\n",
-            r.scenario, r.framer, r.capacity_qps, r.sustained_qps, r.p50_us, r.p99_us
-        ));
-    }
-    out.push_str("      ]\n");
-}
-
-fn write_report(
-    files: &BenchFiles,
-    profile: &Profile,
-    parameters: &Json,
-    results: &[ScenarioResult],
-    baseline: Option<&Json>,
-) -> std::io::Result<PathBuf> {
-    let other_name = if profile.quick { "full" } else { "quick" };
-    let other = baseline.and_then(|doc| parse_profile(doc, other_name));
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"version\": 1,\n");
-    out.push_str(
-        "  \"generated_by\": \"cargo run --release -p ipsketch-bench --features server --bin loadgen\",\n",
-    );
-    out.push_str("  \"profiles\": {\n");
-    let mut sections: Vec<(&str, &Json, &[ScenarioResult])> = Vec::new();
-    sections.push((profile.name(), parameters, results));
-    if let Some((params, rows)) = &other {
-        sections.push((other_name, params, rows));
-    }
-    sections.sort_by_key(|(name, _, _)| *name); // stable file order: full, quick
-    for (i, (name, params, rows)) in sections.iter().enumerate() {
-        let comma = if i + 1 == sections.len() { "" } else { "," };
-        out.push_str(&format!("    \"{name}\": {{\n"));
-        render_profile(&mut out, params, rows);
-        out.push_str(&format!("    }}{comma}\n"));
-    }
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    files.write(&out)
 }
 
 fn main() {
-    let profile = Profile::from_env();
+    let report = BenchReport::open(
+        "BENCH_serve.json",
+        "cargo run --release -p ipsketch-bench --features server --bin loadgen",
+    );
+    let profile = Profile::new(report.profile() == report::Profile::Quick);
     let scenarios = ["query", "batch_query", "query_under_ingest"];
     let mut results = Vec::new();
     for scenario in scenarios {
@@ -660,28 +589,8 @@ fn main() {
         let routed = build_routed_workload(&profile, flaky);
         let addr = routed.router.addr();
         let line = routed.query_line.as_str();
-        let capacity_qps = measure_capacity(Framer::Tcp, addr, "/v1/query", line, &profile);
-        let target = capacity_qps * OPEN_LOOP_FRACTION;
-        let (sustained_qps, mut latencies) =
-            measure_open_loop(Framer::Tcp, addr, "/v1/query", line, &profile, target);
-        latencies.sort_unstable();
-        let result = ScenarioResult {
-            scenario: name.to_string(),
-            framer: Framer::Tcp.label().to_string(),
-            capacity_qps,
-            sustained_qps,
-            p50_us: quantile(&latencies, 0.50),
-            p99_us: quantile(&latencies, 0.99),
-        };
-        println!(
-            "{:>20} / {:<5} capacity {:>8.0} qps | sustained {:>8.0} qps | p50 {:>6} us | p99 {:>6} us",
-            result.scenario,
-            result.framer,
-            result.capacity_qps,
-            result.sustained_qps,
-            result.p50_us,
-            result.p99_us
-        );
+        let result = measure(name, Framer::Tcp, addr, "/v1/query", line, &profile);
+        println!("{}", result.line());
         results.push(result);
         routed.router.shutdown();
         if let Some(proxy) = routed.proxy {
@@ -712,48 +621,27 @@ fn main() {
             Json::f64(OPEN_LOOP_FRACTION),
         ),
     ]);
-    let files = BenchFiles::new("BENCH_serve.json");
-    let baseline = std::fs::read_to_string(&files.committed)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok());
-    let path = write_report(&files, &profile, &parameters, &results, baseline.as_ref())
+    report
+        .write(&[
+            ("parameters", parameters),
+            (
+                "results",
+                Json::Arr(results.iter().map(ScenarioResult::to_json).collect()),
+            ),
+        ])
         .expect("report writes");
-    println!("\nwrote {}", path.display());
 
-    if std::env::var("IPSKETCH_BENCH_ENFORCE").is_ok_and(|v| v.trim() == "1") {
-        let Some((_, committed)) = baseline
-            .as_ref()
-            .and_then(|doc| parse_profile(doc, profile.name()))
-        else {
-            println!(
-                "no committed `{}` baseline in BENCH_serve.json; nothing to enforce",
-                profile.name()
-            );
-            return;
-        };
-        // 25% tolerance: shared CI runners are noisy; the gate is for real
-        // regressions (a serialization bug, an accidental lock), not jitter.
-        let mut regressed = Vec::new();
-        for base in &committed {
-            let Some(now) = results
+    // 25% tolerance: shared CI runners are noisy; the gate is for real
+    // regressions (a serialization bug, an accidental lock), not jitter.
+    report::enforce(&report.relative_floors(
+        &["scenario", "framer"],
+        "sustained_qps",
+        0.75,
+        |key| {
+            let now = results
                 .iter()
-                .find(|r| r.scenario == base.scenario && r.framer == base.framer)
-            else {
-                regressed.push(format!("{}/{} vanished", base.scenario, base.framer));
-                continue;
-            };
-            if now.sustained_qps < 0.75 * base.sustained_qps {
-                regressed.push(format!(
-                    "{}/{}: {:.0} qps vs baseline {:.0} qps",
-                    base.scenario, base.framer, now.sustained_qps, base.sustained_qps
-                ));
-            }
-        }
-        if regressed.is_empty() {
-            println!("all scenarios within 25% of the committed baseline");
-        } else {
-            eprintln!("sustained qps regressed beyond tolerance: {regressed:#?}");
-            std::process::exit(1);
-        }
-    }
+                .find(|r| r.scenario == key[0] && r.framer == key[1])?;
+            Some(now.sustained_qps)
+        },
+    ));
 }

@@ -30,8 +30,7 @@ use ipsketch_vector::{inner_product, scaled_absolute_error, SparseVector};
 /// How large an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Reduced parameters that finish in seconds; used by default, by tests and by the
-    /// Criterion benches.
+    /// Reduced parameters that finish in seconds; used by default and by tests.
     Quick,
     /// The paper's full parameters (5000 column pairs, all document pairs, 10 trials).
     Paper,

@@ -7,7 +7,8 @@
 //! Ioffe's ICWS as an alternative weighted sampler and reuses the paper's
 //! inverse-probability estimator structure (Algorithm 5) on top of it, giving a second,
 //! independent implementation of weighted inner-product sketching that the extension
-//! experiment (A4 in `DESIGN.md`) compares against WMH.
+//! experiment (A4, `extensions`, in the experiment table of
+//! `crates/bench/src/experiments/mod.rs`) compares against WMH.
 //!
 //! ICWS samples index `k` with probability proportional to its weight `S_k` (here
 //! `S_k = ã[k]²`, the squared entries of the normalized vector, matching WMH's sampling

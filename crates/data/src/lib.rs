@@ -6,7 +6,9 @@
 //! documents (Figure 6).  The latter two datasets are not redistributable artifacts, so
 //! this crate generates *synthetic stand-ins that control exactly the properties those
 //! experiments stress* — key-overlap ratio, value kurtosis, document length and TF-IDF
-//! sparsity — as documented in `DESIGN.md` ("Substitutions").
+//! sparsity. The experiments in `ipsketch-bench` run the paper's procedure on these
+//! generators in place of the real data ([`worldbank`] for Figure 5, [`text`] and
+//! [`tfidf`] for Figure 6).
 //!
 //! Modules:
 //!

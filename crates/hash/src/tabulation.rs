@@ -4,7 +4,8 @@
 //! 64-bit table entries, one per byte value.  It is only 3-wise independent but is known
 //! to behave like a fully random hash function for many algorithms (Pătraşcu & Thorup),
 //! which makes it a useful "stronger hash" ablation point for the sketching algorithms
-//! (see experiment A3 in `DESIGN.md`).
+//! (ablation A3, `hash_sweep`, in the experiment table of
+//! `crates/bench/src/experiments/mod.rs`).
 
 use crate::rng::Xoshiro256PlusPlus;
 

@@ -1139,8 +1139,9 @@ pub struct WireCompaction {
 }
 
 /// Live server observability in an `info` response (requires `"server": true` in
-/// the request).  Latency quantiles come from the server's lock-free log-bucketed
-/// histograms, so they are upper bounds of power-of-two nanosecond buckets.
+/// the request).  Latency quantiles come from the server's lock-free log-linear
+/// histograms (8 buckets per power of two of nanoseconds), so each is the upper
+/// bound of its bucket: at most 12.5% above the true quantile.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireServerStats {
     /// Currently open client connections.
